@@ -254,7 +254,7 @@ def cmd_kb_validate(config: PipelineConfig, run_dir: Path) -> None:
           f"{len(kb.triples)} triples, languages {sorted(kb.languages)}")
 
 
-def _assemble_into(config: PipelineConfig, run_dir: Path, kind_weights, corpus_name: str) -> Path:
+def _assemble_into(config: PipelineConfig, run_dir: Path, kind_weights, corpus_name: str) -> tuple[Path, int]:
     kb = _load_kb(config, run_dir)
     langs = _langs(config)
     corpus = assembler.build_corpus(
@@ -263,7 +263,7 @@ def _assemble_into(config: PipelineConfig, run_dir: Path, kind_weights, corpus_n
     corpus_path = run_dir / corpus_name
     assembler.save_corpus(corpus, corpus_path)
     _sidecar(corpus_path, config, {"n_samples": len(corpus)})
-    return corpus_path
+    return corpus_path, len(corpus)
 
 
 def _build_vocab_artifact(config: PipelineConfig, run_dir: Path) -> Path:
@@ -281,9 +281,8 @@ def _build_vocab_artifact(config: PipelineConfig, run_dir: Path) -> Path:
 
 
 def cmd_assemble(config: PipelineConfig, run_dir: Path) -> None:
-    corpus_path = _assemble_into(config, run_dir, config["assembler.kind_weights"], "corpus.jsonl")
+    corpus_path, n = _assemble_into(config, run_dir, config["assembler.kind_weights"], "corpus.jsonl")
     vocab_path = _build_vocab_artifact(config, run_dir)
-    n = sum(1 for _ in open(corpus_path, encoding="utf-8"))
     _write_manifest(run_dir, "assemble", config, {"seed": config["assembler.seed"], "n_samples": n})
     print(f"assemble: {n} samples -> {corpus_path}, vocab -> {vocab_path}")
 

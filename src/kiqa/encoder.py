@@ -301,10 +301,19 @@ def qa_logits(params: EncoderParams, hidden):
     return start, end
 
 
-def _log_softmax_rows(logits):
-    m = logits.max(-1, keepdims=True)
-    z = logits - m
-    return z - np.log(np.exp(z).sum(-1, keepdims=True))
+def cross_entropy(logits, targets):
+    """Per-row negative log-likelihood of ``targets`` under softmax(logits),
+    and its gradient with respect to the logits (softmax minus one-hot).
+
+    Classes excluded from a row carry -inf logits: they get probability 0 and
+    gradient 0.
+    """
+    z = logits - logits.max(-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+    rows = np.arange(len(targets))
+    dlogits = np.exp(logp)
+    dlogits[rows, targets] -= 1.0
+    return -logp[rows, targets], dlogits
 
 
 @dataclass
@@ -350,10 +359,8 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
             raise NoMaskedPositionsError("batch has no masked positions")
         sel = hidden[rows, cols]
         logits = sel @ params.tensors["tok_emb"].T + params.tensors["mlm_bias"]
-        logp = _log_softmax_rows(logits)
-        value = -logp[np.arange(M), targets].mean()
-        dlogits = np.exp(logp)
-        dlogits[np.arange(M), targets] -= 1.0
+        nll, dlogits = cross_entropy(logits, targets)
+        value = nll.mean()
         dlogits /= M
         grads["mlm_bias"] += dlogits.sum(0)
         grads["tok_emb"] += dlogits.T @ sel
@@ -367,17 +374,11 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
         gold_e = np.asarray(batch.end_gold, dtype=np.int64)
         if not (valid[np.arange(B), gold_s].all() and valid[np.arange(B), gold_e].all()):
             raise GoldPositionMaskedError("gold span position outside the valid mask")
-        total = 0.0
-        dstart = np.zeros_like(start_logits)
-        dend = np.zeros_like(end_logits)
-        for logits_bl, gold, dbuf in ((start_logits, gold_s, dstart), (end_logits, gold_e, dend)):
-            masked = np.where(valid, logits_bl, -np.inf)
-            logp = _log_softmax_rows(masked)
-            total += -logp[np.arange(B), gold].sum()
-            dl = np.exp(logp)
-            dl[np.arange(B), gold] -= 1.0
-            dbuf += dl / (2.0 * B)
-        value = total / (2.0 * B)
+        nll_s, dstart = cross_entropy(np.where(valid, start_logits, -np.inf), gold_s)
+        nll_e, dend = cross_entropy(np.where(valid, end_logits, -np.inf), gold_e)
+        value = (nll_s.sum() + nll_e.sum()) / (2.0 * B)
+        dstart /= 2.0 * B
+        dend /= 2.0 * B
         t = params.tensors
         grads["qa_ws"] += (dstart[..., None] * hidden).sum((0, 1))
         grads["qa_bs"] += dstart.sum()
@@ -435,4 +436,6 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         missing = set(expected) - set(tensors)
         if missing:
             raise ArtifactMismatchError(f"{path}: missing tensors {sorted(missing)}")
+        if fh.read(1):
+            raise ArtifactMismatchError(f"{path}: trailing bytes after the last tensor")
     return EncoderParams(config=config, tensors=tensors), header["meta"]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoder import EncoderParams, forward, qa_logits
 from .errors import KBParseError
-from .textmodel import PAD_ID, Vocab, pack_qa, tokenize
+from .textmodel import Vocab, pack_qa, pad_batch, tokenize
 
 _EN_ARTICLES = frozenset({"a", "an", "the"})
 _CJK_LANG_ROOTS = frozenset({"zh", "ja", "ko"})
@@ -193,16 +193,7 @@ def predict_spans(
     predictions: list[str] = []
     for lo in range(0, len(packed), batch_size):
         chunk = packed[lo : lo + batch_size]
-        width = max(sum(1 for t in p.input_ids if t != PAD_ID) for p in chunk)
-        B = len(chunk)
-        ids = np.full((B, width), PAD_ID, dtype=np.int64)
-        segs = np.zeros((B, width), dtype=np.int64)
-        mask = np.zeros((B, width), dtype=np.float64)
-        for b, p in enumerate(chunk):
-            n = sum(1 for t in p.input_ids if t != PAD_ID)
-            ids[b, :n] = p.input_ids[:n]
-            segs[b, :n] = p.segment_ids[:n]
-            mask[b, :n] = 1.0
+        ids, segs, mask = pad_batch([(p.input_ids, p.segment_ids) for p in chunk])
         hidden = forward(params, ids, segs, mask)
         start_logits, end_logits = qa_logits(params, hidden)
         for b, p in enumerate(chunk):

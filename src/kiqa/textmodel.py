@@ -10,7 +10,9 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .assembler import MaskedSample, SampleKind
 from .errors import ConfigError, QuestionTooLongError, RenderOverflowError
@@ -165,11 +167,12 @@ class QAInput:
 
 
 def pack_qa(question: str, context: str, vocab: Vocab, max_len: int) -> QAInput:
-    """Concatenate question and context: [CLS] q [SEP] c [SEP] [PAD]...
+    """Concatenate question and context: [CLS] q [SEP] c [SEP], unpadded.
 
     Segment ids are 0 over the question block (incl. CLS and first SEP) and 1
-    over the context block (incl. trailing SEP). The context is truncated to
-    fit; offsets map surviving context tokens back to character spans.
+    over the context block (incl. trailing SEP). The context is truncated so
+    the whole input fits in max_len tokens; offsets map surviving context
+    tokens back to character spans. Batching pads with ``pad_batch``.
     """
     q_tokens = tokenize(question)
     if len(q_tokens) + 3 >= max_len:
@@ -188,7 +191,22 @@ def pack_qa(question: str, context: str, vocab: Vocab, max_len: int) -> QAInput:
         segs.append(1)
     ids.append(SEP_ID)
     segs.append(1)
-    while len(ids) < max_len:
-        ids.append(PAD_ID)
-        segs.append(0)
     return QAInput(input_ids=ids, segment_ids=segs, context_token_offsets=offsets)
+
+
+def pad_batch(rows: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-pad (input_ids, segment_ids) pairs to the longest row.
+
+    Returns int64 ids padded with PAD_ID, int64 segment ids padded with 0, and
+    a float64 attention mask that is 1.0 over real tokens and 0.0 over PAD.
+    """
+    width = max(len(row_ids) for row_ids, _ in rows)
+    ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+    segs = np.zeros((len(rows), width), dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=np.float64)
+    for b, (row_ids, row_segs) in enumerate(rows):
+        n = len(row_ids)
+        ids[b, :n] = row_ids
+        segs[b, :n] = row_segs
+        mask[b, :n] = 1.0
+    return ids, segs, mask

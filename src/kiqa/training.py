@@ -24,14 +24,8 @@ from .encoder import (
     init_params,
     loss_and_grad,
 )
-from .errors import (
-    ConfigError,
-    GoldPositionMaskedError,
-    NoMaskedPositionsError,
-    NonFiniteError,
-    RenderOverflowError,
-)
-from .textmodel import PAD_ID, QAInput, TokenizedSample, Vocab, pack_qa, render
+from .errors import ConfigError, NonFiniteError, RenderOverflowError
+from .textmodel import QAInput, TokenizedSample, Vocab, pack_qa, pad_batch, render
 
 PHASES = ("inject", "finetune")
 
@@ -58,45 +52,6 @@ class TrainConfig:
             raise ConfigError("warmup_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-
-# -------------------------------------------------------------------- losses
-
-
-def mlm_loss(logits, target_ids) -> float:
-    """Mean cross-entropy of the target tokens at the masked positions."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(target_ids, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] != targets.shape[0]:
-        raise ValueError("logits must be (n_masked, vocab) aligned with target_ids")
-    n = targets.shape[0]
-    if n == 0:
-        raise NoMaskedPositionsError("no masked positions")
-    z = logits - logits.max(-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
-    return float(-logp[np.arange(n), targets].mean())
-
-
-def ec_loss(logits, target_ids) -> float:
-    """Entity-completion loss: the masked positions are entity tokens, the
-    computation is identical to the masked-LM loss."""
-    return mlm_loss(logits, target_ids)
-
-
-def span_loss(start_logits, end_logits, gold_start: int, gold_end: int, valid_mask) -> float:
-    """Half-sum of start/end cross-entropies over the valid positions."""
-    valid = np.asarray(valid_mask, dtype=bool)
-    if not (valid[gold_start] and valid[gold_end]):
-        raise GoldPositionMaskedError(
-            f"gold span ({gold_start}, {gold_end}) not inside the valid positions"
-        )
-    total = 0.0
-    for logits, gold in ((start_logits, gold_start), (end_logits, gold_end)):
-        logits = np.where(valid, np.asarray(logits, dtype=np.float64), -np.inf)
-        z = logits - logits.max()
-        logp = z - np.log(np.exp(z).sum())
-        total += -logp[gold]
-    return float(total / 2.0)
 
 
 def lr_at(step: int, total_steps: int, peak_lr: float, warmup_fraction: float) -> float:
@@ -172,17 +127,9 @@ def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def collate_mlm(samples: Sequence[TokenizedSample]) -> MLMBatch:
-    width = max(len(s.input_ids) for s in samples)
-    B = len(samples)
-    ids = np.full((B, width), PAD_ID, dtype=np.int64)
-    segs = np.zeros((B, width), dtype=np.int64)
-    mask = np.zeros((B, width), dtype=np.float64)
+    ids, segs, mask = pad_batch([(s.input_ids, s.segment_ids) for s in samples])
     rows, cols, targets = [], [], []
     for b, s in enumerate(samples):
-        n = len(s.input_ids)
-        ids[b, :n] = s.input_ids
-        segs[b, :n] = s.segment_ids
-        mask[b, :n] = 1.0
         rows.extend([b] * len(s.mask_positions))
         cols.extend(s.mask_positions)
         targets.extend(s.target_ids)
@@ -245,21 +192,12 @@ def prepare_qa_examples(examples, vocab: Vocab, max_len: int) -> tuple[list[QATr
 
 
 def collate_qa(items: Sequence[QATrainExample]) -> QABatch:
-    # PAD is only ever a suffix, so the non-pad count is the real length.
-    width = max(sum(1 for t in it.qa_input.input_ids if t != PAD_ID) for it in items)
+    ids, segs, mask = pad_batch([(it.qa_input.input_ids, it.qa_input.segment_ids) for it in items])
     B = len(items)
-    ids = np.full((B, width), PAD_ID, dtype=np.int64)
-    segs = np.zeros((B, width), dtype=np.int64)
-    mask = np.zeros((B, width), dtype=np.float64)
-    valid = np.zeros((B, width), dtype=bool)
+    valid = np.zeros(ids.shape, dtype=bool)
     gold_s = np.zeros(B, dtype=np.int64)
     gold_e = np.zeros(B, dtype=np.int64)
     for b, it in enumerate(items):
-        real = [t for t in it.qa_input.input_ids if t != PAD_ID]
-        n = len(real)
-        ids[b, :n] = it.qa_input.input_ids[:n]
-        segs[b, :n] = it.qa_input.segment_ids[:n]
-        mask[b, :n] = 1.0
         positions = it.qa_input.context_positions
         valid[b, positions] = True
         gold_s[b] = positions[it.gold_start]

@@ -1,8 +1,16 @@
 import json
+import math
 
 import pytest
 
 from kiqa.kb import load_kb
+
+
+def ce_oracle(logits, target):
+    """Straight-line softmax cross-entropy for one row."""
+    mx = max(logits)
+    denom = sum(math.exp(x - mx) for x in logits)
+    return -(logits[target] - mx - math.log(denom))
 
 
 def write_jsonl(path, records):

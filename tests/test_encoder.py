@@ -19,6 +19,8 @@ from kiqa.encoder import (
 )
 from kiqa.errors import ArtifactMismatchError, GoldPositionMaskedError, NoMaskedPositionsError
 
+from conftest import ce_oracle
+
 TINY = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=16, dropout=0.0)
 
 
@@ -306,6 +308,32 @@ def test_gradcheck_with_dropout_mask_fixed():
     assert abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-6) < 1e-4
 
 
+def test_loss_value_matches_oracle():
+    """mlm: mean cross-entropy over masked slots; span: half-sum of start and
+    end cross-entropies over each row's valid positions, averaged over rows."""
+    params = scaled_params(TINY, seed=4)
+    mlm = make_mlm_batch(TINY, seed=5)
+    hidden = forward(params, mlm.input_ids, mlm.segment_ids, mlm.attention_mask)
+    nll = [
+        ce_oracle(list(mlm_logits(params, hidden[r], [c])[0]), t)
+        for r, c, t in zip(mlm.mask_rows, mlm.mask_cols, mlm.target_ids)
+    ]
+    value, _ = loss_and_grad(params, mlm, "mlm")
+    assert abs(value - sum(nll) / len(nll)) <= 1e-10
+
+    qa = make_qa_batch(TINY, seed=5)
+    qa.valid_mask[1, 3:8] = True  # rows differ in their valid positions
+    hidden = forward(params, qa.input_ids, qa.segment_ids, qa.attention_mask)
+    start, end = qa_logits(params, hidden)
+    total = 0.0
+    for b in range(len(qa.input_ids)):
+        ctx = list(np.flatnonzero(qa.valid_mask[b]))
+        total += ce_oracle([start[b, p] for p in ctx], ctx.index(qa.start_gold[b]))
+        total += ce_oracle([end[b, p] for p in ctx], ctx.index(qa.end_gold[b]))
+    value, _ = loss_and_grad(params, qa, "span")
+    assert abs(value - total / (2 * len(qa.input_ids))) <= 1e-10
+
+
 def test_loss_identical_samples_equals_single():
     params = scaled_params(TINY, seed=3)
     single = make_qa_batch(TINY, seed=2)
@@ -397,4 +425,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ArtifactMismatchError):
+        load_checkpoint(path)
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, init_params(TINY, seed=0))
+    path.write_bytes(good.read_bytes() + b"\0")
+    with pytest.raises(ArtifactMismatchError, match="trailing bytes"):
         load_checkpoint(path)

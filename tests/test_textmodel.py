@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from kiqa.textmodel import (
     build_vocab,
     load_vocab,
     pack_qa,
+    pad_batch,
     render,
     save_vocab,
     tokenize,
@@ -186,14 +188,13 @@ def test_pack_qa_layout():
     vocab = build_vocab(["who kevin durant plays"], max_size=16)
     out = pack_qa("who", "kevin durant plays", vocab, max_len=16)
     ids = out.input_ids
-    assert len(ids) == 16
+    assert len(ids) == 7
     assert ids[0] == CLS_ID
     assert ids[1] == vocab.id("who")
     assert ids[2] == SEP_ID
     assert ids[3:6] == [vocab.id("kevin"), vocab.id("durant"), vocab.id("plays")]
     assert ids[6] == SEP_ID
-    assert ids[7:] == [PAD_ID] * 9
-    assert out.segment_ids == [0, 0, 0, 1, 1, 1, 1] + [0] * 9
+    assert out.segment_ids == [0, 0, 0, 1, 1, 1, 1]
     assert out.context_positions == [3, 4, 5]
 
 
@@ -210,8 +211,8 @@ def test_pack_qa_truncates_context_keeps_sep():
     out = pack_qa("w", "a b c d e f g", vocab, max_len=8)
     # budget = 8 - 1 - 3 = 4 context tokens
     assert len(out.context_positions) == 4
-    non_pad = [t for t in out.input_ids if t != PAD_ID]
-    assert non_pad[-1] == SEP_ID
+    assert len(out.input_ids) == 8
+    assert out.input_ids[-1] == SEP_ID
 
 
 def test_pack_qa_question_too_long():
@@ -235,13 +236,15 @@ def test_pack_qa_segment_invariants(question, context):
         out = pack_qa(question, context, vocab, max_len=32)
     except QuestionTooLongError:
         return
-    assert len(out.input_ids) == 32
-    assert len(out.segment_ids) == 32
+    assert len(out.input_ids) == len(tokenize(question)) + len(out.context_positions) + 3 <= 32
+    assert len(out.segment_ids) == len(out.input_ids)
     assert set(out.segment_ids) <= {0, 1}
-    # PAD only as suffix
-    seen_pad = False
-    for t in out.input_ids:
-        if t == PAD_ID:
-            seen_pad = True
-        else:
-            assert not seen_pad
+    assert PAD_ID not in out.input_ids
+
+
+def test_pad_batch_layout():
+    ids, segs, mask = pad_batch([([CLS_ID, 7, SEP_ID], [0, 1, 1]), ([CLS_ID], [0])])
+    assert ids.dtype == np.int64 and segs.dtype == np.int64 and mask.dtype == np.float64
+    assert ids.tolist() == [[CLS_ID, 7, SEP_ID], [CLS_ID, PAD_ID, PAD_ID]]
+    assert segs.tolist() == [[0, 1, 1], [0, 0, 0]]
+    assert mask.tolist() == [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiqa.assembler import build_corpus
-from kiqa.encoder import EncoderParams, ModelConfig, init_params
-from kiqa.errors import ConfigError, GoldPositionMaskedError, NoMaskedPositionsError, NonFiniteError
+from kiqa.encoder import EncoderParams, ModelConfig, cross_entropy, init_params
+from kiqa.errors import ConfigError, NonFiniteError
 from kiqa.evaluation import QAExample
 from kiqa.synthlang import SynthSpec, gen_kb
 from kiqa.textmodel import build_vocab, pack_qa, render
@@ -16,56 +16,32 @@ from kiqa.training import (
     TrainConfig,
     adamw_step,
     collate_mlm,
-    ec_loss,
     locate_answer_span,
     lr_at,
-    mlm_loss,
     prepare_qa_examples,
     run_finetune,
     run_injection,
-    span_loss,
 )
+
+from conftest import ce_oracle
 
 
 # ---------------------------------------------------------------- the losses
-
-
-def ce_oracle(logits, target):
-    """Straight-line softmax cross-entropy for one row."""
-    mx = max(logits)
-    denom = sum(math.exp(x - mx) for x in logits)
-    return -(logits[target] - mx - math.log(denom))
+# Both phases train on encoder.cross_entropy; loss_and_grad's reductions are
+# pinned in tests/test_encoder.py.
 
 
 def test_mlm_loss_uniform():
-    logits = np.zeros((1, 4))
-    assert mlm_loss(logits, [2]) == pytest.approx(math.log(4), abs=1e-12)
+    nll, _ = cross_entropy(np.zeros((1, 4)), [2])
+    assert nll[0] == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_mlm_loss_hand_value():
     logits = np.array([[2.0, 0.0, 0.0, 0.0]])
     want = math.log(1 + 3 * math.exp(-2))  # = 0.34075...
-    assert mlm_loss(logits, [0]) == pytest.approx(want, abs=1e-10)
+    nll, _ = cross_entropy(logits, [0])
+    assert nll[0] == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(0.3408, abs=1e-4)
-
-
-def test_mlm_loss_mean_reduction():
-    logits = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    a = ce_oracle(logits[0], 0)
-    b = ce_oracle(logits[1], 3)
-    assert mlm_loss(logits, [0, 3]) == pytest.approx((a + b) / 2, abs=1e-12)
-
-
-def test_mlm_loss_no_positions():
-    with pytest.raises(NoMaskedPositionsError):
-        mlm_loss(np.zeros((0, 5)), [])
-
-
-def test_ec_loss_is_mlm_loss():
-    rng = np.random.default_rng(7)
-    logits = rng.normal(size=(6, 11))
-    targets = rng.integers(0, 11, size=6)
-    assert ec_loss(logits, targets) == mlm_loss(logits, targets)
 
 
 def test_loss_oracle_random_instances():
@@ -75,25 +51,18 @@ def test_loss_oracle_random_instances():
         v = rng.integers(2, 12)
         logits = rng.normal(scale=3.0, size=(n, v))
         targets = rng.integers(0, v, size=n)
-        want = sum(ce_oracle(logits[i], targets[i]) for i in range(n)) / n
-        assert abs(mlm_loss(logits, targets) - want) <= 1e-10
+        nll, grad = cross_entropy(logits, targets)
+        for i in range(n):
+            assert abs(nll[i] - ce_oracle(logits[i], targets[i])) <= 1e-10
+        assert np.abs(grad.sum(-1)).max() <= 1e-12  # softmax minus one-hot
 
 
 def test_span_loss_uniform():
-    logits = np.zeros(8)
-    valid = np.zeros(8, dtype=bool)
-    valid[2:7] = True  # 5 valid positions
-    assert span_loss(logits, logits, 3, 4, valid) == pytest.approx(math.log(5), abs=1e-12)
-
-
-def test_span_loss_is_half_sum():
-    rng = np.random.default_rng(5)
-    start = rng.normal(size=10)
-    end = rng.normal(size=10)
-    valid = np.ones(10, dtype=bool)
-    a = ce_oracle(start, 2)
-    b = ce_oracle(end, 6)
-    assert span_loss(start, end, 2, 6, valid) == pytest.approx((a + b) / 2, abs=1e-10)
+    logits = np.full((2, 8), -np.inf)
+    logits[:, 2:7] = 0.0  # 5 valid positions
+    nll, grad = cross_entropy(logits, [3, 4])
+    np.testing.assert_allclose(nll, math.log(5), atol=1e-12)
+    assert (grad[:, :2] == 0.0).all() and (grad[:, 7:] == 0.0).all()
 
 
 def test_span_loss_restricted_oracle():
@@ -106,17 +75,10 @@ def test_span_loss_restricted_oracle():
         start = rng.normal(scale=2.0, size=L)
         end = rng.normal(scale=2.0, size=L)
         gs, ge = rng.choice(ctx), rng.choice(ctx)
-        sub_s = [start[p] for p in ctx]
-        sub_e = [end[p] for p in ctx]
-        want = (ce_oracle(sub_s, ctx.index(gs)) + ce_oracle(sub_e, ctx.index(ge))) / 2
-        assert abs(span_loss(start, end, gs, ge, valid) - want) <= 1e-10
-
-
-def test_span_loss_gold_masked_out():
-    valid = np.zeros(6, dtype=bool)
-    valid[2:4] = True
-    with pytest.raises(GoldPositionMaskedError):
-        span_loss(np.zeros(6), np.zeros(6), 0, 3, valid)
+        nll, grad = cross_entropy(np.where(valid, np.stack([start, end]), -np.inf), [gs, ge])
+        assert abs(nll[0] - ce_oracle([start[p] for p in ctx], ctx.index(gs))) <= 1e-10
+        assert abs(nll[1] - ce_oracle([end[p] for p in ctx], ctx.index(ge))) <= 1e-10
+        assert (grad[:, ~valid] == 0.0).all()
 
 
 # ------------------------------------------------------------------ schedule
