@@ -15,15 +15,17 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
     ConfigError,
     InsufficientTriplesError,
+    KBParseError,
     SameLanguageError,
     ZeroWeightsError,
 )
-from .kb import KnowledgeBase, Triple, surface, triples_renderable
+from .kb import KnowledgeBase, Triple, _read_records, surface, triples_renderable
 
 
 class SampleKind(str, Enum):
@@ -268,11 +270,8 @@ def save_corpus(samples: Iterable[MaskedSample], path) -> None:
 
 def load_corpus(path) -> list[MaskedSample]:
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+    for lineno, rec in _read_records(Path(path)):
+        try:
             triple = None
             if "triple" in rec:
                 triple = Triple(head=rec["triple"]["h"], rel=rec["triple"]["r"], tail=rec["triple"]["t"])
@@ -286,6 +285,8 @@ def load_corpus(path) -> list[MaskedSample]:
                     langs=(rec["langs"][0], rec["langs"][1]),
                 )
             )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise KBParseError(f"{path}:{lineno}: invalid corpus record ({exc!r})") from exc
     return samples
 
 

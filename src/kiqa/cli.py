@@ -162,7 +162,10 @@ def _read_sidecar_hash(path: Path) -> str:
     if not meta_path.exists():
         raise ArtifactMismatchError(f"{path}: missing sidecar {meta_path.name}")
     with open(meta_path, encoding="utf-8") as fh:
-        return json.load(fh)["config_hash"]
+        try:
+            return json.load(fh)["config_hash"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ArtifactMismatchError(f"{meta_path}: malformed sidecar ({exc!r})") from exc
 
 
 def _kb_paths(config: PipelineConfig, run_dir: Path) -> tuple[Path, Path, Path]:

@@ -420,12 +420,18 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         magic = fh.readline()
         if magic != _CKPT_MAGIC:
             raise ArtifactMismatchError(f"{path}: not a checkpoint file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        config = ModelConfig(**header["config"])
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            shapes = [(name, tuple(shape)) for name, shape in header["tensors"]]
+            meta = header["meta"]
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 decoding
+            raise ArtifactMismatchError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+        if not isinstance(meta, dict) or not all(isinstance(name, str) for name, _ in shapes):
+            raise ArtifactMismatchError(f"{path}: malformed checkpoint header")
         expected = param_shapes(config)
         tensors: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            shape = tuple(shape)
+        for name, shape in shapes:
             if name not in expected or expected[name] != shape:
                 raise ArtifactMismatchError(f"{path}: tensor {name!r} shape {shape} does not match config")
             n_items = int(np.prod(shape)) if shape else 1
@@ -438,4 +444,4 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
             raise ArtifactMismatchError(f"{path}: missing tensors {sorted(missing)}")
         if fh.read(1):
             raise ArtifactMismatchError(f"{path}: trailing bytes after the last tensor")
-    return EncoderParams(config=config, tensors=tensors), header["meta"]
+    return EncoderParams(config=config, tensors=tensors), meta

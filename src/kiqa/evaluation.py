@@ -63,24 +63,22 @@ def token_f1(pred: str, gold: str, lang: str) -> float:
 
 def decode_span(start_logits, end_logits, context_positions: Sequence[int], max_answer_len: int):
     """Best (start, end) by summed logits subject to start <= end, length cap,
-    and both ends inside the context; ties prefer the earlier start then end."""
+    and both ends inside the context; ties prefer the earlier start then end.
+    Positions at or past the end of the logits are ignored; returns None when
+    no span is left."""
     start_logits = np.asarray(start_logits, dtype=np.float64)
     end_logits = np.asarray(end_logits, dtype=np.float64)
     positions = sorted(context_positions)
     if not positions:
         raise ValueError("context segment is empty")
-    pos_set = set(positions)
-    best = None
-    best_score = -np.inf
-    for s in positions:
-        for e in range(s, min(s + max_answer_len, start_logits.shape[0])):
-            if e not in pos_set:
-                continue
-            score = start_logits[s] + end_logits[e]
-            if score > best_score:
-                best_score = score
-                best = (s, e)
-    return best
+    positions = [p for p in positions if p < start_logits.shape[0]]
+    if not positions:
+        return None
+    pos = np.asarray(positions)
+    gap = pos[None, :] - pos[:, None]
+    scores = np.where((gap >= 0) & (gap < max_answer_len), start_logits[pos][:, None] + end_logits[pos][None, :], -np.inf)
+    s, e = np.unravel_index(np.argmax(scores), scores.shape)  # row-major: earlier start, then earlier end
+    return (positions[s], positions[e]) if scores[s, e] > -np.inf else None
 
 
 # ------------------------------------------------------------------- dataset

@@ -1,13 +1,16 @@
 """Vocabulary, tokenization, and rendering of samples into model inputs.
 
-The tokenizer is a deterministic stand-in for a subword scheme: contiguous
-runs of letters/digits become lowercased word tokens, each CJK character is
-its own token, punctuation is dropped.
+The tokenizer is a deterministic stand-in for a subword scheme. Each
+character in the CJK ranges below (ideographs, kana, hangul) is its own
+token. Every maximal run of other letters and digits (Unicode categories L*
+and N*) is one lowercased word token. Everything else -- whitespace,
+punctuation, symbols, combining marks and ``_`` -- separates tokens and is
+dropped.
 """
 
 from __future__ import annotations
 
-import unicodedata
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -21,42 +24,21 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 
 # Scripts tokenized one character at a time: CJK ideographs, kana, hangul.
-_CJK_RANGES = (
-    (0x3040, 0x30FF),  # hiragana + katakana
-    (0x3400, 0x4DBF),  # CJK ext A
-    (0x4E00, 0x9FFF),  # CJK unified
-    (0xAC00, 0xD7AF),  # hangul syllables
-    (0xF900, 0xFAFF),  # CJK compatibility
-    (0x20000, 0x2EBEF),  # CJK ext B..F
+_CJK = (
+    "\u3040-\u30ff"  # hiragana + katakana
+    "\u3400-\u4dbf"  # CJK ext A
+    "\u4e00-\u9fff"  # CJK unified
+    "\uac00-\ud7af"  # hangul syllables
+    "\uf900-\ufaff"  # CJK compatibility
+    "\U00020000-\U0002ebef"  # CJK ext B..F
 )
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
-
-
-def _is_word_char(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in ("L", "N")
+# ``[^\W_]`` matches exactly the code points of Unicode categories L* and N*.
+_TOKEN_RE = re.compile(f"[{_CJK}]|[^\\W_{_CJK}]+")
 
 
 def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     """Tokens with (start, end) character offsets into the original string."""
-    out: list[tuple[str, int, int]] = []
-    run_start = None
-    for i, ch in enumerate(text):
-        if _is_word_char(ch) and not _is_cjk(ch):
-            if run_start is None:
-                run_start = i
-            continue
-        if run_start is not None:
-            out.append((text[run_start:i].lower(), run_start, i))
-            run_start = None
-        if _is_cjk(ch):
-            out.append((ch, i, i + 1))
-    if run_start is not None:
-        out.append((text[run_start:].lower(), run_start, len(text)))
-    return out
+    return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def tokenize(text: str) -> list[str]:

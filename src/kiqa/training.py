@@ -220,19 +220,22 @@ class TrainResult:
 
 def _train_loop(
     params: EncoderParams,
-    batches_per_epoch: Callable[[int], list],
-    n_batches: int,
+    items: Sequence,
+    collate: Callable[[Sequence], MLMBatch | QABatch],
     config: TrainConfig,
     loss_kind: str,
     on_step: Callable[[dict], None] | None,
 ) -> TrainResult:
     state = AdamWState.zeros_like(params)
-    total_steps = config.epochs * n_batches
+    total_steps = config.epochs * math.ceil(len(items) / config.batch_size)
     history = []
     step = 0
     use_dropout = params.config.dropout > 0.0
     for epoch in range(config.epochs):
-        for batch in batches_per_epoch(epoch):
+        order = list(range(len(items)))
+        random.Random(f"{config.seed}|epoch|{epoch}").shuffle(order)
+        for lo in range(0, len(order), config.batch_size):
+            batch = collate([items[j] for j in order[lo : lo + config.batch_size]])
             step += 1
             lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
             rng = np.random.default_rng([config.seed, step]) if use_dropout else None
@@ -274,16 +277,7 @@ def run_injection(
         raise ConfigError("every corpus sample overflowed the render window")
 
     params = init.copy() if init is not None else init_params(model_config, config.seed)
-    n_batches = math.ceil(len(rendered) / config.batch_size)
-
-    def batches(epoch: int):
-        order = list(range(len(rendered)))
-        random.Random(f"{config.seed}|epoch|{epoch}").shuffle(order)
-        for i in range(n_batches):
-            chunk = order[i * config.batch_size : (i + 1) * config.batch_size]
-            yield collate_mlm([rendered[j] for j in chunk])
-
-    result = _train_loop(params, batches, n_batches, config, "mlm", on_step)
+    result = _train_loop(params, rendered, collate_mlm, config, "mlm", on_step)
     result.dropped = overflowed
     return result
 
@@ -300,16 +294,6 @@ def run_finetune(
     prepared, dropped = prepare_qa_examples(qa_dataset, vocab, params.config.max_len)
     if not prepared:
         raise ConfigError("no trainable QA examples (all dropped or dataset empty)")
-    params = params.copy()
-    n_batches = math.ceil(len(prepared) / config.batch_size)
-
-    def batches(epoch: int):
-        order = list(range(len(prepared)))
-        random.Random(f"{config.seed}|epoch|{epoch}").shuffle(order)
-        for i in range(n_batches):
-            chunk = order[i * config.batch_size : (i + 1) * config.batch_size]
-            yield collate_qa([prepared[j] for j in chunk])
-
-    result = _train_loop(params, batches, n_batches, config, "span", on_step)
+    result = _train_loop(params.copy(), prepared, collate_qa, config, "span", on_step)
     result.dropped = dropped
     return result

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -20,6 +21,7 @@ from kiqa.assembler import (
 from kiqa.errors import (
     ConfigError,
     InsufficientTriplesError,
+    KBParseError,
     MissingFormError,
     SameLanguageError,
     ZeroWeightsError,
@@ -196,6 +198,18 @@ def test_corpus_save_load_round_trip(tiny_kb, tmp_path):
     path2 = tmp_path / "corpus2.jsonl"
     save_corpus(load_corpus(path), path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_corpus_load_rejects_bad_records(tiny_kb, tmp_path):
+    corpus = build_corpus(tiny_kb, {"en", "zh"}, 2, (1, 0, 0), seed=4)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus[:1], path)
+    good = json.loads(path.read_text(encoding="utf-8"))
+    no_side = {k: v for k, v in good.items() if k != "mask_side"}
+    for bad_line in ("{not json", json.dumps(no_side), json.dumps({**good, "kind": "K9"})):
+        path.write_text(json.dumps(good) + "\n\n" + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(KBParseError, match=r"corpus\.jsonl:3"):
+            load_corpus(path)
 
 
 # ----------------------------------------------------------------- fuzzing

@@ -175,6 +175,18 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
     # matching config still evaluates fine
     assert run_cli("evaluate", run_dir, FAST) == 0
 
+    # a malformed vocab sidecar or checkpoint header is refused with an error record
+    ckpt = run_dir / "ckpt-final.bin"
+    for path, payload in (
+        (run_dir / "vocab.txt.meta.json", b"not json"),
+        (run_dir / "vocab.txt.meta.json", b"[1]"),
+        (ckpt, ckpt.read_bytes().split(b"\n", 1)[0] + b"\nnot json\n"),
+    ):
+        path.write_bytes(payload)
+        assert run_cli("evaluate", run_dir, FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "artifact-mismatch" and path.name in err["message"]
+
 
 def test_coverage_command(tmp_path, capsys):
     run_dir = tmp_path / "run"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -431,3 +432,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(good.read_bytes() + b"\0")
     with pytest.raises(ArtifactMismatchError, match="trailing bytes"):
         load_checkpoint(path)
+    magic = good.read_bytes().split(b"\n", 1)[0] + b"\n"
+    bad_config = {"config": {"vocab_size": 0}, "meta": {}, "tensors": []}
+    for header in (b"not json", b"\xff\xfe", b"[1]", b'{"config": {}}', b'{"config": {"vocab_size": 16}}',
+                   json.dumps(bad_config).encode(), b'{"config": {"vocab_size": 16}, "meta": [], "tensors": []}',
+                   b'{"config": {"vocab_size": 16}, "meta": {}, "tensors": [[["tok_emb"], [16, 8]]]}'):
+        path.write_bytes(magic + header + b"\n")
+        with pytest.raises(ArtifactMismatchError, match="bad.bin"):
+            load_checkpoint(path)

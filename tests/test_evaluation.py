@@ -34,7 +34,7 @@ def brute_force_decode(start_logits, end_logits, positions, max_answer_len):
     pos = sorted(positions)
     for s in pos:
         for e in pos:
-            if e < s or e - s + 1 > max_answer_len:
+            if e < s or e - s + 1 > max_answer_len or e >= len(end_logits):
                 continue
             score = start_logits[s] + end_logits[e]
             if score > best_score:
@@ -97,12 +97,19 @@ def test_decode_span_matches_brute_force(data):
     L = data.draw(st.integers(min_value=1, max_value=64))
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
-    start = rng.normal(size=L)
-    end = rng.normal(size=L)
-    lo = data.draw(st.integers(min_value=0, max_value=L - 1))
-    hi = data.draw(st.integers(min_value=lo, max_value=L - 1))
+    if data.draw(st.booleans()):
+        start = rng.normal(size=L)
+        end = rng.normal(size=L)
+    else:  # small integers, so that many spans tie
+        start = rng.integers(-2, 3, size=L).astype(np.float64)
+        end = rng.integers(-2, 3, size=L).astype(np.float64)
     max_len = data.draw(st.integers(min_value=1, max_value=70))
-    positions = list(range(lo, hi + 1))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(min_value=0, max_value=L - 1))
+        hi = data.draw(st.integers(min_value=lo, max_value=L - 1))
+        positions = list(range(lo, hi + 1))
+    else:  # gapped, unordered, and possibly past the end of the logits
+        positions = data.draw(st.lists(st.integers(min_value=0, max_value=L + 4), min_size=1, max_size=L + 5))
     assert decode_span(start, end, positions, max_len) == brute_force_decode(start, end, positions, max_len)
 
 

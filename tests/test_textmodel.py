@@ -1,3 +1,6 @@
+import sys
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +70,63 @@ def test_offsets_monotone(text):
     assert spans == sorted(spans)
     for (_, e1), (s2, _) in zip(spans, spans[1:]):
         assert e1 <= s2
+
+
+ORACLE_CJK_RANGES = (
+    (0x3040, 0x30FF),  # hiragana + katakana
+    (0x3400, 0x4DBF),  # CJK ext A
+    (0x4E00, 0x9FFF),  # CJK unified
+    (0xAC00, 0xD7AF),  # hangul syllables
+    (0xF900, 0xFAFF),  # CJK compatibility
+    (0x20000, 0x2EBEF),  # CJK ext B..F
+)
+
+
+def tokenize_oracle(text):
+    """The tokenizer rule one character at a time: a CJK-range character is a
+    token of its own, a run of other L*/N* characters is one lowercased token,
+    and anything else ends a run and is dropped."""
+    out = []
+    run_start = None
+    for i, ch in enumerate(text):
+        cp = ord(ch)
+        cjk = any(lo <= cp <= hi for lo, hi in ORACLE_CJK_RANGES)
+        if not cjk and unicodedata.category(ch)[0] in "LN":
+            if run_start is None:
+                run_start = i
+            continue
+        if run_start is not None:
+            out.append((text[run_start:i].lower(), run_start, i))
+            run_start = None
+        if cjk:
+            out.append((ch, i, i + 1))
+    if run_start is not None:
+        out.append((text[run_start:].lower(), run_start, len(text)))
+    return out
+
+
+# ASCII, "_", combining marks, a letter whose lowercase is two code points,
+# fullwidth digits, Roman numerals (Nl), a superscript and a fraction (No),
+# the katakana middle dot (Po inside a CJK range), and the code points on
+# each side of every CJK range edge.
+_TRICKY = (
+    "_\u0301\u0308\u0130\uff10\uff19\u2160\u2170\u30fb\u00b2\u00bd"
+    + "".join(chr(lo + d) for lo, hi in ORACLE_CJK_RANGES for d in (-1, 0))
+    + "".join(chr(hi + d) for lo, hi in ORACLE_CJK_RANGES for d in (0, 1))
+)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.sampled_from(_TRICKY) | st.characters(max_codepoint=0x7F), max_size=40))
+def test_tokenize_matches_oracle_on_mixed_scripts(text):
+    assert tokenize_with_offsets(text) == tokenize_oracle(text)
+
+
+def test_tokenize_matches_oracle_on_every_code_point():
+    # One string of all code points: a misclassified character would split,
+    # join or drop a token next to its neighbours.
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert tokenize_with_offsets(text) == tokenize_oracle(text)
 
 
 # --------------------------------------------------------------------- vocab
