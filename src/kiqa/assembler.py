@@ -229,6 +229,8 @@ def build_corpus(
     pairs = [(a, b) for a in langs_sorted for b in langs_sorted if a != b]
 
     pool = triples_renderable(kb, langs_sorted)
+    if n_triples < 0:
+        raise ConfigError(f"n_triples must be >= 0, got {n_triples}")
     if n_triples > len(pool):
         raise InsufficientTriplesError(
             f"requested {n_triples} triples but only {len(pool)} renderable in {langs_sorted}"

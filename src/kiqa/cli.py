@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import assembler, evaluation, kb as kbmod, synthlang, textmodel, training
-from .encoder import ModelConfig, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, ModelConfig, load_checkpoint, save_checkpoint
 from .errors import ArtifactMismatchError, ConfigError, PipelineError
 
 # key -> (parser, default); the resolved mapping is what gets hashed.
@@ -95,6 +95,11 @@ class PipelineConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
+
+    def section(self, prefix: str) -> dict[str, object]:
+        """The ``prefix.*`` values, keyed by the name after the dot."""
+        head = prefix + "."
+        return {key[len(head):]: value for key, value in self.values.items() if key.startswith(head)}
 
     @property
     def hash(self) -> str:
@@ -179,43 +184,6 @@ def _langs(config: PipelineConfig) -> tuple[str, ...]:
     return config["assembler.langs"] or config["synth.languages"]
 
 
-def _synth_spec(config: PipelineConfig) -> synthlang.SynthSpec:
-    return synthlang.SynthSpec(
-        n_entities=config["synth.n_entities"],
-        n_relations=config["synth.n_relations"],
-        n_triples=config["synth.n_triples"],
-        languages=tuple(config["synth.languages"]),
-        n_qa_per_lang_pair=config["synth.n_qa_per_lang_pair"],
-        n_qa_train=config["synth.n_qa_train"],
-        seed=config["synth.seed"],
-    )
-
-
-def _train_config(config: PipelineConfig, phase: str) -> training.TrainConfig:
-    return training.TrainConfig(
-        phase="inject" if phase == "inject" else "finetune",
-        learning_rate=config[f"{phase}.learning_rate"],
-        batch_size=config[f"{phase}.batch_size"],
-        epochs=config[f"{phase}.epochs"],
-        warmup_fraction=config[f"{phase}.warmup_fraction"],
-        weight_decay=config[f"{phase}.weight_decay"],
-        seed=config[f"{phase}.seed"],
-        max_grad_norm=config[f"{phase}.max_grad_norm"],
-    )
-
-
-def _model_config(config: PipelineConfig, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        n_layers=config["model.n_layers"],
-        n_heads=config["model.n_heads"],
-        d_model=config["model.d_model"],
-        d_ff=config["model.d_ff"],
-        max_len=config["model.max_len"],
-        dropout=config["model.dropout"],
-    )
-
-
 def _load_kb(config: PipelineConfig, run_dir: Path) -> kbmod.KnowledgeBase:
     ents, rels, trips = _kb_paths(config, run_dir)
     return kbmod.load_kb(ents, rels, trips)
@@ -232,7 +200,7 @@ def _write_train_log(path: Path, history: list[dict]) -> None:
 
 
 def cmd_synth_gen(config: PipelineConfig, run_dir: Path) -> None:
-    spec = _synth_spec(config)
+    spec = synthlang.SynthSpec(**config.section("synth"))
     kb = synthlang.gen_kb(spec)
     data = run_dir / "data"
     data.mkdir(parents=True, exist_ok=True)
@@ -293,9 +261,9 @@ def cmd_assemble(config: PipelineConfig, run_dir: Path) -> None:
 def _run_injection(config: PipelineConfig, run_dir: Path, corpus_file: str, ckpt_name: str, log_name: str) -> None:
     corpus = assembler.load_corpus(run_dir / corpus_file)
     vocab = textmodel.load_vocab(run_dir / "vocab.txt")
-    model_config = _model_config(config, len(vocab))
     result = training.run_injection(
-        corpus, vocab, _train_config(config, "inject"), model_config,
+        corpus, vocab, training.TrainConfig(phase="inject", **config.section("inject")),
+        ModelConfig(vocab_size=len(vocab), **config.section("model")),
         render_max_len=config["assembler.render_max_len"],
     )
     ckpt = run_dir / ckpt_name
@@ -311,13 +279,21 @@ def cmd_inject(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "inject", config, {"seed": config["inject.seed"]})
 
 
-def _run_finetune(config: PipelineConfig, run_dir: Path, init_name: str, ckpt_name: str, log_name: str) -> None:
-    params, meta = load_checkpoint(run_dir / init_name)
+def _load_own_checkpoint(config: PipelineConfig, run_dir: Path, name: str) -> EncoderParams:
+    """Load a checkpoint of this run, refusing one written under another config."""
+    params, meta = load_checkpoint(run_dir / name)
     if meta.get("config_hash") != config.hash:
-        raise ArtifactMismatchError(f"{init_name}: checkpoint config hash does not match current config")
+        raise ArtifactMismatchError(f"{name}: checkpoint config hash does not match current config")
+    return params
+
+
+def _run_finetune(config: PipelineConfig, run_dir: Path, init_name: str, ckpt_name: str, log_name: str) -> None:
+    params = _load_own_checkpoint(config, run_dir, init_name)
     vocab = textmodel.load_vocab(run_dir / "vocab.txt")
     dataset = evaluation.load_qa_dataset(run_dir / "data" / "qa" / "train.json")
-    result = training.run_finetune(params, dataset, vocab, _train_config(config, "finetune"))
+    result = training.run_finetune(
+        params, dataset, vocab, training.TrainConfig(phase="finetune", **config.section("finetune"))
+    )
     ckpt = run_dir / ckpt_name
     save_checkpoint(ckpt, result.params, meta={"config_hash": config.hash, "phase": "finetune"})
     _write_train_log(run_dir / "logs" / log_name, result.history)
@@ -342,11 +318,9 @@ def _test_dataset_paths(config: PipelineConfig, run_dir: Path) -> list[Path]:
 
 
 def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, ckpt_name: str, report_stem: str) -> evaluation.EvalReport:
-    params, meta = load_checkpoint(run_dir / ckpt_name)
-    if meta.get("config_hash") != config.hash:
-        raise ArtifactMismatchError(f"{ckpt_name}: checkpoint config hash does not match current config")
+    params = _load_own_checkpoint(config, run_dir, ckpt_name)
     vocab_path = run_dir / "vocab.txt"
-    if meta.get("config_hash") != _read_sidecar_hash(vocab_path):
+    if config.hash != _read_sidecar_hash(vocab_path):
         raise ArtifactMismatchError("checkpoint and vocab were produced by different configs")
     vocab = textmodel.load_vocab(vocab_path)
     examples = []

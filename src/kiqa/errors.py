@@ -69,7 +69,8 @@ class LexiconCollisionError(PipelineError):
     code = "lexicon-collision"
 
 
-class ConfigError(PipelineError):
+class ConfigError(PipelineError, ValueError):
+    """Also a ValueError: ``load_checkpoint`` catches an invalid ModelConfig as one."""
     code = "config"
 
 

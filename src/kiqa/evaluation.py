@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .encoder import EncoderParams, forward, qa_logits
-from .errors import KBParseError
+from .errors import ConfigError, KBParseError
 from .textmodel import Vocab, pack_qa, pad_batch, tokenize
 
 _EN_ARTICLES = frozenset({"a", "an", "the"})
@@ -187,6 +187,8 @@ def predict_spans(
     batch_size: int = 64,
 ) -> list[str]:
     """Extract an answer string for each example (verbatim context substring)."""
+    if max_answer_len < 1 or batch_size < 1:
+        raise ConfigError(f"max_answer_len and batch_size must be >= 1, got {max_answer_len} and {batch_size}")
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
     predictions: list[str] = []
     for lo in range(0, len(packed), batch_size):

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DanglingIdError,
@@ -103,18 +103,23 @@ def build_kb(
     entities: dict[str, Entity],
     relations: dict[str, Relation],
     triples: Iterable[Triple],
+    labels: Sequence[str] | None = None,
 ) -> KnowledgeBase:
-    """Assemble a KnowledgeBase from in-memory parts, enforcing all invariants."""
+    """Assemble a KnowledgeBase from in-memory parts, enforcing all invariants.
+
+    Errors name the i-th triple by ``labels[i]`` if given, else ``triple i``.
+    """
     triples = tuple(triples)
     seen: set[tuple[str, str, str]] = set()
     for i, t in enumerate(triples):
+        where = labels[i] if labels is not None else f"triple {i}"
         key = (t.head, t.rel, t.tail)
         if key in seen:
-            raise DuplicateTripleError(f"triple {i}: duplicate {key}")
+            raise DuplicateTripleError(f"{where}: duplicate {key}")
         seen.add(key)
         for ident, pool, what in ((t.head, entities, "entity"), (t.rel, relations, "relation"), (t.tail, entities, "entity")):
             if ident not in pool:
-                raise DanglingIdError(f"triple {i}: unknown {what} id {ident!r}")
+                raise DanglingIdError(f"{where}: unknown {what} id {ident!r}")
     languages = frozenset(
         lang
         for coll in (entities, relations)
@@ -130,7 +135,7 @@ def load_kb(entities_path, relations_path, triples_path) -> KnowledgeBase:
     relations = _load_form_file(Path(relations_path), Relation)
 
     triples: list[Triple] = []
-    seen: set[tuple[str, str, str]] = set()
+    labels: list[str] = []
     for lineno, rec in _read_records(Path(triples_path)):
         where = f"{triples_path}:{lineno}"
         try:
@@ -139,19 +144,10 @@ def load_kb(entities_path, relations_path, triples_path) -> KnowledgeBase:
             raise KBParseError(f"{where}: missing key {exc.args[0]!r}") from exc
         if not all(isinstance(x, str) for x in (h, r, t)):
             raise KBParseError(f"{where}: h/r/t must be strings")
-        if h not in entities:
-            raise DanglingIdError(f"{where}: unknown entity id {h!r}")
-        if t not in entities:
-            raise DanglingIdError(f"{where}: unknown entity id {t!r}")
-        if r not in relations:
-            raise DanglingIdError(f"{where}: unknown relation id {r!r}")
-        key = (h, r, t)
-        if key in seen:
-            raise DuplicateTripleError(f"{where}: duplicate triple {key}")
-        seen.add(key)
         triples.append(Triple(head=h, rel=r, tail=t))
+        labels.append(where)
 
-    return build_kb(entities, relations, triples)
+    return build_kb(entities, relations, triples, labels)
 
 
 def save_kb(kb: KnowledgeBase, entities_path, relations_path, triples_path) -> None:

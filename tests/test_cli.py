@@ -188,6 +188,16 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
         assert err["error"] == "artifact-mismatch" and path.name in err["message"]
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0"],
+)
+def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
+    assert run_cli("pipeline", tmp_path / "run", FAST + [override]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+
+
 def test_coverage_command(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_cli("synth-gen", run_dir, FAST) == 0

@@ -259,18 +259,24 @@ def make_qa_batch(config, seed=0):
     )
 
 
-def gradcheck(params, batch, loss_kind, h=1e-4, tol=1e-5):
-    """Central finite differences vs analytic gradient, per coordinate."""
-    _, grads = loss_and_grad(params, batch, loss_kind)
+def gradcheck(params, batch, loss_kind, h=1e-4, tol=1e-5, dropout_seed=None):
+    """Central finite differences vs analytic gradient, per coordinate. With a
+    dropout_seed every evaluation draws the same dropout masks."""
+
+    def loss():
+        rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+        return loss_and_grad(params, batch, loss_kind, dropout_rng=rng)
+
+    _, grads = loss()
     worst = 0.0
     for name, tensor in params.tensors.items():
         indices = np.ndindex(tensor.shape) if tensor.ndim else [()]
         for idx in indices:
             orig = tensor[idx]
             tensor[idx] = orig + h
-            lp, _ = loss_and_grad(params, batch, loss_kind)
+            lp, _ = loss()
             tensor[idx] = orig - h
-            lm, _ = loss_and_grad(params, batch, loss_kind)
+            lm, _ = loss()
             tensor[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[name][idx] if tensor.ndim else float(grads[name])
@@ -307,6 +313,14 @@ def test_gradcheck_with_dropout_mask_fixed():
     tensor[idx] = orig
     fd = (lp - lm) / (2 * h)
     assert abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-6) < 1e-4
+
+
+def test_gradcheck_two_layers_padded_with_dropout():
+    """Every coordinate of a two-layer stack, with padded keys and all three
+    dropout masks fixed: covers the layer-to-layer backward path."""
+    cfg = ModelConfig(vocab_size=12, n_layers=2, n_heads=2, d_model=8, d_ff=8, max_len=8, dropout=0.2)
+    params = scaled_params(cfg, seed=2)
+    gradcheck(params, make_mlm_batch(cfg, seed=1), "mlm", tol=1e-4, dropout_seed=5)
 
 
 def test_loss_value_matches_oracle():

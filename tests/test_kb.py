@@ -11,6 +11,7 @@ from kiqa.errors import (
 )
 from kiqa.kb import (
     Triple,
+    build_kb,
     load_kb,
     save_kb,
     surface,
@@ -76,15 +77,18 @@ def test_empty_triples_file(kb_files, tmp_path):
 def test_dangling_id_error(kb_files, tmp_path):
     bad = tmp_path / "bad_triples.jsonl"
     write_jsonl(bad, TRIPLES + [{"h": "Q99", "r": "P1", "t": "Q2"}])
-    with pytest.raises(DanglingIdError, match="Q99"):
+    with pytest.raises(DanglingIdError, match=r"bad_triples\.jsonl:4: unknown entity id 'Q99'"):
         load_kb(kb_files[0], kb_files[1], bad)
 
 
 def test_duplicate_triple_error(kb_files, tmp_path):
     bad = tmp_path / "dup_triples.jsonl"
     write_jsonl(bad, TRIPLES + [TRIPLES[0]])
-    with pytest.raises(DuplicateTripleError, match="4"):
+    with pytest.raises(DuplicateTripleError, match=r"dup_triples\.jsonl:4: duplicate"):
         load_kb(kb_files[0], kb_files[1], bad)
+    kb = load_kb(*kb_files)
+    with pytest.raises(DuplicateTripleError, match=r"^triple 3: duplicate"):  # callers without labels
+        build_kb(kb.entities, kb.relations, kb.triples + kb.triples[:1])
 
 
 def test_duplicate_entity_id_error(kb_files, tmp_path):
