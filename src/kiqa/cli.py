@@ -101,6 +101,10 @@ class PipelineConfig:
         head = prefix + "."
         return {key[len(head):]: value for key, value in self.values.items() if key.startswith(head)}
 
+    def train_config(self, phase: str) -> training.TrainConfig:
+        """The ``inject`` or ``finetune`` section as a checked TrainConfig."""
+        return training.TrainConfig(phase=phase, **self.section(phase))
+
     @property
     def hash(self) -> str:
         blob = "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw))
@@ -109,7 +113,8 @@ class PipelineConfig:
 
 def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     """Defaults, then the config file, then key=value overrides. Unknown keys
-    are rejected."""
+    are rejected, and so are out-of-range training values, before any command
+    writes anything."""
     raw = {key: str(default) for key, (_, default) in _SCHEMA.items()}
 
     def apply(key: str, value: str, where: str):
@@ -135,7 +140,10 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
         apply(key, value, "override")
 
     values = {key: _parse_value(key, raw[key]) for key in _SCHEMA}
-    return PipelineConfig(values=values, raw=raw)
+    config = PipelineConfig(values=values, raw=raw)
+    for phase in ("inject", "finetune"):
+        config.train_config(phase)
+    return config
 
 
 # ----------------------------------------------------------------- artifacts
@@ -262,7 +270,7 @@ def _run_injection(config: PipelineConfig, run_dir: Path, corpus_file: str, ckpt
     corpus = assembler.load_corpus(run_dir / corpus_file)
     vocab = textmodel.load_vocab(run_dir / "vocab.txt")
     result = training.run_injection(
-        corpus, vocab, training.TrainConfig(phase="inject", **config.section("inject")),
+        corpus, vocab, config.train_config("inject"),
         ModelConfig(vocab_size=len(vocab), **config.section("model")),
         render_max_len=config["assembler.render_max_len"],
     )
@@ -291,9 +299,7 @@ def _run_finetune(config: PipelineConfig, run_dir: Path, init_name: str, ckpt_na
     params = _load_own_checkpoint(config, run_dir, init_name)
     vocab = textmodel.load_vocab(run_dir / "vocab.txt")
     dataset = evaluation.load_qa_dataset(run_dir / "data" / "qa" / "train.json")
-    result = training.run_finetune(
-        params, dataset, vocab, training.TrainConfig(phase="finetune", **config.section("finetune"))
-    )
+    result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"))
     ckpt = run_dir / ckpt_name
     save_checkpoint(ckpt, result.params, meta={"config_hash": config.hash, "phase": "finetune"})
     _write_train_log(run_dir / "logs" / log_name, result.history)

@@ -4,7 +4,9 @@ Post-layer-norm blocks, GELU feed-forward, learned absolute position and
 segment embeddings, an MLM head tied to the token embedding, and a linear
 span head. Everything runs in float64 numpy; forward and backward passes are
 written out by hand so gradients can be checked coordinate-by-coordinate
-against finite differences.
+against finite differences. A step's large intermediates are written in place
+into arrays it already owns, in the operation order of the straight-line
+formula, so every result is bitwise that of the plain numpy expression.
 """
 
 from __future__ import annotations
@@ -105,26 +107,44 @@ def init_params(config: ModelConfig, seed: int) -> EncoderParams:
 # ---------------------------------------------------------------- primitives
 
 _LN_EPS = 1e-5
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _affine(x, t, p, n):
+    """x @ t[p w<n>] + t[p b<n>], with the bias added into the product."""
+    y = x @ t[p + "w" + n]
+    y += t[p + "b" + n]
+    return y
 
 
 def _layer_norm(x, g, b):
     mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+    xhat = x - mu  # centred here, scaled to xhat below
+    out = np.multiply(xhat, xhat)
+    var = out.mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    xhat *= inv
+    np.multiply(g, xhat, out=out)
+    out += b
+    return out, (xhat, inv)
 
 
 def _layer_norm_backward(dy, t, grads, name, cache):
     """dx of _layer_norm with gain t[name_g] and bias t[name_b]; adds their grads."""
     xhat, inv = cache
-    grads[name + "_g"] += (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    tmp = np.multiply(dy, xhat)
+    grads[name + "_g"] += tmp.sum(axis=tuple(range(dy.ndim - 1)))
     grads[name + "_b"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * t[name + "_g"]
-    m1 = dxhat.mean(-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(-1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2)
+    dx = dy * t[name + "_g"]
+    m1 = dx.mean(-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.mean(-1, keepdims=True)
+    dx -= m1
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
+    return dx
 
 
 def _linear_backward(t, grads, p, n, x, dy):
@@ -136,24 +156,43 @@ def _linear_backward(t, grads, p, n, x, dy):
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    """GELU(x) = x * phi and phi = Phi(x), the standard normal CDF, which
+    _gelu_grad reuses."""
+    phi = x / _SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return x * phi, phi
 
 
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _gelu_grad(dy, x, phi):
+    """dy * GELU'(x), given phi = Phi(x) from _gelu."""
+    out = np.multiply(-0.5, x)
+    out *= x
+    np.exp(out, out=out)
+    out *= x
+    out /= _SQRT_2PI
+    out += phi
+    out *= dy
+    return out
 
 
 def _softmax_last(x):
-    z = x - x.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
+    """Softmax over the last axis, written over x, which the caller owns."""
+    x -= x.max(-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(-1, keepdims=True)
+    return x
 
 
 def _dropout(x, p, rng):
+    """x with dropout applied, written over x, which the caller owns; and the
+    scaled keep mask."""
     if rng is None or p <= 0.0:
         return x, None
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * keep, keep
+    x *= keep
+    return x, keep
 
 
 def _dropout_backward(dy, keep):
@@ -199,7 +238,9 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     ids, segs, mask = _check_inputs(params, input_ids, segment_ids, attention_mask)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
-    x = t["tok_emb"][ids] + t["pos_emb"][: ids.shape[1]][None, :, :] + t["seg_emb"][segs]
+    x = t["tok_emb"][ids]
+    x += t["pos_emb"][: ids.shape[1]][None, :, :]
+    x += t["seg_emb"][segs]
     x, drop0 = _dropout(x, cfg.dropout, dropout_rng)
 
     key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,L)
@@ -207,24 +248,24 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     h = x
     for i in range(cfg.n_layers):
         p = f"l{i}."
-        qh, kh, vh = (_split_heads(h @ t[p + "w" + n] + t[p + "b" + n], cfg.n_heads) for n in "qkv")
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias
+        qh, kh, vh = (_split_heads(_affine(h, t, p, n), cfg.n_heads) for n in "qkv")
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += key_bias
         probs = _softmax_last(scores)
         ctx = _merge_heads(probs @ vh)
-        ao = ctx @ t[p + "wo"] + t[p + "bo"]
-        ao, drop_a = _dropout(ao, cfg.dropout, dropout_rng)
-        r1 = h + ao
+        r1, drop_a = _dropout(_affine(ctx, t, p, "o"), cfg.dropout, dropout_rng)
+        r1 += h
         n1, ln1_cache = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"])
-        f1 = n1 @ t[p + "w1"] + t[p + "b1"]
-        g1 = _gelu(f1)
-        f2 = g1 @ t[p + "w2"] + t[p + "b2"]
-        f2, drop_f = _dropout(f2, cfg.dropout, dropout_rng)
-        r2 = n1 + f2
+        f1 = _affine(n1, t, p, "1")
+        g1, phi = _gelu(f1)
+        r2, drop_f = _dropout(_affine(g1, t, p, "2"), cfg.dropout, dropout_rng)
+        r2 += n1
         out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"])
         layers.append(
             {
                 "h_in": h, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
-                "drop_a": drop_a, "ln1": ln1_cache, "n1": n1, "f1": f1, "g1": g1,
+                "drop_a": drop_a, "ln1": ln1_cache, "n1": n1, "f1": f1, "phi": phi, "g1": g1,
                 "drop_f": drop_f, "ln2": ln2_cache,
             }
         )
@@ -244,21 +285,27 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads):
         c = cache["layers"][i]
         dr2 = _layer_norm_backward(dh, t, grads, p + "ln2", c["ln2"])
         dg1 = _linear_backward(t, grads, p, "2", c["g1"], _dropout_backward(dr2, c["drop_f"]))
-        df1 = dg1 * _gelu_grad(c["f1"])  # named, so it lives to the next layer: a temporary here ran ~4 % slower
-        dn1 = dr2 + _linear_backward(t, grads, p, "1", c["n1"], df1)
+        df1 = _gelu_grad(dg1, c["f1"], c["phi"])
+        dn1 = _linear_backward(t, grads, p, "1", c["n1"], df1)
+        dn1 += dr2
         dr1 = _layer_norm_backward(dn1, t, grads, p + "ln1", c["ln1"])
         dao = _dropout_backward(dr1, c["drop_a"])
         dctx = _split_heads(_linear_backward(t, grads, p, "o", c["ctx"], dao), params.config.n_heads)
         probs = c["probs"]
-        dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
-        dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
-        dqh = dscores @ c["kh"] * cache["scale"]
-        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * cache["scale"]
+        dscores = dctx @ c["vh"].transpose(0, 1, 3, 2)  # dprobs, until turned into dscores in place
+        dscores -= (dscores * probs).sum(-1, keepdims=True)
+        dscores *= probs
+        dqh = dscores @ c["kh"]
+        dqh *= cache["scale"]
+        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
+        dkh *= cache["scale"]
         dvh = probs.transpose(0, 1, 3, 2) @ dctx
-        dxq, dxk, dxv = (
+        dh, dxk, dxv = (
             _linear_backward(t, grads, p, n, c["h_in"], _merge_heads(d)) for n, d in zip("qkv", (dqh, dkh, dvh))
         )
-        dh = dr1 + (dxq + dxk + dxv)  # not sum(): starting from 0 can turn a -0.0 into 0.0
+        dh += dxk  # dr1 + ((dxq + dxk) + dxv), summed in that order
+        dh += dxv
+        dh += dr1
 
     dh = _dropout_backward(dh, cache["drop0"])
     np.add.at(grads["tok_emb"], cache["ids"], dh)

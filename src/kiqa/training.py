@@ -52,6 +52,10 @@ class TrainConfig:
             raise ConfigError("warmup_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.max_grad_norm is not None and not self.max_grad_norm > 0.0:
+            raise ConfigError(f"max_grad_norm must be positive or none, got {self.max_grad_norm}")
 
 
 def lr_at(step: int, total_steps: int, peak_lr: float, warmup_fraction: float) -> float:
@@ -92,7 +96,11 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.01,
 ) -> tuple[EncoderParams, AdamWState]:
-    """One decoupled-weight-decay Adam update, in place."""
+    """One decoupled-weight-decay Adam update, in place.
+
+    Per tensor, ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``,
+    with every term formed in one of two scratch arrays; ``grads`` is only read.
+    """
     b1, b2 = betas
     state.step += 1
     t = state.step
@@ -104,13 +112,22 @@ def adamw_step(
             raise NonFiniteError(f"non-finite gradient for {name!r}")
         m = state.m[name]
         v = state.v[name]
+        # Arrays, not the scalars that ``1.0 * g`` gives for a 0-d g: each is an out= target.
+        tmp, step = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=tmp)
         v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, bc1, out=step)
+        step /= tmp
+        step += np.multiply(weight_decay, p, out=tmp)
+        step *= lr
+        p -= step
     return params, state
 
 

@@ -190,12 +190,16 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0"],
+    ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0",
+     "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1"],
 )
 def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
-    assert run_cli("pipeline", tmp_path / "run", FAST + [override]) == 1
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST + [override]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
+    if override.startswith(("inject.", "finetune.")):  # refused by load_config, before synth-gen writes the KB
+        assert not (run_dir / "data" / "entities.jsonl").exists()
 
 
 def test_coverage_command(tmp_path, capsys):

@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from kiqa.encoder import (
+    _NEG,
     EncoderParams,
     MLMBatch,
     ModelConfig,
     QABatch,
+    _gelu,
+    _gelu_grad,
+    _layer_norm,
+    _layer_norm_backward,
+    _softmax_last,
     forward,
     init_params,
     load_checkpoint,
@@ -174,6 +181,193 @@ def test_forward_input_validation():
         forward(params, np.zeros((1, 20), dtype=int), np.zeros((1, 20), dtype=int), np.ones((1, 20)))
     with pytest.raises(ValueError):
         forward(params, np.zeros((1, 4), dtype=int), np.zeros((1, 3), dtype=int), np.ones((1, 4)))
+
+
+# ------------------------------------------------------ bitwise kernel oracles
+# The kernels write their intermediates in place; these are the plain
+# expressions they replace, which they must match bit for bit, sign of zero
+# included.
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def awkward(rng, shape, scale=3.0):
+    """Normal values, plus entries with |x| >= 40 (erf saturates, exp(-x*x/2)
+    underflows), signed zeros and, past 1-d, a last row of -0.0."""
+    x = rng.normal(scale=scale, size=shape)
+    flat = x.reshape(-1)  # a view of x
+    pick = rng.permutation(flat.size)
+    k = flat.size // 8
+    flat[pick[:k]] = rng.uniform(40.0, 80.0, size=k) * rng.choice([-1.0, 1.0], size=k)
+    flat[pick[k : k + 4]] = -0.0
+    flat[pick[k + 4 : k + 8]] = 0.0
+    if x.ndim > 1:
+        x[(-1,) * (x.ndim - 1)] = -0.0
+    return x
+
+
+def gelu_oracle(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def gelu_grad_oracle(dy, x):
+    return dy * (0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+
+
+def layer_norm_oracle(x, g, b):
+    mu = x.mean(-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return g * xhat + b, xhat, inv
+
+
+def layer_norm_backward_oracle(dy, g, xhat, inv):
+    axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * g
+    m1 = dxhat.mean(-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def softmax_oracle(x):
+    z = x - x.max(-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(-1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gelu_kernels_match_plain_expressions(seed):
+    rng = np.random.default_rng(seed)
+    x = awkward(rng, (3, 7, 32))
+    dy = awkward(rng, x.shape)
+    x0, dy0 = x.copy(), dy.copy()
+    y, phi = _gelu(x)
+    assert_bitwise(y, gelu_oracle(x0))
+    assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
+    assert_bitwise(_gelu_grad(dy, x, phi), gelu_grad_oracle(dy0, x0))
+    assert_bitwise(x, x0)
+    assert_bitwise(dy, dy0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_layer_norm_kernels_match_plain_expressions(seed):
+    rng = np.random.default_rng(seed)
+    x = awkward(rng, (3, 7, 16))
+    g, b = awkward(rng, (16,), scale=1.0), rng.normal(size=16)
+    out, (xhat, inv) = _layer_norm(x, g, b)
+    want_out, want_xhat, want_inv = layer_norm_oracle(x, g, b)
+    assert_bitwise(out, want_out)
+    assert_bitwise(xhat, want_xhat)
+    assert_bitwise(inv, want_inv)
+
+    dy = awkward(rng, x.shape)
+    dy0 = dy.copy()
+    t = {"ln_g": g, "ln_b": b}
+    grads = {"ln_g": np.zeros(16), "ln_b": np.zeros(16)}
+    dx = _layer_norm_backward(dy, t, grads, "ln", (xhat, inv))
+    want_dx, want_dg, want_db = layer_norm_backward_oracle(dy0, g, want_xhat, want_inv)
+    assert_bitwise(dx, want_dx)
+    assert_bitwise(grads["ln_g"], 0.0 + want_dg)
+    assert_bitwise(grads["ln_b"], 0.0 + want_db)
+    assert_bitwise(dy, dy0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_softmax_kernel_matches_plain_expression(seed):
+    rng = np.random.default_rng(seed)
+    B, H, L = 3, 2, 9
+    scores = awkward(rng, (B, H, L, L), scale=10.0)
+    scores[:, :, 2] *= 20.0  # gaps beyond exp's range: those weights underflow to 0
+    mask = np.ones((B, L))
+    mask[1:, 6:] = 0.0  # padded keys
+    scores += (1.0 - mask)[:, None, None, :] * _NEG
+    want = softmax_oracle(scores)
+    got = _softmax_last(scores)
+    assert got is scores  # written over its argument
+    assert_bitwise(got, want)
+    assert (got[1:, :, :, 6:] == 0.0).all()
+
+
+def plain_forward(params, ids, segs, mask, rng=None):
+    """forward as plain expressions over the kernel oracles, drawing the
+    dropout masks in the same order."""
+    cfg, t = params.config, params.tensors
+    B, L = ids.shape
+    nh, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+
+    def dropout(x):
+        if rng is None:
+            return x
+        return x * ((rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+
+    def heads(x):
+        return x.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
+
+    h = dropout(t["tok_emb"][ids] + t["pos_emb"][:L][None, :, :] + t["seg_emb"][segs])
+    key_bias = (1.0 - mask)[:, None, None, :] * _NEG
+    for i in range(cfg.n_layers):
+        w = {k[len(f"l{i}.") :]: v for k, v in t.items() if k.startswith(f"l{i}.")}
+        qh, kh, vh = (heads(h @ w["w" + n] + w["b" + n]) for n in "qkv")
+        probs = softmax_oracle(qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(dh)) + key_bias)
+        ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
+        n1 = layer_norm_oracle(h + dropout(ctx @ w["wo"] + w["bo"]), w["ln1_g"], w["ln1_b"])[0]
+        f2 = dropout(gelu_oracle(n1 @ w["w1"] + w["b1"]) @ w["w2"] + w["b2"])
+        h = layer_norm_oracle(n1 + f2, w["ln2_g"], w["ln2_b"])[0]
+    return h
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_forward_matches_plain_expressions_bitwise(dropout):
+    """Covers the in-place work outside the kernels: embedding sum, affine
+    maps, score scaling and key bias, dropout and residual adds."""
+    # head size 6: the score scale 1/sqrt(6) is not a power of two, so scaling early would round differently
+    cfg = ModelConfig(vocab_size=16, n_layers=2, n_heads=2, d_model=12, d_ff=16, max_len=16, dropout=dropout)
+    params = scaled_params(cfg, seed=5, scale=100.0)  # large pre-activations reach erf's saturation
+    ids, segs, mask = make_inputs(cfg, seed=4, B=3, L=7, pad_from=5)
+    rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
+    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng()), plain_forward(params, ids, segs, mask, rng()))
+
+
+# ---------------------------------------------------------------- no aliasing
+
+
+def _snapshot(obj):
+    return {k: v.copy() for k, v in vars(obj).items()}
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["mlm", "span"])
+def test_step_leaves_inputs_unchanged_and_repeats_bitwise(dropout, kind):
+    """forward and loss_and_grad read params and batch without writing them,
+    and two calls on the same batch and dropout seed agree bit for bit."""
+    cfg = ModelConfig(vocab_size=16, n_layers=2, n_heads=2, d_model=8, d_ff=16, max_len=16, dropout=dropout)
+    params = scaled_params(cfg, seed=3)
+    batch = make_mlm_batch(cfg, seed=2) if kind == "mlm" else make_qa_batch(cfg, seed=2)
+    tensors, fields = {k: v.copy() for k, v in params.tensors.items()}, _snapshot(batch)
+
+    def rng():
+        return np.random.default_rng(7) if dropout else None
+
+    h1 = forward(params, batch.input_ids, batch.segment_ids, batch.attention_mask, dropout_rng=rng())
+    value1, grads1 = loss_and_grad(params, batch, kind, dropout_rng=rng())
+    value2, grads2 = loss_and_grad(params, batch, kind, dropout_rng=rng())
+    h2 = forward(params, batch.input_ids, batch.segment_ids, batch.attention_mask, dropout_rng=rng())
+    assert value1 == value2
+    assert_bitwise(h1, h2)
+    for name in grads1:
+        assert_bitwise(grads1[name], grads2[name])
+        assert grads1[name] is not params.tensors[name]
+    for name, tensor in params.tensors.items():
+        assert_bitwise(tensor, tensors[name])
+    for name, value in _snapshot(batch).items():
+        assert_bitwise(value, fields[name])
 
 
 # ----------------------------------------------------------------- loss heads

@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from kiqa import encoder, training
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -15,3 +19,34 @@ def test_trace_points_resolve_to_callables():
     assert tracing.TRACE_POINTS
     for module_name, attr, *_ in tracing.TRACE_POINTS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
+
+
+def test_step_kernels_are_looked_up_by_module_name(monkeypatch):
+    """Each layer rule of a training step stays a module-level function that
+    its callers look up by name, so a tracer can wrap it like a TRACE_POINTS
+    entry: replacing the module attribute must reach every call."""
+    names = {
+        encoder: ("_gelu", "_gelu_grad", "_layer_norm", "_layer_norm_backward", "_linear_backward",
+                  "_softmax_last", "cross_entropy"),
+        training: ("adamw_step",),
+    }
+    called = set()
+    for module, attrs in names.items():
+        for attr in attrs:
+            original = getattr(module, attr)
+            assert callable(original), f"{module.__name__}.{attr}"
+
+            def counted(*args, _attr=attr, _original=original, **kwargs):
+                called.add(_attr)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+
+    cfg = encoder.ModelConfig(vocab_size=12, n_layers=1, n_heads=2, d_model=8, d_ff=8, max_len=8, dropout=0.0)
+    batch = encoder.MLMBatch(
+        input_ids=np.array([[5, 6, 7]]), segment_ids=np.zeros((1, 3), dtype=np.int64), attention_mask=np.ones((1, 3)),
+        mask_rows=np.array([0]), mask_cols=np.array([1]), target_ids=np.array([6]),
+    )
+    config = training.TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1)
+    training._train_loop(encoder.init_params(cfg, 0), [batch], lambda items: items[0], config, "mlm", None)
+    assert called == {attr for attrs in names.values() for attr in attrs}

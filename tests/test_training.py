@@ -168,6 +168,45 @@ def test_adamw_zero_grad_moments_decay():
     assert float(state.m["qa_bs"]) == pytest.approx(0.81)
 
 
+def adamw_oracle(p, g, m, v, t, lr, b1, b2, eps, weight_decay):
+    """The plain AdamW expressions that adamw_step forms in place."""
+    m = m * b1
+    m = m + (1.0 - b1) * g
+    v = v * b2
+    v = v + (1.0 - b2) * g * g
+    mhat = m / (1.0 - b1**t)
+    vhat = v / (1.0 - b2**t)
+    return p - lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p), m, v
+
+
+def test_adamw_matches_plain_expressions_bitwise():
+    """Every tensor, the 0-d span-head biases included, over several steps with
+    gradients of |g| >= 40 and signed zeros; grads is left as it was."""
+    cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
+    params = init_params(cfg, seed=0)
+    assert params.tensors["qa_bs"].ndim == 0 and params.tensors["qa_be"].ndim == 0
+    rng = np.random.default_rng(4)
+    for tensor in params.tensors.values():
+        tensor[...] = rng.normal(size=tensor.shape)
+    params.tensors["l0.b1"][:3] = -0.0
+    state = AdamWState.zeros_like(params)
+    want = {k: (p.copy(), state.m[k].copy(), state.v[k].copy()) for k, p in params.tensors.items()}
+    for t, (lr, wd) in enumerate([(1e-2, 0.01), (3e-3, 0.0), (0.0, 0.1), (1e-3, 0.01)], start=1):
+        grads = {k: rng.normal(scale=5.0, size=p.shape) for k, p in params.tensors.items()}
+        grads["tok_emb"][0, :4] = [40.0, -55.0, -0.0, 0.0]
+        grads["l0.w1"][:] = -0.0
+        grads["qa_be"] = np.asarray(-60.0)
+        before = {k: g.copy() for k, g in grads.items()}
+        adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=wd)
+        for name, g in grads.items():
+            p0, m0, v0 = want[name]
+            want[name] = adamw_oracle(p0, g, m0, v0, t, lr, 0.9, 0.999, 1e-8, wd)
+            for got, expected in zip((params.tensors[name], state.m[name], state.v[name]), want[name]):
+                assert np.array_equal(got, expected), name
+                assert np.array_equal(np.signbit(got), np.signbit(expected)), name
+            assert np.array_equal(g, before[name]) and np.array_equal(np.signbit(g), np.signbit(before[name]))
+
+
 def test_adamw_non_finite_grad():
     params = _scalar_params(0.0)
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
@@ -189,6 +228,12 @@ def test_train_config_validation():
         TrainConfig(phase="inject", learning_rate=1e-3, batch_size=0, epochs=1)
     with pytest.raises(ConfigError):
         TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1, warmup_fraction=1.0)
+    TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1, weight_decay=0.0, max_grad_norm=0.5)
+    # A negative clip norm would flip every update's sign; a negative decay grows the weights.
+    for bad in ({"max_grad_norm": -1.0}, {"max_grad_norm": 0.0}, {"max_grad_norm": float("nan")},
+                {"weight_decay": -0.1}, {"weight_decay": float("nan")}):
+        with pytest.raises(ConfigError):
+            TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1, **bad)
 
 
 # -------------------------------------------------------------- span mapping
