@@ -18,6 +18,7 @@ from pathlib import Path
 from . import assembler, evaluation, kb as kbmod, synthlang, textmodel, training
 from .encoder import EncoderParams, ModelConfig, load_checkpoint, save_checkpoint
 from .errors import ArtifactMismatchError, ConfigError, PipelineError
+from .fileio import atomic_write
 
 # key -> (parser, default); the resolved mapping is what gets hashed.
 _SCHEMA: dict[str, tuple] = {
@@ -113,8 +114,8 @@ class PipelineConfig:
 
 def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     """Defaults, then the config file, then key=value overrides. Unknown keys
-    are rejected, and so are out-of-range training values, before any command
-    writes anything."""
+    are rejected, and so are out-of-range training, model and eval values,
+    before any command writes anything."""
     raw = {key: str(default) for key, (_, default) in _SCHEMA.items()}
 
     def apply(key: str, value: str, where: str):
@@ -143,6 +144,9 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     config = PipelineConfig(values=values, raw=raw)
     for phase in ("inject", "finetune"):
         config.train_config(phase)
+    # Every vocabulary holds the special tokens, so this is the smallest real vocab_size.
+    ModelConfig(vocab_size=len(textmodel.SPECIAL_TOKENS), **config.section("model"))
+    evaluation.check_eval_values(config["eval.max_answer_len"], config["eval.batch_size"])
     return config
 
 
@@ -151,7 +155,7 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
         fh.write("\n")
 

@@ -25,6 +25,7 @@ from .errors import (
     NoMaskedPositionsError,
     NonFiniteError,
 )
+from .fileio import atomic_write
 
 _NEG = -1e9  # additive attention bias for padded keys; underflows to exactly 0 after softmax
 
@@ -232,7 +233,9 @@ def _check_inputs(params: EncoderParams, input_ids, segment_ids, attention_mask)
 
 def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, return_cache=False):
     """Hidden states (batch, len, d_model). PAD positions are excluded from
-    attention via the mask; pass a dropout_rng only during training."""
+    attention via the mask; pass a dropout_rng only during training. With
+    return_cache, also the per-layer intermediates the backward pass reads;
+    without it, each layer's intermediates are freed as the next one runs."""
     cfg = params.config
     t = params.tensors
     ids, segs, mask = _check_inputs(params, input_ids, segment_ids, attention_mask)
@@ -262,13 +265,14 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
         r2, drop_f = _dropout(_affine(g1, t, p, "2"), cfg.dropout, dropout_rng)
         r2 += n1
         out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"])
-        layers.append(
-            {
-                "h_in": h, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
-                "drop_a": drop_a, "ln1": ln1_cache, "n1": n1, "f1": f1, "phi": phi, "g1": g1,
-                "drop_f": drop_f, "ln2": ln2_cache,
-            }
-        )
+        if return_cache:
+            layers.append(
+                {
+                    "h_in": h, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
+                    "drop_a": drop_a, "ln1": ln1_cache, "n1": n1, "f1": f1, "phi": phi, "g1": g1,
+                    "drop_f": drop_f, "ln2": ln2_cache,
+                }
+            )
         h = out
 
     if not return_cache:
@@ -433,14 +437,15 @@ _CKPT_MAGIC = b"KIQA-CKPT-v1\n"
 
 def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> None:
     """Versioned binary: one JSON header line, then raw little-endian float64
-    buffers in sorted key order. Deterministic byte-for-byte."""
+    buffers in sorted key order. Deterministic byte-for-byte, and written
+    atomically: a failed save leaves any file already at ``path`` as it was."""
     names = sorted(params.tensors)
     header = {
         "config": asdict(params.config),
         "meta": meta or {},
         "tensors": [[n, list(params.tensors[n].shape)] for n in names],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for n in names:

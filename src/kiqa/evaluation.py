@@ -179,6 +179,12 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+def check_eval_values(max_answer_len: int, batch_size: int) -> None:
+    """Refuse an answer-length cap or batch size below 1."""
+    if max_answer_len < 1 or batch_size < 1:
+        raise ConfigError(f"max_answer_len and batch_size must be >= 1, got {max_answer_len} and {batch_size}")
+
+
 def predict_spans(
     params: EncoderParams,
     vocab: Vocab,
@@ -186,25 +192,32 @@ def predict_spans(
     max_answer_len: int = 30,
     batch_size: int = 64,
 ) -> list[str]:
-    """Extract an answer string for each example (verbatim context substring)."""
-    if max_answer_len < 1 or batch_size < 1:
-        raise ConfigError(f"max_answer_len and batch_size must be >= 1, got {max_answer_len} and {batch_size}")
+    """Extract an answer string for each example (verbatim context substring),
+    in input order.
+
+    Examples are batched in stable order of packed length, so each batch pads
+    to little more than its own rows; each prediction is written back to its
+    example's input index. The pad width of a row's batch changes the
+    reduction order inside numpy/BLAS, so a row's span logits may differ by
+    a few ulps from those of another batching of the same examples.
+    """
+    check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
-    predictions: list[str] = []
-    for lo in range(0, len(packed), batch_size):
-        chunk = packed[lo : lo + batch_size]
-        ids, segs, mask = pad_batch([(p.input_ids, p.segment_ids) for p in chunk])
+    order = sorted(range(len(packed)), key=lambda i: len(packed[i].input_ids))
+    predictions = [""] * len(packed)
+    for lo in range(0, len(order), batch_size):
+        chunk = order[lo : lo + batch_size]
+        ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
         hidden = forward(params, ids, segs, mask)
         start_logits, end_logits = qa_logits(params, hidden)
-        for b, p in enumerate(chunk):
-            ex = examples[lo + b]
+        for b, i in enumerate(chunk):
+            p = packed[i]
             if not p.context_token_offsets:
-                predictions.append("")
-                continue
+                continue  # an empty context predicts ""
             s, e = decode_span(start_logits[b], end_logits[b], p.context_positions, max_answer_len)
             char_start = p.context_token_offsets[s][0]
             char_end = p.context_token_offsets[e][1]
-            predictions.append(ex.context[char_start:char_end])
+            predictions[i] = examples[i].context[char_start:char_end]
     return predictions
 
 

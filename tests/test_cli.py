@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kiqa.cli import load_config, main
+from kiqa.cli import _write_json, load_config, main
+from kiqa.encoder import ModelConfig, init_params, save_checkpoint
 from kiqa.errors import ConfigError
 
 from conftest import ENTITIES, RELATIONS, TRIPLES, write_jsonl
@@ -198,8 +200,28 @@ def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override)
     assert run_cli("pipeline", run_dir, FAST + [override]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
-    if override.startswith(("inject.", "finetune.")):  # refused by load_config, before synth-gen writes the KB
+    if not override.startswith("assembler."):  # refused by load_config, before synth-gen writes the KB
         assert not (run_dir / "data" / "entities.jsonl").exists()
+
+
+def _checkpoint_failing_at_last_tensor(path):
+    params = init_params(ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=8, max_len=8), seed=0)
+    params.tensors["tok_emb"] = np.full((16, 8), "x")  # last in the file's sorted order; not a float
+    save_checkpoint(path, params)
+
+
+def _json_failing_at_last_key(path):
+    _write_json(path, {"a": "y" * 100_000, "z": object()})  # sort_keys: "a" is written before "z" fails
+
+
+@pytest.mark.parametrize("write", [_checkpoint_failing_at_last_tensor, _json_failing_at_last_key])
+def test_failed_artifact_write_leaves_target_unchanged(tmp_path, write):
+    target = tmp_path / "artifact"
+    target.write_bytes(b"earlier run\n")
+    with pytest.raises((TypeError, ValueError)):
+        write(target)
+    assert target.read_bytes() == b"earlier run\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
 
 
 def test_coverage_command(tmp_path, capsys):

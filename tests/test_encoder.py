@@ -295,17 +295,20 @@ def test_softmax_kernel_matches_plain_expression(seed):
     assert (got[1:, :, :, 6:] == 0.0).all()
 
 
-def plain_forward(params, ids, segs, mask, rng=None):
+def plain_forward(params, ids, segs, mask, rng=None, tape=None):
     """forward as plain expressions over the kernel oracles, drawing the
-    dropout masks in the same order."""
+    dropout masks in the same order. A ``tape`` list receives, in forward
+    order, each dropout keep mask (None without dropout) and, after each
+    layer's two masks, a dict of that layer's intermediates."""
     cfg, t = params.config, params.tensors
     B, L = ids.shape
     nh, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    tape = [] if tape is None else tape
 
     def dropout(x):
-        if rng is None:
-            return x
-        return x * ((rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+        keep = None if rng is None else (rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+        tape.append(keep)
+        return x if keep is None else x * keep
 
     def heads(x):
         return x.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
@@ -317,22 +320,132 @@ def plain_forward(params, ids, segs, mask, rng=None):
         qh, kh, vh = (heads(h @ w["w" + n] + w["b" + n]) for n in "qkv")
         probs = softmax_oracle(qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(dh)) + key_bias)
         ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-        n1 = layer_norm_oracle(h + dropout(ctx @ w["wo"] + w["bo"]), w["ln1_g"], w["ln1_b"])[0]
-        f2 = dropout(gelu_oracle(n1 @ w["w1"] + w["b1"]) @ w["w2"] + w["b2"])
-        h = layer_norm_oracle(n1 + f2, w["ln2_g"], w["ln2_b"])[0]
+        n1, *ln1 = layer_norm_oracle(h + dropout(ctx @ w["wo"] + w["bo"]), w["ln1_g"], w["ln1_b"])
+        f1 = n1 @ w["w1"] + w["b1"]
+        g1 = gelu_oracle(f1)
+        out, *ln2 = layer_norm_oracle(n1 + dropout(g1 @ w["w2"] + w["b2"]), w["ln2_g"], w["ln2_b"])
+        tape.append({"h_in": h, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
+                     "ln1": ln1, "n1": n1, "f1": f1, "g1": g1, "ln2": ln2})
+        h = out
     return h
+
+
+def plain_backward(params, batch, kind, rng=None):
+    """loss_and_grad as plain expressions over the kernel oracles: the loss
+    value and every parameter gradient, each sum in the order of the formula."""
+    cfg, t = params.config, params.tensors
+    ids, segs = batch.input_ids, batch.segment_ids
+    B, L = ids.shape
+    nh, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    tape = []
+    hidden = plain_forward(params, ids, segs, batch.attention_mask, rng, tape)
+    grads = {k: np.zeros_like(v) for k, v in t.items()}
+
+    def add(name, value):
+        grads[name] = grads[name] + value
+
+    def cross_entropy(logits, targets):
+        z = logits - logits.max(-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+        return -logp[np.arange(len(targets)), targets], np.exp(logp) - np.eye(logits.shape[-1])[targets]
+
+    def undrop(dy, keep):
+        return dy if keep is None else dy * keep
+
+    def linear(p, n, x, dy):
+        add(p + "w" + n, x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1]))
+        add(p + "b" + n, dy.sum((0, 1)))
+        return dy @ t[p + "w" + n].T
+
+    def layer_norm(name, dy, cache):
+        dx, dg, db = layer_norm_backward_oracle(dy, t[name + "_g"], *cache)
+        add(name + "_g", dg)
+        add(name + "_b", db)
+        return dx
+
+    if kind == "mlm":
+        sel = hidden[batch.mask_rows, batch.mask_cols]
+        nll, dlogits = cross_entropy(sel @ t["tok_emb"].T + t["mlm_bias"], batch.target_ids)
+        value = nll.mean()
+        dlogits = dlogits / len(nll)
+        add("mlm_bias", dlogits.sum(0))
+        add("tok_emb", dlogits.T @ sel)
+        dh_out = np.zeros_like(hidden)
+        for r, c, d in zip(batch.mask_rows, batch.mask_cols, dlogits @ t["tok_emb"]):
+            dh_out[r, c] = dh_out[r, c] + d
+    else:
+        nll_s, dstart = cross_entropy(np.where(batch.valid_mask, hidden @ t["qa_ws"] + t["qa_bs"], -np.inf),
+                                      batch.start_gold)
+        nll_e, dend = cross_entropy(np.where(batch.valid_mask, hidden @ t["qa_we"] + t["qa_be"], -np.inf),
+                                    batch.end_gold)
+        value = (nll_s.sum() + nll_e.sum()) / (2.0 * B)
+        dstart, dend = dstart / (2.0 * B), dend / (2.0 * B)
+        for n, d in (("s", dstart), ("e", dend)):
+            add("qa_w" + n, (d[..., None] * hidden).sum((0, 1)))
+            add("qa_b" + n, d.sum())
+        dh_out = 0.0 + (dstart[..., None] * t["qa_ws"] + dend[..., None] * t["qa_we"])  # added into zeros
+
+    for i in reversed(range(cfg.n_layers)):
+        p = f"l{i}."
+        c, keep_f, keep_a = tape.pop(), tape.pop(), tape.pop()
+        dr2 = layer_norm(p + "ln2", dh_out, c["ln2"])
+        df1 = gelu_grad_oracle(linear(p, "2", c["g1"], undrop(dr2, keep_f)), c["f1"])
+        dr1 = layer_norm(p + "ln1", linear(p, "1", c["n1"], df1) + dr2, c["ln1"])
+        dctx = linear(p, "o", c["ctx"], undrop(dr1, keep_a)).reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
+        probs = c["probs"]
+        dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
+        dscores = (dprobs - (dprobs * probs).sum(-1, keepdims=True)) * probs
+        dqh = (dscores @ c["kh"]) * (1.0 / math.sqrt(dh))
+        dkh = (dscores.transpose(0, 1, 3, 2) @ c["qh"]) * (1.0 / math.sqrt(dh))
+        dvh = probs.transpose(0, 1, 3, 2) @ dctx
+        dxq, dxk, dxv = (
+            linear(p, n, c["h_in"], d.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model))
+            for n, d in zip("qkv", (dqh, dkh, dvh))
+        )
+        dh_out = dr1 + ((dxq + dxk) + dxv)
+
+    dx = undrop(dh_out, tape.pop())
+    grads["pos_emb"][:L] = grads["pos_emb"][:L] + dx.sum(0)
+    for b, l in np.ndindex(B, L):  # np.add.at's order: one position at a time
+        grads["tok_emb"][ids[b, l]] = grads["tok_emb"][ids[b, l]] + dx[b, l]
+        grads["seg_emb"][segs[b, l]] = grads["seg_emb"][segs[b, l]] + dx[b, l]
+    return value, grads
+
+
+def bitwise_config(dropout):
+    # head size 6: the score scale 1/sqrt(6) is not a power of two, so scaling early would round differently
+    return ModelConfig(vocab_size=16, n_layers=2, n_heads=2, d_model=12, d_ff=16, max_len=16, dropout=dropout)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 def test_forward_matches_plain_expressions_bitwise(dropout):
     """Covers the in-place work outside the kernels: embedding sum, affine
-    maps, score scaling and key bias, dropout and residual adds."""
-    # head size 6: the score scale 1/sqrt(6) is not a power of two, so scaling early would round differently
-    cfg = ModelConfig(vocab_size=16, n_layers=2, n_heads=2, d_model=12, d_ff=16, max_len=16, dropout=dropout)
+    maps, score scaling and key bias, dropout and residual adds; with and
+    without the cache the backward pass reads."""
+    cfg = bitwise_config(dropout)
     params = scaled_params(cfg, seed=5, scale=100.0)  # large pre-activations reach erf's saturation
     ids, segs, mask = make_inputs(cfg, seed=4, B=3, L=7, pad_from=5)
     rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
-    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng()), plain_forward(params, ids, segs, mask, rng()))
+    want = plain_forward(params, ids, segs, mask, rng())
+    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng()), want)
+    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), return_cache=True)[0], want)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["mlm", "span"])
+def test_loss_and_grad_matches_plain_backward_bitwise(dropout, kind):
+    """Covers the in-place sums of the backward pass: the dscores update, the
+    residual gradients and the four-way sum into each layer's input."""
+    cfg = bitwise_config(dropout)
+    params = scaled_params(cfg, seed=5)
+    batch = make_mlm_batch(cfg, seed=4) if kind == "mlm" else make_qa_batch(cfg, seed=4)
+    rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
+    value, grads = loss_and_grad(params, batch, kind, dropout_rng=rng())
+    want_value, want_grads = plain_backward(params, batch, kind, rng())
+    assert value == want_value
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert_bitwise(grad, want_grads[name])
 
 
 # ---------------------------------------------------------------- no aliasing

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kiqa import evaluation
 from kiqa.encoder import ModelConfig, init_params
 from kiqa.errors import KBParseError
 from kiqa.evaluation import (
@@ -23,7 +24,7 @@ from kiqa.evaluation import (
     token_coverage,
     token_f1,
 )
-from kiqa.textmodel import build_vocab
+from kiqa.textmodel import build_vocab, pack_qa
 
 
 # ------------------------------------------------------------- decode_span
@@ -334,6 +335,48 @@ def test_evaluate_exact_answer_scores_100():
     report = score_examples([ex], [ex.answers[0][0]])
     assert report.cells[("en", "en")] == EvalCell(f1=100.0, em=100.0, count=1)
     assert isinstance(packed_pred, str)
+
+
+def test_length_sorted_batches_predict_in_input_order(monkeypatch):
+    """Batches are cut from the examples in order of packed length, and every
+    prediction lands at its example's input index: any batch size gives the
+    strings that one example at a time gives, "" for an empty context."""
+    words = "alpha beta gamma delta epsilon zeta eta theta question"
+    vocab = build_vocab([words, "北京上海广州深圳"], max_size=64)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.0)
+    params = init_params(config, seed=3)
+    for tensor in params.tensors.values():
+        tensor *= 10.0  # spread the span logits well apart
+    contexts = [
+        " ".join(words.split()[:8] * 5),
+        "beta gamma",
+        "北京上海广州深圳北京上海广州深圳",
+        "",
+        "delta",
+        "zeta eta theta alpha beta gamma delta epsilon zeta eta theta",
+        "深圳 alpha",
+        "gamma delta epsilon zeta",
+    ]
+    examples = [
+        QAExample(str(i), "question " * (1 + i % 3), ctx, (("x", 0),), "zh" if "北" in ctx else "en", "en")
+        for i, ctx in enumerate(contexts)
+    ]
+    one_at_a_time = [predict_spans(params, vocab, [ex], max_answer_len=4, batch_size=1)[0] for ex in examples]
+    assert one_at_a_time[3] == ""
+    assert all(pred and pred in ex.context for pred, ex in zip(one_at_a_time, examples) if ex.context)
+
+    widths, forward = [], evaluation.forward
+
+    def recording_forward(params, ids, segs, mask):
+        widths.append(ids.shape[1])
+        return forward(params, ids, segs, mask)
+
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    lengths = sorted(len(pack_qa(ex.question, ex.context, vocab, config.max_len).input_ids) for ex in examples)
+    for batch_size in (2, 3):
+        widths.clear()
+        assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size) == one_at_a_time
+        assert widths == [lengths[min(lo + batch_size, len(lengths)) - 1] for lo in range(0, len(lengths), batch_size)]
 
 
 # ------------------------------------------------------------------ coverage
