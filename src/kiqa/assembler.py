@@ -25,6 +25,7 @@ from .errors import (
     SameLanguageError,
     ZeroWeightsError,
 )
+from .fileio import atomic_write
 from .kb import KnowledgeBase, Triple, _read_records, surface, triples_renderable
 
 
@@ -253,7 +254,7 @@ def build_corpus(
 
 
 def save_corpus(samples: Iterable[MaskedSample], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for s in samples:
             rec = {
                 "kind": s.kind.value,

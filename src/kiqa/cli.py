@@ -114,8 +114,9 @@ class PipelineConfig:
 
 def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     """Defaults, then the config file, then key=value overrides. Unknown keys
-    are rejected, and so are out-of-range training, model and eval values,
-    before any command writes anything."""
+    are rejected, and so are out-of-range training, model and eval values
+    and a negative ``assembler.n_triples``, before any command writes
+    anything."""
     raw = {key: str(default) for key, (_, default) in _SCHEMA.items()}
 
     def apply(key: str, value: str, where: str):
@@ -147,6 +148,9 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     # Every vocabulary holds the special tokens, so this is the smallest real vocab_size.
     ModelConfig(vocab_size=len(textmodel.SPECIAL_TOKENS), **config.section("model"))
     evaluation.check_eval_values(config["eval.max_answer_len"], config["eval.batch_size"])
+    # The upper bound, the number of renderable triples, needs the KB: build_corpus checks it.
+    if config["assembler.n_triples"] < 0:
+        raise ConfigError(f"assembler.n_triples must be >= 0, got {config['assembler.n_triples']}")
     return config
 
 
@@ -203,7 +207,7 @@ def _load_kb(config: PipelineConfig, run_dir: Path) -> kbmod.KnowledgeBase:
 
 def _write_train_log(path: Path, history: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for rec in history:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -350,7 +354,8 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, ckpt_name: str, 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     text = evaluation.format_report(report)
-    (reports / f"{report_stem}.txt").write_text(text + "\n", encoding="utf-8")
+    with atomic_write(reports / f"{report_stem}.txt", "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
     _write_json(reports / f"{report_stem}.json", {"config_hash": config.hash, **report.to_dict()})
     print(f"{report_stem}:")
     print(text)

@@ -24,6 +24,7 @@ from .errors import (
     KBParseError,
     MissingFormError,
 )
+from .fileio import atomic_write
 
 LANG_TAG_RE = re.compile(r"^[a-z0-9_-]{1,16}$")
 
@@ -153,11 +154,11 @@ def load_kb(entities_path, relations_path, triples_path) -> KnowledgeBase:
 def save_kb(kb: KnowledgeBase, entities_path, relations_path, triples_path) -> None:
     """Write a KB in canonical form: sorted ids, sorted form keys, file-order triples."""
     for path, coll in ((entities_path, kb.entities), (relations_path, kb.relations)):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for ident in sorted(coll):
                 rec = {"id": ident, "forms": dict(sorted(coll[ident].forms.items()))}
                 fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(triples_path, "w", encoding="utf-8") as fh:
+    with atomic_write(triples_path, "w", encoding="utf-8") as fh:
         for t in kb.triples:
             fh.write(json.dumps({"h": t.head, "r": t.rel, "t": t.tail}, sort_keys=True) + "\n")
 

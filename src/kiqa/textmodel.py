@@ -19,6 +19,7 @@ import numpy as np
 
 from .assembler import MaskedSample, SampleKind
 from .errors import ConfigError, QuestionTooLongError, RenderOverflowError
+from .fileio import atomic_write
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
@@ -80,7 +81,7 @@ def build_vocab(texts: Iterable[str], max_size: int) -> Vocab:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for tok in vocab.tokens:
             fh.write(tok + "\n")
 

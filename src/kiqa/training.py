@@ -4,6 +4,12 @@ and extractive-QA finetuning, with AdamW and linear warmup.
 Losses reduce by MEAN (over masked positions for entity completion, over
 examples for spans) so the learning rate is insensitive to batch size. The
 schedule warms up linearly and stays constant afterwards.
+
+Batches are bucketed by length, as in fairseq (Ott et al., arXiv 1904.01038):
+each epoch shuffles the items, stable-sorts them by unpadded length (so ties
+keep the shuffled order), cuts that order into ``batch_size`` chunks and
+shuffles the chunks. An epoch is still ``ceil(n / batch_size)`` steps, and
+the batch sequence is a pure function of (seed, epoch).
 """
 
 from __future__ import annotations
@@ -238,21 +244,35 @@ class TrainResult:
 def _train_loop(
     params: EncoderParams,
     items: Sequence,
+    lengths: Sequence[int],
     collate: Callable[[Sequence], MLMBatch | QABatch],
     config: TrainConfig,
     loss_kind: str,
     on_step: Callable[[dict], None] | None,
 ) -> TrainResult:
+    """AdamW over ``items``, whose unpadded lengths are ``lengths``.
+
+    Each epoch's RNG, seeded by (seed, epoch), shuffles the item indices; a
+    stable sort by length makes each ``batch_size`` chunk a run of similar
+    lengths, so little of a batch is padding; the same RNG then shuffles the
+    chunks. An epoch stays ``ceil(n / batch_size)`` steps, so the LR schedule
+    is that of unbucketed batches. Each step record holds ``tokens``, the
+    B x L padded positions it computed.
+    """
     state = AdamWState.zeros_like(params)
     total_steps = config.epochs * math.ceil(len(items) / config.batch_size)
     history = []
     step = 0
     use_dropout = params.config.dropout > 0.0
     for epoch in range(config.epochs):
+        epoch_rng = random.Random(f"{config.seed}|epoch|{epoch}")
         order = list(range(len(items)))
-        random.Random(f"{config.seed}|epoch|{epoch}").shuffle(order)
-        for lo in range(0, len(order), config.batch_size):
-            batch = collate([items[j] for j in order[lo : lo + config.batch_size]])
+        epoch_rng.shuffle(order)
+        order.sort(key=lengths.__getitem__)
+        chunks = [order[lo : lo + config.batch_size] for lo in range(0, len(order), config.batch_size)]
+        epoch_rng.shuffle(chunks)
+        for chunk in chunks:
+            batch = collate([items[j] for j in chunk])
             step += 1
             lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
             rng = np.random.default_rng([config.seed, step]) if use_dropout else None
@@ -262,7 +282,7 @@ def _train_loop(
             if config.max_grad_norm is not None:
                 clip_grads(grads, config.max_grad_norm)
             adamw_step(params, grads, state, lr, weight_decay=config.weight_decay)
-            rec = {"step": step, "lr": lr, "loss": value}
+            rec = {"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size}
             history.append(rec)
             if on_step is not None:
                 on_step(rec)
@@ -294,7 +314,8 @@ def run_injection(
         raise ConfigError("every corpus sample overflowed the render window")
 
     params = init.copy() if init is not None else init_params(model_config, config.seed)
-    result = _train_loop(params, rendered, collate_mlm, config, "mlm", on_step)
+    lengths = [len(s.input_ids) for s in rendered]
+    result = _train_loop(params, rendered, lengths, collate_mlm, config, "mlm", on_step)
     result.dropped = overflowed
     return result
 
@@ -311,6 +332,7 @@ def run_finetune(
     prepared, dropped = prepare_qa_examples(qa_dataset, vocab, params.config.max_len)
     if not prepared:
         raise ConfigError("no trainable QA examples (all dropped or dataset empty)")
-    result = _train_loop(params.copy(), prepared, collate_qa, config, "span", on_step)
+    lengths = [len(ex.qa_input.input_ids) for ex in prepared]
+    result = _train_loop(params.copy(), prepared, lengths, collate_qa, config, "span", on_step)
     result.dropped = dropped
     return result

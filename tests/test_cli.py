@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kiqa.cli import _write_json, load_config, main
+from kiqa import assembler
+from kiqa.cli import _write_json, _write_train_log, load_config, main
 from kiqa.encoder import ModelConfig, init_params, save_checkpoint
 from kiqa.errors import ConfigError
+from kiqa.kb import Entity, KnowledgeBase, save_kb
 
 from conftest import ENTITIES, RELATIONS, TRIPLES, write_jsonl
 
@@ -168,7 +170,7 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
         assert text.startswith("Settings(c/q)")
     log_lines = (run_dir / "logs" / "inject.jsonl").read_text().strip().splitlines()
     rec = json.loads(log_lines[0])
-    assert set(rec) == {"step", "lr", "loss"}
+    assert set(rec) == {"step", "lr", "loss", "tokens"}
 
     # evaluate refuses artifacts from a different config
     assert run_cli("evaluate", run_dir, FAST + ["eval.max_answer_len=5"]) == 1
@@ -200,8 +202,7 @@ def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override)
     assert run_cli("pipeline", run_dir, FAST + [override]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
-    if not override.startswith("assembler."):  # refused by load_config, before synth-gen writes the KB
-        assert not (run_dir / "data" / "entities.jsonl").exists()
+    assert not (run_dir / "data" / "entities.jsonl").exists()  # refused by load_config, before synth-gen writes
 
 
 def _checkpoint_failing_at_last_tensor(path):
@@ -214,7 +215,34 @@ def _json_failing_at_last_key(path):
     _write_json(path, {"a": "y" * 100_000, "z": object()})  # sort_keys: "a" is written before "z" fails
 
 
-@pytest.mark.parametrize("write", [_checkpoint_failing_at_last_tensor, _json_failing_at_last_key])
+def _corpus_failing_at_second_sample(path):
+    big = assembler.MaskedSample(
+        kind=assembler.SampleKind.K1, mask_side=assembler.MaskSide.TAIL,
+        pieces=(assembler.Piece("HEAD", "syn0", "y" * 100_000, False), assembler.Piece("TAIL", "syn0", "z", True)),
+        targets=((1, "z"),), source_triple=None, langs=("syn0", None),
+    )
+
+    def samples():
+        yield big
+        raise ValueError("the corpus generator failed")
+
+    assembler.save_corpus(samples(), path)
+
+
+def _kb_entities_failing_at_last_entity(path):
+    entities = {"E0": Entity("E0", {"syn0": "y" * 100_000}), "E1": Entity("E1", {"syn0": object()})}
+    unused = path.parent / "never-written"  # the entities file fails before the other two are opened
+    save_kb(KnowledgeBase(entities, {}, (), frozenset({"syn0"})), path, unused, unused)
+
+
+def _train_log_failing_at_last_step(path):
+    _write_train_log(path, [{"step": 1, "loss": "y" * 100_000}, {"step": 2, "loss": object()}])
+
+
+@pytest.mark.parametrize("write", [
+    _checkpoint_failing_at_last_tensor, _json_failing_at_last_key, _corpus_failing_at_second_sample,
+    _kb_entities_failing_at_last_entity, _train_log_failing_at_last_step,
+])
 def test_failed_artifact_write_leaves_target_unchanged(tmp_path, write):
     target = tmp_path / "artifact"
     target.write_bytes(b"earlier run\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kiqa import training
 from kiqa.assembler import build_corpus
 from kiqa.encoder import EncoderParams, ModelConfig, cross_entropy, init_params
 from kiqa.errors import ConfigError, NonFiniteError
@@ -334,6 +335,66 @@ def test_injection_deterministic():
     for name in a.params.tensors:
         np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
     assert a.history == b.history
+
+
+def _record_injection_batches(monkeypatch, corpus, vocab, config, model_config):
+    """Run injection with collate_mlm wrapped; return the result and, per
+    step, the samples and the collated batch's (B, L)."""
+    steps = []
+
+    def recording(samples):
+        batch = collate_mlm(samples)
+        steps.append((list(samples), batch.input_ids.shape))
+        return batch
+
+    monkeypatch.setattr(training, "collate_mlm", recording)
+    return run_injection(corpus, vocab, config, model_config, render_max_len=32), steps
+
+
+def test_injection_batches_are_length_buckets_in_seeded_order(monkeypatch):
+    """Each epoch cuts a length-sorted order into batch_size chunks and
+    visits them in a seeded shuffled order: every item once per epoch,
+    ceil(n/B) steps per epoch, disjoint length ranges visited out of length
+    order, the same sequence on a rerun, a different one in the next epoch."""
+    _, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 20, (1, 1, 1), seed=2)
+    assert {s.kind.value for s in corpus} == {"K1", "K2_HEAD_SWAP", "K2_TAIL_SWAP", "K3"}
+    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=5, epochs=2, seed=5)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.0)
+    result, steps = _record_injection_batches(monkeypatch, corpus, vocab, config, model_config)
+    n = len(corpus) - result.dropped
+    per_epoch = math.ceil(n / config.batch_size)
+    assert len(steps) == len(result.history) == config.epochs * per_epoch
+
+    epochs = [steps[e * per_epoch:(e + 1) * per_epoch] for e in range(config.epochs)]
+    first_items = {id(s) for samples, _ in epochs[0] for s in samples}
+    assert len({len(s.input_ids) for samples, _ in epochs[0] for s in samples}) >= 3  # lengths to bucket
+    mins = []
+    for epoch in epochs:
+        ids = [id(s) for samples, _ in epoch for s in samples]
+        assert len(ids) == len(set(ids)) == n and set(ids) == first_items
+        sizes = sorted(len(samples) for samples, _ in epoch)
+        assert sizes[0] == n - config.batch_size * (per_epoch - 1) and sizes[1:] == [config.batch_size] * (per_epoch - 1)
+        spans = [(min(len(s.input_ids) for s in samples), max(len(s.input_ids) for s in samples))
+                 for samples, _ in epoch]
+        ranges = sorted(spans)
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))  # touch at most at an endpoint
+        assert [shape for _, shape in epoch] == [(len(samples), hi) for (samples, _), (_, hi) in zip(epoch, spans)]
+        mins.append([lo for lo, _ in spans])
+    assert any(m != sorted(m) for m in mins)  # the chunk order is shuffled, not ascending
+
+    def sequence(recorded):
+        return [[(tuple(s.input_ids), tuple(s.target_ids)) for s in samples] for samples, _ in recorded]
+
+    _, again = _record_injection_batches(monkeypatch, corpus, vocab, config, model_config)
+    assert sequence(again) == sequence(steps)
+    assert sequence(epochs[0]) != sequence(epochs[1])
+
+    # Each step logs the B x L positions its collated batch holds.
+    for e, epoch in enumerate(epochs):
+        records = result.history[e * per_epoch:(e + 1) * per_epoch]
+        assert [rec["tokens"] for rec in records] == [B * L for _, (B, L) in epoch]
+        assert sum(rec["tokens"] for rec in records) == sum(B * L for _, (B, L) in epoch)
 
 
 def test_injection_empty_corpus():
