@@ -7,6 +7,24 @@ Kinds:
     K3  full renderings in languages i and j concatenated; the same slot is
         masked in both blocks so the two surface forms of one entity are
         predicted together.
+
+A sample states each fact once, in its pieces:
+    * a masked piece's own text is its target (``textmodel.render`` turns
+      each of its tokens into a [MASK] to predict);
+    * a piece's position gives its role: h, r, t, then for K3 h, r, t of
+      language j; so ``pieces[0].masked`` says whether the head or the tail
+      is masked;
+    * a piece's language is stated on the piece; for K2 the masked piece's
+      differs from the visible pieces'.
+
+Corpus file: one JSON object per line, keys sorted, UTF-8, e.g.
+    {"kind": "K2_TAIL_SWAP",
+     "pieces": [{"lang": "en", "masked": false, "text": "Kevin Durant"},
+                {"lang": "en", "masked": false, "text": "is a"},
+                {"lang": "zh", "masked": true, "text": "篮球运动员"}],
+     "triple": {"h": "Q1", "r": "P1", "t": "Q2"}}
+``triple`` names the KB triple the sample was rendered from and is omitted
+when there is none.
 """
 
 from __future__ import annotations
@@ -36,19 +54,8 @@ class SampleKind(str, Enum):
     K3 = "K3"
 
 
-class MaskSide(str, Enum):
-    HEAD = "HEAD"
-    TAIL = "TAIL"
-
-
-HEAD_ROLES = frozenset({"HEAD", "HEAD2"})
-TAIL_ROLES = frozenset({"TAIL", "TAIL2"})
-ALL_ROLES = ("HEAD", "REL", "TAIL", "HEAD2", "REL2", "TAIL2")
-
-
 @dataclass(frozen=True)
 class Piece:
-    role: str
     lang: str
     text: str
     masked: bool
@@ -57,72 +64,22 @@ class Piece:
 @dataclass(frozen=True)
 class MaskedSample:
     kind: SampleKind
-    mask_side: MaskSide
     pieces: tuple[Piece, ...]
-    targets: tuple[tuple[int, str], ...]  # (piece index, target text), in piece order
     source_triple: Triple | None
-    langs: tuple[str, str | None]
 
 
-def validate_sample(s: MaskedSample) -> None:
-    """Assert the structural invariants every MaskedSample must satisfy."""
-    masked_roles = HEAD_ROLES if s.mask_side is MaskSide.HEAD else TAIL_ROLES
-    for p in s.pieces:
-        assert p.role in ALL_ROLES, f"unknown role {p.role}"
-        assert p.masked == (p.role in masked_roles), f"mask flag wrong on {p.role}"
-    masked_idx = [i for i, p in enumerate(s.pieces) if p.masked]
-    assert [i for i, _ in s.targets] == masked_idx, "targets must align with masked pieces"
-
-    lang_i, lang_j = s.langs
-    if s.kind is SampleKind.K1:
-        assert len(s.pieces) == 3 and lang_j is None
-        assert all(p.lang == lang_i for p in s.pieces)
-    elif s.kind in (SampleKind.K2_HEAD_SWAP, SampleKind.K2_TAIL_SWAP):
-        assert len(s.pieces) == 3 and lang_j is not None and lang_i != lang_j
-        assert sum(p.lang == lang_j for p in s.pieces) == 1
-        assert all(p.lang in (lang_i, lang_j) for p in s.pieces)
-    elif s.kind is SampleKind.K3:
-        assert len(s.pieces) == 6 and lang_j is not None and lang_i != lang_j
-        assert all(p.lang == lang_i for p in s.pieces[:3])
-        assert all(p.lang == lang_j for p in s.pieces[3:])
-
-
-def unmasked_piece_texts(s: MaskedSample) -> list[str]:
-    """Piece texts with every masked slot replaced by its target."""
-    by_idx = dict(s.targets)
-    return [by_idx[i] if p.masked else p.text for i, p in enumerate(s.pieces)]
+def _block(kb: KnowledgeBase, t: Triple, lang: str, mask_head: bool) -> tuple[Piece, ...]:
+    """(h, r, t) rendered in ``lang`` with the head or the tail masked."""
+    return (
+        Piece(lang, surface(kb, "entity", t.head, lang), mask_head),
+        Piece(lang, surface(kb, "relation", t.rel, lang), False),
+        Piece(lang, surface(kb, "entity", t.tail, lang), not mask_head),
+    )
 
 
 def assemble_k1(kb: KnowledgeBase, t: Triple, lang_i: str) -> list[MaskedSample]:
     """Two monolingual samples: (h, r, ?) with target t, and (?, r, t) with target h."""
-    h = surface(kb, "entity", t.head, lang_i)
-    r = surface(kb, "relation", t.rel, lang_i)
-    tl = surface(kb, "entity", t.tail, lang_i)
-    tail_masked = MaskedSample(
-        kind=SampleKind.K1,
-        mask_side=MaskSide.TAIL,
-        pieces=(
-            Piece("HEAD", lang_i, h, False),
-            Piece("REL", lang_i, r, False),
-            Piece("TAIL", lang_i, tl, True),
-        ),
-        targets=((2, tl),),
-        source_triple=t,
-        langs=(lang_i, None),
-    )
-    head_masked = MaskedSample(
-        kind=SampleKind.K1,
-        mask_side=MaskSide.HEAD,
-        pieces=(
-            Piece("HEAD", lang_i, h, True),
-            Piece("REL", lang_i, r, False),
-            Piece("TAIL", lang_i, tl, False),
-        ),
-        targets=((0, h),),
-        source_triple=t,
-        langs=(lang_i, None),
-    )
-    return [tail_masked, head_masked]
+    return [MaskedSample(SampleKind.K1, _block(kb, t, lang_i, mask_head), t) for mask_head in (False, True)]
 
 
 def assemble_k2(kb: KnowledgeBase, t: Triple, lang_i: str, lang_j: str) -> list[MaskedSample]:
@@ -136,28 +93,14 @@ def assemble_k2(kb: KnowledgeBase, t: Triple, lang_i: str, lang_j: str) -> list[
     h_j = surface(kb, "entity", t.head, lang_j)
     t_j = surface(kb, "entity", t.tail, lang_j)
     head_swap = MaskedSample(
-        kind=SampleKind.K2_HEAD_SWAP,
-        mask_side=MaskSide.HEAD,
-        pieces=(
-            Piece("HEAD", lang_j, h_j, True),
-            Piece("REL", lang_i, r_i, False),
-            Piece("TAIL", lang_i, t_i, False),
-        ),
-        targets=((0, h_j),),
-        source_triple=t,
-        langs=(lang_i, lang_j),
+        SampleKind.K2_HEAD_SWAP,
+        (Piece(lang_j, h_j, True), Piece(lang_i, r_i, False), Piece(lang_i, t_i, False)),
+        t,
     )
     tail_swap = MaskedSample(
-        kind=SampleKind.K2_TAIL_SWAP,
-        mask_side=MaskSide.TAIL,
-        pieces=(
-            Piece("HEAD", lang_i, h_i, False),
-            Piece("REL", lang_i, r_i, False),
-            Piece("TAIL", lang_j, t_j, True),
-        ),
-        targets=((2, t_j),),
-        source_triple=t,
-        langs=(lang_i, lang_j),
+        SampleKind.K2_TAIL_SWAP,
+        (Piece(lang_i, h_i, False), Piece(lang_i, r_i, False), Piece(lang_j, t_j, True)),
+        t,
     )
     return [head_swap, tail_swap]
 
@@ -167,43 +110,10 @@ def assemble_k3(kb: KnowledgeBase, t: Triple, lang_i: str, lang_j: str) -> list[
     masked in both blocks, so both surface forms of one entity are targets."""
     if lang_i == lang_j:
         raise SameLanguageError(f"K3 needs two distinct languages, got {lang_i!r} twice")
-    forms = {}
-    for lang in (lang_i, lang_j):
-        forms[lang] = (
-            surface(kb, "entity", t.head, lang),
-            surface(kb, "relation", t.rel, lang),
-            surface(kb, "entity", t.tail, lang),
-        )
-    h_i, r_i, t_i = forms[lang_i]
-    h_j, r_j, t_j = forms[lang_j]
-
-    def pieces(mask_head: bool) -> tuple[Piece, ...]:
-        return (
-            Piece("HEAD", lang_i, h_i, mask_head),
-            Piece("REL", lang_i, r_i, False),
-            Piece("TAIL", lang_i, t_i, not mask_head),
-            Piece("HEAD2", lang_j, h_j, mask_head),
-            Piece("REL2", lang_j, r_j, False),
-            Piece("TAIL2", lang_j, t_j, not mask_head),
-        )
-
-    head_masked = MaskedSample(
-        kind=SampleKind.K3,
-        mask_side=MaskSide.HEAD,
-        pieces=pieces(mask_head=True),
-        targets=((0, h_i), (3, h_j)),
-        source_triple=t,
-        langs=(lang_i, lang_j),
-    )
-    tail_masked = MaskedSample(
-        kind=SampleKind.K3,
-        mask_side=MaskSide.TAIL,
-        pieces=pieces(mask_head=False),
-        targets=((2, t_i), (5, t_j)),
-        source_triple=t,
-        langs=(lang_i, lang_j),
-    )
-    return [head_masked, tail_masked]
+    return [
+        MaskedSample(SampleKind.K3, _block(kb, t, lang_i, mask_head) + _block(kb, t, lang_j, mask_head), t)
+        for mask_head in (True, False)
+    ]
 
 
 def build_corpus(
@@ -258,13 +168,7 @@ def save_corpus(samples: Iterable[MaskedSample], path) -> None:
         for s in samples:
             rec = {
                 "kind": s.kind.value,
-                "mask_side": s.mask_side.value,
-                "pieces": [
-                    {"role": p.role, "lang": p.lang, "text": p.text, "masked": p.masked}
-                    for p in s.pieces
-                ],
-                "targets": [[i, text] for i, text in s.targets],
-                "langs": list(s.langs),
+                "pieces": [{"lang": p.lang, "masked": p.masked, "text": p.text} for p in s.pieces],
             }
             if s.source_triple is not None:
                 rec["triple"] = {"h": s.source_triple.head, "r": s.source_triple.rel, "t": s.source_triple.tail}
@@ -272,22 +176,17 @@ def save_corpus(samples: Iterable[MaskedSample], path) -> None:
 
 
 def load_corpus(path) -> list[MaskedSample]:
+    """Read a corpus file. Keys other than those ``save_corpus`` writes are
+    ignored, so files that still carry ``targets``, ``mask_side``, ``langs``
+    and a per-piece ``role`` load to the same samples."""
     samples = []
     for lineno, rec in _read_records(Path(path)):
         try:
             triple = None
             if "triple" in rec:
                 triple = Triple(head=rec["triple"]["h"], rel=rec["triple"]["r"], tail=rec["triple"]["t"])
-            samples.append(
-                MaskedSample(
-                    kind=SampleKind(rec["kind"]),
-                    mask_side=MaskSide(rec["mask_side"]),
-                    pieces=tuple(Piece(p["role"], p["lang"], p["text"], p["masked"]) for p in rec["pieces"]),
-                    targets=tuple((int(i), text) for i, text in rec["targets"]),
-                    source_triple=triple,
-                    langs=(rec["langs"][0], rec["langs"][1]),
-                )
-            )
+            pieces = tuple(Piece(p["lang"], p["text"], p["masked"]) for p in rec["pieces"])
+            samples.append(MaskedSample(SampleKind(rec["kind"]), pieces, triple))
         except (KeyError, ValueError, TypeError) as exc:
             raise KBParseError(f"{path}:{lineno}: invalid corpus record ({exc!r})") from exc
     return samples
@@ -295,11 +194,8 @@ def load_corpus(path) -> list[MaskedSample]:
 
 __all__ = [
     "SampleKind",
-    "MaskSide",
     "Piece",
     "MaskedSample",
-    "validate_sample",
-    "unmasked_piece_texts",
     "assemble_k1",
     "assemble_k2",
     "assemble_k3",

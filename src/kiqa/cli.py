@@ -18,7 +18,7 @@ from pathlib import Path
 from . import assembler, evaluation, kb as kbmod, synthlang, textmodel, training
 from .encoder import EncoderParams, ModelConfig, load_checkpoint, save_checkpoint
 from .errors import ArtifactMismatchError, ConfigError, PipelineError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_utf8
 
 # key -> (parser, default); the resolved mapping is what gets hashed.
 _SCHEMA: dict[str, tuple] = {
@@ -126,7 +126,7 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
         raw[key] = value.strip()
 
     if path:
-        with open(path, encoding="utf-8") as fh:
+        with read_utf8(path, ConfigError) as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:

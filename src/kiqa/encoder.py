@@ -320,15 +320,9 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads):
 # ---------------------------------------------------------------- loss heads
 
 
-def mlm_logits(params: EncoderParams, hidden, positions):
-    """Tied-embedding logits at the given positions of one sequence."""
-    hidden = np.asarray(hidden)
-    if hidden.ndim != 2:
-        raise ValueError("mlm_logits expects hidden of shape (len, d_model)")
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size and (positions.min() < 0 or positions.max() >= hidden.shape[0]):
-        raise ValueError("position out of range")
-    return hidden[positions] @ params.tensors["tok_emb"].T + params.tensors["mlm_bias"]
+def mlm_logits(params: EncoderParams, sel):
+    """Tied-embedding logits for gathered hidden rows ``sel`` of shape (M, d_model)."""
+    return sel @ params.tensors["tok_emb"].T + params.tensors["mlm_bias"]
 
 
 def qa_logits(params: EncoderParams, hidden):
@@ -396,8 +390,7 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
         if M == 0:
             raise NoMaskedPositionsError("batch has no masked positions")
         sel = hidden[rows, cols]
-        logits = sel @ params.tensors["tok_emb"].T + params.tensors["mlm_bias"]
-        nll, dlogits = cross_entropy(logits, targets)
+        nll, dlogits = cross_entropy(mlm_logits(params, sel), targets)
         value = nll.mean()
         dlogits /= M
         grads["mlm_bias"] += dlogits.sum(0)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .encoder import EncoderParams, forward, qa_logits
 from .errors import ConfigError, KBParseError
+from .fileio import read_utf8
 from .textmodel import Vocab, pack_qa, pad_batch, tokenize
 
 _EN_ARTICLES = frozenset({"a", "an", "the"})
@@ -96,7 +97,7 @@ class QAExample:
 
 def load_qa_dataset(path, default_context_lang: str = "", default_question_lang: str = "") -> list[QAExample]:
     """Parse a SQuAD-style JSON file into QAExamples."""
-    with open(path, encoding="utf-8") as fh:
+    with read_utf8(path, KBParseError) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

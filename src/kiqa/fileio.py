@@ -1,4 +1,6 @@
-"""Artifact writes that never leave a half-written file at the target path."""
+"""File access shared by every module: artifact writes that never leave a
+half-written file at the target path, and UTF-8 reads whose decoding errors
+name the file."""
 
 from __future__ import annotations
 
@@ -22,3 +24,15 @@ def atomic_write(path, mode: str = "w", encoding: str | None = None):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def read_utf8(path, error: type[Exception]):
+    """Yield ``path`` opened for reading as UTF-8 text. Bytes that are not
+    UTF-8 raise ``error`` with a message that names the file, in place of a
+    bare ``UnicodeDecodeError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc

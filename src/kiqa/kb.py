@@ -24,7 +24,7 @@ from .errors import (
     KBParseError,
     MissingFormError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_utf8
 
 LANG_TAG_RE = re.compile(r"^[a-z0-9_-]{1,16}$")
 
@@ -74,7 +74,7 @@ def _check_forms(forms: dict, where: str) -> dict[str, str]:
 
 
 def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+    with read_utf8(path, KBParseError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

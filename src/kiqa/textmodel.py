@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assembler import MaskedSample, SampleKind
-from .errors import ConfigError, QuestionTooLongError, RenderOverflowError
-from .fileio import atomic_write
+from .errors import ArtifactMismatchError, ConfigError, QuestionTooLongError, RenderOverflowError
+from .fileio import atomic_write, read_utf8
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
@@ -87,7 +87,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, encoding="utf-8") as fh:
+    with read_utf8(path, ArtifactMismatchError) as fh:
         tokens = tuple(line.rstrip("\n") for line in fh)
     return Vocab(tokens=tokens)
 
@@ -104,10 +104,10 @@ def render(sample: MaskedSample, vocab: Vocab, max_len: int) -> TokenizedSample:
     """Turn a MaskedSample into token ids.
 
     Layout: [CLS] pieces... [SEP], with an extra [SEP] between the two
-    language blocks of a K3 sample (segments 0 then 1). Each masked piece
-    contributes as many [MASK] tokens as its target has tokens.
+    language blocks of a K3 sample (segments 0 then 1). A masked piece's
+    text is its target: each of its tokens becomes a [MASK] whose target id
+    is that token's id.
     """
-    target_by_piece = dict(sample.targets)
     two_blocks = sample.kind is SampleKind.K3
 
     ids = [CLS_ID]
@@ -119,16 +119,14 @@ def render(sample: MaskedSample, vocab: Vocab, max_len: int) -> TokenizedSample:
         if two_blocks and idx == 3:
             ids.append(SEP_ID)
             segs.append(0)
-        if piece.masked:
-            for tok in tokenize(target_by_piece[idx]):
+        for tok in tokenize(piece.text):
+            tok_id = vocab.id(tok)
+            if piece.masked:
                 mask_positions.append(len(ids))
-                target_ids.append(vocab.id(tok))
-                ids.append(MASK_ID)
-                segs.append(seg)
-        else:
-            for tok in tokenize(piece.text):
-                ids.append(vocab.id(tok))
-                segs.append(seg)
+                target_ids.append(tok_id)
+                tok_id = MASK_ID
+            ids.append(tok_id)
+            segs.append(seg)
     ids.append(SEP_ID)
     segs.append(1 if two_blocks else 0)
 

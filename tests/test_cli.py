@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,35 @@ def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override)
     assert not (run_dir / "data" / "entities.jsonl").exists()  # refused by load_config, before synth-gen writes
 
 
+@pytest.fixture(scope="module")
+def injected_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("injected") / "run"
+    for command in ("synth-gen", "assemble", "inject"):
+        assert run_cli(command, run_dir, FAST) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize("command, name, code", [
+    ("synth-gen", "exp.cfg", "config"),
+    ("kb-validate", "data/entities.jsonl", "parse"),
+    ("inject", "corpus.jsonl", "parse"),
+    ("inject", "vocab.txt", "artifact-mismatch"),
+    ("finetune", "data/qa/train.json", "parse"),
+], ids=["config", "kb", "corpus", "vocab", "qa"])
+def test_non_utf8_input_exits_with_one_error_record(tmp_path, capsys, injected_run, command, name, code):
+    run_dir = tmp_path / "run"
+    shutil.copytree(injected_run, run_dir)
+    bad = run_dir / name
+    bad.write_bytes((bad.read_bytes() if bad.exists() else b"") + b"\xff\n")
+    capsys.readouterr()
+    assert run_cli(command, run_dir, FAST, config=bad if name == "exp.cfg" else None) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == code
+    assert str(bad) in record["message"] and "not UTF-8" in record["message"]
+
+
 def _checkpoint_failing_at_last_tensor(path):
     params = init_params(ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=8, max_len=8), seed=0)
     params.tensors["tok_emb"] = np.full((16, 8), "x")  # last in the file's sorted order; not a float
@@ -217,9 +247,9 @@ def _json_failing_at_last_key(path):
 
 def _corpus_failing_at_second_sample(path):
     big = assembler.MaskedSample(
-        kind=assembler.SampleKind.K1, mask_side=assembler.MaskSide.TAIL,
-        pieces=(assembler.Piece("HEAD", "syn0", "y" * 100_000, False), assembler.Piece("TAIL", "syn0", "z", True)),
-        targets=((1, "z"),), source_triple=None, langs=("syn0", None),
+        kind=assembler.SampleKind.K1,
+        pieces=(assembler.Piece("syn0", "y" * 100_000, False), assembler.Piece("syn0", "z", True)),
+        source_triple=None,
     )
 
     def samples():
