@@ -30,6 +30,7 @@ when there is none.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -116,6 +117,14 @@ def assemble_k3(kb: KnowledgeBase, t: Triple, lang_i: str, lang_j: str) -> list[
     ]
 
 
+def check_kind_weights(kind_weights: Sequence[float]) -> None:
+    """Refuse a negative or non-finite K1/K2/K3 weight, and weights that sum to zero."""
+    if not all(0 <= w < math.inf for w in kind_weights):
+        raise ConfigError(f"kind weights must be finite and non-negative, got {tuple(kind_weights)}")
+    if sum(kind_weights) <= 0:
+        raise ZeroWeightsError("kind weights sum to zero")
+
+
 def build_corpus(
     kb: KnowledgeBase,
     langs: Iterable[str],
@@ -129,11 +138,8 @@ def build_corpus(
     Per-triple draws use RNG streams derived from (seed, index) so the output
     is independent of evaluation order.
     """
+    check_kind_weights(kind_weights)
     w1, w2, w3 = kind_weights
-    if min(w1, w2, w3) < 0:
-        raise ConfigError("kind weights must be non-negative")
-    if w1 + w2 + w3 <= 0:
-        raise ZeroWeightsError("kind weights sum to zero")
     langs_sorted = sorted(set(langs))
     if len(langs_sorted) < 2 and (w2 > 0 or w3 > 0):
         raise ConfigError("K2/K3 weights require at least two languages")
@@ -186,6 +192,9 @@ def load_corpus(path) -> list[MaskedSample]:
             if "triple" in rec:
                 triple = Triple(head=rec["triple"]["h"], rel=rec["triple"]["r"], tail=rec["triple"]["t"])
             pieces = tuple(Piece(p["lang"], p["text"], p["masked"]) for p in rec["pieces"])
+            if not all(isinstance(p.lang, str) and isinstance(p.text, str) and isinstance(p.masked, bool)
+                       for p in pieces):
+                raise KBParseError(f"{path}:{lineno}: a piece's lang and text must be strings, its masked a bool")
             samples.append(MaskedSample(SampleKind(rec["kind"]), pieces, triple))
         except (KeyError, ValueError, TypeError) as exc:
             raise KBParseError(f"{path}:{lineno}: invalid corpus record ({exc!r})") from exc
@@ -199,6 +208,7 @@ __all__ = [
     "assemble_k1",
     "assemble_k2",
     "assemble_k3",
+    "check_kind_weights",
     "build_corpus",
     "save_corpus",
     "load_corpus",

@@ -114,9 +114,9 @@ class PipelineConfig:
 
 def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     """Defaults, then the config file, then key=value overrides. Unknown keys
-    are rejected, and so are out-of-range training, model and eval values
-    and a negative ``assembler.n_triples``, before any command writes
-    anything."""
+    are rejected, and so are out-of-range training, model and eval values,
+    negative, non-finite or all-zero ``assembler.kind_weights`` and a negative
+    ``assembler.n_triples``, before any command writes anything."""
     raw = {key: str(default) for key, (_, default) in _SCHEMA.items()}
 
     def apply(key: str, value: str, where: str):
@@ -148,6 +148,7 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     # Every vocabulary holds the special tokens, so this is the smallest real vocab_size.
     ModelConfig(vocab_size=len(textmodel.SPECIAL_TOKENS), **config.section("model"))
     evaluation.check_eval_values(config["eval.max_answer_len"], config["eval.batch_size"])
+    assembler.check_kind_weights(config["assembler.kind_weights"])
     # The upper bound, the number of renderable triples, needs the KB: build_corpus checks it.
     if config["assembler.n_triples"] < 0:
         raise ConfigError(f"assembler.n_triples must be >= 0, got {config['assembler.n_triples']}")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .encoder import EncoderParams, forward, qa_logits
-from .errors import ConfigError, KBParseError
+from .errors import ConfigError, KBParseError, NonFiniteError
 from .fileio import read_utf8
 from .textmodel import Vocab, pack_qa, pad_batch, tokenize
 
@@ -62,24 +62,14 @@ def token_f1(pred: str, gold: str, lang: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def decode_span(start_logits, end_logits, context_positions: Sequence[int], max_answer_len: int):
-    """Best (start, end) by summed logits subject to start <= end, length cap,
-    and both ends inside the context; ties prefer the earlier start then end.
-    Positions at or past the end of the logits are ignored; returns None when
-    no span is left."""
-    start_logits = np.asarray(start_logits, dtype=np.float64)
-    end_logits = np.asarray(end_logits, dtype=np.float64)
-    positions = sorted(context_positions)
-    if not positions:
-        raise ValueError("context segment is empty")
-    positions = [p for p in positions if p < start_logits.shape[0]]
-    if not positions:
-        return None
-    pos = np.asarray(positions)
-    gap = pos[None, :] - pos[:, None]
-    scores = np.where((gap >= 0) & (gap < max_answer_len), start_logits[pos][:, None] + end_logits[pos][None, :], -np.inf)
-    s, e = np.unravel_index(np.argmax(scores), scores.shape)  # row-major: earlier start, then earlier end
-    return (positions[s], positions[e]) if scores[s, e] > -np.inf else None
+def decode_span(start_logits: np.ndarray, end_logits: np.ndarray, max_answer_len: int) -> tuple[int, int]:
+    """Best (start, end) over one context's own span logits, by summed score,
+    subject to start <= end < start + max_answer_len; ties prefer the earlier
+    start, then the earlier end. The logits must be finite and non-empty."""
+    n = len(start_logits)
+    gap = np.arange(n)[None, :] - np.arange(n)[:, None]
+    scores = np.where((gap >= 0) & (gap < max_answer_len), start_logits[:, None] + end_logits[None, :], -np.inf)
+    return divmod(int(np.argmax(scores)), n)  # row-major: earlier start, then earlier end
 
 
 # ------------------------------------------------------------------- dataset
@@ -108,9 +98,13 @@ def load_qa_dataset(path, default_context_lang: str = "", default_question_lang:
             for para in article["paragraphs"]:
                 context = para["context"]
                 for qa in para["qas"]:
-                    answers = tuple((a["text"], int(a["answer_start"])) for a in qa["answers"])
+                    answers = tuple((a["text"], a["answer_start"]) for a in qa["answers"])
                     if not answers:
                         raise KBParseError(f"{path}: question {qa.get('id')!r} has no gold answers")
+                    texts = [context, qa["question"]] + [text for text, _ in answers]
+                    if not all(isinstance(t, str) for t in texts) or any(type(s) is not int for _, s in answers):
+                        raise KBParseError(f"{path}: question {qa.get('id')!r}: texts must be strings, "
+                                           "answer_start an integer")
                     examples.append(
                         QAExample(
                             qa_id=str(qa["id"]),
@@ -196,6 +190,12 @@ def predict_spans(
     """Extract an answer string for each example (verbatim context substring),
     in input order.
 
+    Each packed row's context window is ``[context_start, context_start + n)``
+    for its n context tokens (see ``pack_qa``). ``decode_span`` scores that
+    slice of the row's span logits, and the chosen (start, end) indices map
+    through ``context_offsets`` to characters. An empty context predicts "".
+    A batch whose span logits are not all finite raises NonFiniteError.
+
     Examples are batched in stable order of packed length, so each batch pads
     to little more than its own rows; each prediction is written back to its
     example's input index. The pad width of a row's batch changes the
@@ -211,14 +211,15 @@ def predict_spans(
         ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
         hidden = forward(params, ids, segs, mask)
         start_logits, end_logits = qa_logits(params, hidden)
+        if not (np.isfinite(start_logits).all() and np.isfinite(end_logits).all()):
+            raise NonFiniteError("span logits are not finite; the checkpoint may hold NaN or inf weights")
         for b, i in enumerate(chunk):
             p = packed[i]
-            if not p.context_token_offsets:
-                continue  # an empty context predicts ""
-            s, e = decode_span(start_logits[b], end_logits[b], p.context_positions, max_answer_len)
-            char_start = p.context_token_offsets[s][0]
-            char_end = p.context_token_offsets[e][1]
-            predictions[i] = examples[i].context[char_start:char_end]
+            if not p.context_offsets:
+                continue
+            window = slice(p.context_start, p.context_start + len(p.context_offsets))
+            s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
+            predictions[i] = examples[i].context[p.context_offsets[s][0] : p.context_offsets[e][1]]
     return predictions
 
 

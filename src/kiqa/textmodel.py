@@ -139,21 +139,19 @@ def render(sample: MaskedSample, vocab: Vocab, max_len: int) -> TokenizedSample:
 class QAInput:
     input_ids: list[int]
     segment_ids: list[int]
-    # input position of each context token -> (char start, char end) in the context string
-    context_token_offsets: dict[int, tuple[int, int]]
-
-    @property
-    def context_positions(self) -> list[int]:
-        return sorted(self.context_token_offsets)
+    context_start: int  # input position of the first context token
+    context_offsets: list[tuple[int, int]]  # (char start, char end) of each context token, in order
 
 
 def pack_qa(question: str, context: str, vocab: Vocab, max_len: int) -> QAInput:
     """Concatenate question and context: [CLS] q [SEP] c [SEP], unpadded.
 
+    The context window is the contiguous run of input positions
+    ``context_start .. context_start + len(context_offsets) - 1``; its i-th
+    token spans ``context[context_offsets[i][0]:context_offsets[i][1]]``.
     Segment ids are 0 over the question block (incl. CLS and first SEP) and 1
     over the context block (incl. trailing SEP). The context is truncated so
-    the whole input fits in max_len tokens; offsets map surviving context
-    tokens back to character spans. Batching pads with ``pad_batch``.
+    the whole input fits in max_len tokens. Batching pads with ``pad_batch``.
     """
     q_tokens = tokenize(question)
     if len(q_tokens) + 3 >= max_len:
@@ -164,15 +162,10 @@ def pack_qa(question: str, context: str, vocab: Vocab, max_len: int) -> QAInput:
     c_tokens = tokenize_with_offsets(context)[:budget]
 
     ids = [CLS_ID] + vocab.encode(q_tokens) + [SEP_ID]
-    segs = [0] * len(ids)
-    offsets: dict[int, tuple[int, int]] = {}
-    for tok, start, end in c_tokens:
-        offsets[len(ids)] = (start, end)
-        ids.append(vocab.id(tok))
-        segs.append(1)
-    ids.append(SEP_ID)
-    segs.append(1)
-    return QAInput(input_ids=ids, segment_ids=segs, context_token_offsets=offsets)
+    context_start = len(ids)
+    ids += [vocab.id(tok) for tok, _, _ in c_tokens] + [SEP_ID]
+    segs = [0] * context_start + [1] * (len(c_tokens) + 1)
+    return QAInput(ids, segs, context_start, [(start, end) for _, start, end in c_tokens])
 
 
 def pad_batch(rows: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

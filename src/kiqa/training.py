@@ -50,8 +50,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ConfigError(f"phase must be one of {PHASES}, got {self.phase!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -77,6 +77,8 @@ def lr_at(step: int, total_steps: int, peak_lr: float, warmup_fraction: float) -
 
 # --------------------------------------------------------------------- AdamW
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamWState:
@@ -98,8 +100,6 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     state: AdamWState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.01,
 ) -> tuple[EncoderParams, AdamWState]:
     """One decoupled-weight-decay Adam update, in place.
@@ -107,7 +107,7 @@ def adamw_step(
     Per tensor, ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``,
     with every term formed in one of two scratch arrays; ``grads`` is only read.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1**t
@@ -128,7 +128,7 @@ def adamw_step(
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += eps
+        tmp += ADAM_EPS
         np.divide(m, bc1, out=step)
         step /= tmp
         step += np.multiply(weight_decay, p, out=tmp)
@@ -182,10 +182,8 @@ def locate_answer_span(qa_input: QAInput, context: str, answer_text: str, answer
     end_char = answer_start + len(answer_text)
     if context[answer_start:end_char] != answer_text:
         return None
-    positions = qa_input.context_positions
     start_tok = end_tok = None
-    for rel, pos in enumerate(positions):
-        s, e = qa_input.context_token_offsets[pos]
+    for rel, (s, e) in enumerate(qa_input.context_offsets):
         if start_tok is None and s <= answer_start < e:
             start_tok = rel
         if s <= end_char - 1 < e:
@@ -221,10 +219,10 @@ def collate_qa(items: Sequence[QATrainExample]) -> QABatch:
     gold_s = np.zeros(B, dtype=np.int64)
     gold_e = np.zeros(B, dtype=np.int64)
     for b, it in enumerate(items):
-        positions = it.qa_input.context_positions
-        valid[b, positions] = True
-        gold_s[b] = positions[it.gold_start]
-        gold_e[b] = positions[it.gold_end]
+        c0 = it.qa_input.context_start
+        valid[b, c0 : c0 + len(it.qa_input.context_offsets)] = True
+        gold_s[b] = c0 + it.gold_start
+        gold_e[b] = c0 + it.gold_end
     return QABatch(
         input_ids=ids, segment_ids=segs, attention_mask=mask,
         start_gold=gold_s, end_gold=gold_e, valid_mask=valid,
@@ -248,7 +246,6 @@ def _train_loop(
     collate: Callable[[Sequence], MLMBatch | QABatch],
     config: TrainConfig,
     loss_kind: str,
-    on_step: Callable[[dict], None] | None,
 ) -> TrainResult:
     """AdamW over ``items``, whose unpadded lengths are ``lengths``.
 
@@ -282,10 +279,7 @@ def _train_loop(
             if config.max_grad_norm is not None:
                 clip_grads(grads, config.max_grad_norm)
             adamw_step(params, grads, state, lr, weight_decay=config.weight_decay)
-            rec = {"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size}
-            history.append(rec)
-            if on_step is not None:
-                on_step(rec)
+            history.append({"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size})
     return TrainResult(params=params, history=history)
 
 
@@ -295,11 +289,9 @@ def run_injection(
     config: TrainConfig,
     model_config: ModelConfig,
     render_max_len: int = 128,
-    init: EncoderParams | None = None,
-    on_step: Callable[[dict], None] | None = None,
 ) -> TrainResult:
-    """Train entity completion over the assembled corpus from fresh
-    (seeded) initialization unless a checkpoint is supplied."""
+    """Train entity completion over the assembled corpus from a fresh
+    initialization seeded by ``config.seed``."""
     if not corpus:
         raise ConfigError("injection corpus is empty")
     rendered: list[TokenizedSample] = []
@@ -313,9 +305,9 @@ def run_injection(
     if not rendered:
         raise ConfigError("every corpus sample overflowed the render window")
 
-    params = init.copy() if init is not None else init_params(model_config, config.seed)
+    params = init_params(model_config, config.seed)
     lengths = [len(s.input_ids) for s in rendered]
-    result = _train_loop(params, rendered, lengths, collate_mlm, config, "mlm", on_step)
+    result = _train_loop(params, rendered, lengths, collate_mlm, config, "mlm")
     result.dropped = overflowed
     return result
 
@@ -325,7 +317,6 @@ def run_finetune(
     qa_dataset,
     vocab: Vocab,
     config: TrainConfig,
-    on_step: Callable[[dict], None] | None = None,
 ) -> TrainResult:
     """Finetune span extraction starting from the given parameters; answer
     character offsets are mapped to token spans via the packing offsets."""
@@ -333,6 +324,6 @@ def run_finetune(
     if not prepared:
         raise ConfigError("no trainable QA examples (all dropped or dataset empty)")
     lengths = [len(ex.qa_input.input_ids) for ex in prepared]
-    result = _train_loop(params.copy(), prepared, lengths, collate_qa, config, "span", on_step)
+    result = _train_loop(params.copy(), prepared, lengths, collate_qa, config, "span")
     result.dropped = dropped
     return result

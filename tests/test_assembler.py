@@ -257,7 +257,10 @@ def test_corpus_load_rejects_bad_records(tiny_kb, tmp_path):
     good = json.loads(path.read_text(encoding="utf-8"))
     no_pieces = {k: v for k, v in good.items() if k != "pieces"}
     unflagged_piece = {**good, "pieces": [{"lang": "en", "text": "x"}, *good["pieces"][1:]]}
-    for bad in ("{not json", json.dumps(no_pieces), json.dumps(unflagged_piece), json.dumps({**good, "kind": "K9"})):
+    int_text = {**good, "pieces": [{**good["pieces"][0], "text": 5}, *good["pieces"][1:]]}
+    str_masked = {**good, "pieces": [{**good["pieces"][0], "masked": "no"}, *good["pieces"][1:]]}
+    for bad in ("{not json", json.dumps(no_pieces), json.dumps(unflagged_piece), json.dumps({**good, "kind": "K9"}),
+                json.dumps(int_text), json.dumps(str_masked)):
         path.write_text(json.dumps(good) + "\n\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(KBParseError, match=r"corpus\.jsonl:3"):
             load_corpus(path)

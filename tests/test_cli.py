@@ -7,7 +7,7 @@ import pytest
 
 from kiqa import assembler
 from kiqa.cli import _write_json, _write_train_log, load_config, main
-from kiqa.encoder import ModelConfig, init_params, save_checkpoint
+from kiqa.encoder import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kiqa.errors import ConfigError
 from kiqa.kb import Entity, KnowledgeBase, save_kb
 
@@ -196,7 +196,8 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override",
     ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0",
-     "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1"],
+     "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1", "inject.learning_rate=nan",
+     "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1"],
 )
 def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
@@ -233,6 +234,19 @@ def test_non_utf8_input_exits_with_one_error_record(tmp_path, capsys, injected_r
     record = json.loads(err[0])
     assert record["error"] == code
     assert str(bad) in record["message"] and "not UTF-8" in record["message"]
+
+
+def test_nan_checkpoint_exits_with_one_non_finite_record(tmp_path, capsys, injected_run):
+    run_dir = tmp_path / "run"
+    shutil.copytree(injected_run, run_dir)
+    params, meta = load_checkpoint(run_dir / "ckpt-inject.bin")
+    params.tensors["qa_bs"][...] = np.nan
+    save_checkpoint(run_dir / "ckpt-final.bin", params, meta=meta)
+    capsys.readouterr()
+    assert run_cli("evaluate", run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "non-finite"
 
 
 def _checkpoint_failing_at_last_tensor(path):

@@ -30,13 +30,10 @@ from kiqa.textmodel import build_vocab, pack_qa
 # ------------------------------------------------------------- decode_span
 
 
-def brute_force_decode(start_logits, end_logits, positions, max_answer_len):
+def brute_force_decode(start_logits, end_logits, max_answer_len):
     best, best_score = None, -np.inf
-    pos = sorted(positions)
-    for s in pos:
-        for e in pos:
-            if e < s or e - s + 1 > max_answer_len or e >= len(end_logits):
-                continue
+    for s in range(len(start_logits)):
+        for e in range(s, min(s + max_answer_len, len(end_logits))):
             score = start_logits[s] + end_logits[e]
             if score > best_score:
                 best, best_score = (s, e), score
@@ -44,11 +41,11 @@ def brute_force_decode(start_logits, end_logits, positions, max_answer_len):
 
 
 def test_decode_span_peaks():
-    start = np.zeros(12)
-    end = np.zeros(12)
-    start[5] = 4.0
-    end[7] = 3.0
-    assert decode_span(start, end, range(3, 11), 30) == (5, 7)
+    start = np.zeros(8)
+    end = np.zeros(8)
+    start[2] = 4.0
+    end[4] = 3.0
+    assert decode_span(start, end, 30) == (2, 4)
 
 
 def test_decode_span_end_before_start_falls_back():
@@ -56,8 +53,8 @@ def test_decode_span_end_before_start_falls_back():
     end = np.zeros(6)
     start[4] = 5.0  # best start late
     end[1] = 5.0    # best end early: (4,1) invalid
-    got = decode_span(start, end, range(6), 6)
-    assert got == brute_force_decode(start, end, range(6), 6)
+    got = decode_span(start, end, 6)
+    assert got == brute_force_decode(start, end, 6)
     s, e = got
     assert s <= e
 
@@ -67,29 +64,20 @@ def test_decode_span_respects_max_len():
     end = np.zeros(10)
     start[0] = 10.0
     end[9] = 10.0
-    s, e = decode_span(start, end, range(10), 3)
+    s, e = decode_span(start, end, 3)
     assert e - s + 1 <= 3
-
-
-def test_decode_span_never_leaves_context():
-    start = np.zeros(10)
-    end = np.zeros(10)
-    start[0] = 100.0  # question position
-    end[9] = 100.0
-    s, e = decode_span(start, end, range(3, 8), 30)
-    assert 3 <= s <= e <= 7
 
 
 def test_decode_span_tie_break_earlier():
     start = np.zeros(8)
     end = np.zeros(8)
-    got = decode_span(start, end, range(8), 4)
+    got = decode_span(start, end, 4)
     assert got == (0, 0)
 
 
 def test_decode_span_empty_context():
     with pytest.raises(ValueError):
-        decode_span(np.zeros(4), np.zeros(4), [], 4)
+        decode_span(np.zeros(0), np.zeros(0), 4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,13 +93,7 @@ def test_decode_span_matches_brute_force(data):
         start = rng.integers(-2, 3, size=L).astype(np.float64)
         end = rng.integers(-2, 3, size=L).astype(np.float64)
     max_len = data.draw(st.integers(min_value=1, max_value=70))
-    if data.draw(st.booleans()):
-        lo = data.draw(st.integers(min_value=0, max_value=L - 1))
-        hi = data.draw(st.integers(min_value=lo, max_value=L - 1))
-        positions = list(range(lo, hi + 1))
-    else:  # gapped, unordered, and possibly past the end of the logits
-        positions = data.draw(st.lists(st.integers(min_value=0, max_value=L + 4), min_size=1, max_size=L + 5))
-    assert decode_span(start, end, positions, max_len) == brute_force_decode(start, end, positions, max_len)
+    assert decode_span(start, end, max_len) == brute_force_decode(start, end, max_len)
 
 
 # -------------------------------------------------------------- normalization
@@ -242,6 +224,16 @@ def test_load_qa_dataset_rejects_malformed(tmp_path):
     path2.write_text(json.dumps({"data": [{"wrong": []}]}), encoding="utf-8")
     with pytest.raises(KBParseError):
         load_qa_dataset(path2)
+    # wrongly typed fields; answer_start must be a JSON integer, not a float or a bool
+    for where, key, value in (("answer", "answer_start", "x"), ("answer", "answer_start", 19.0),
+                              ("answer", "answer_start", True), ("qa", "question", 5),
+                              ("para", "context", 5), ("answer", "text", 7)):
+        doc = _dataset_dict()
+        para = doc["data"][0]["paragraphs"][0]
+        {"para": para, "qa": para["qas"][0], "answer": para["qas"][0]["answers"][0]}[where][key] = value
+        path2.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(KBParseError, match="must be strings"):
+            load_qa_dataset(path2)
 
 
 # ----------------------------------------------------------------- reporting
@@ -324,6 +316,29 @@ def test_predictions_are_context_substrings():
         assert pred in ex.context
     report = evaluate(params, vocab, examples)
     assert report.total == 2
+
+
+def test_predict_spans_never_leaves_context(monkeypatch):
+    """The top span scores sit on the question, the [SEP]s and, for a cap of
+    4, on spans that cross the window's end; every prediction is still the
+    context text at the window positions the logits favour."""
+    vocab = build_vocab(["who alpha beta gamma delta"], max_size=32)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.0)
+    params = init_params(config, seed=0)
+
+    def fake_qa_logits(params, hidden):
+        B, L, _ = hidden.shape  # one unpadded row per batch: its context window is [3, L - 1)
+        start, end = np.full((B, L), 100.0), np.full((B, L), 100.0)
+        start[:, 3 : L - 1] = end[:, 3 : L - 1] = 0.0
+        start[:, 4] = end[:, 5] = 50.0  # context tokens 1 and 2
+        return start, end
+
+    monkeypatch.setattr(evaluation, "qa_logits", fake_qa_logits)
+    examples = [
+        QAExample("1", "who", "alpha beta gamma delta", (("beta", 6),), "en", "en"),
+        QAExample("2", "who", "Gamma, delta: ALPHA beta!", (("delta", 7),), "en", "en"),
+    ]
+    assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=1) == ["beta gamma", "delta: ALPHA"]
 
 
 def test_evaluate_exact_answer_scores_100():

@@ -255,14 +255,15 @@ def test_pack_qa_layout():
     assert ids[3:6] == [vocab.id("kevin"), vocab.id("durant"), vocab.id("plays")]
     assert ids[6] == SEP_ID
     assert out.segment_ids == [0, 0, 0, 1, 1, 1, 1]
-    assert out.context_positions == [3, 4, 5]
+    assert out.context_start == 3
+    assert len(out.context_offsets) == 3
 
 
 def test_pack_qa_offsets_point_into_context():
     vocab = build_vocab(["who kevin durant plays"], max_size=16)
     context = "Kevin Durant plays."
     out = pack_qa("who", context, vocab, max_len=16)
-    texts = [context[s:e] for s, e in (out.context_token_offsets[p] for p in out.context_positions)]
+    texts = [context[s:e] for s, e in out.context_offsets]
     assert texts == ["Kevin", "Durant", "plays"]
 
 
@@ -270,7 +271,7 @@ def test_pack_qa_truncates_context_keeps_sep():
     vocab = build_vocab(["w a b c d e f g"], max_size=16)
     out = pack_qa("w", "a b c d e f g", vocab, max_len=8)
     # budget = 8 - 1 - 3 = 4 context tokens
-    assert len(out.context_positions) == 4
+    assert len(out.context_offsets) == 4
     assert len(out.input_ids) == 8
     assert out.input_ids[-1] == SEP_ID
 
@@ -284,7 +285,7 @@ def test_pack_qa_question_too_long():
 def test_pack_qa_empty_context():
     vocab = build_vocab(["who"], max_size=8)
     out = pack_qa("who", "", vocab, max_len=8)
-    assert out.context_positions == []
+    assert out.context_start == 3 and out.context_offsets == []
     assert out.input_ids[:4] == [CLS_ID, vocab.id("who"), SEP_ID, SEP_ID]
 
 
@@ -296,8 +297,11 @@ def test_pack_qa_segment_invariants(question, context):
         out = pack_qa(question, context, vocab, max_len=32)
     except QuestionTooLongError:
         return
-    assert len(out.input_ids) == len(tokenize(question)) + len(out.context_positions) + 3 <= 32
-    assert len(out.segment_ids) == len(out.input_ids)
+    n = len(out.context_offsets)
+    assert len(out.input_ids) == len(tokenize(question)) + n + 3 <= 32
+    assert out.context_start == len(tokenize(question)) + 2
+    # the window is the context block: segment 1 from its first token up to the trailing [SEP]
+    assert out.segment_ids == [0] * out.context_start + [1] * (n + 1)
     assert set(out.segment_ids) <= {0, 1}
     assert PAD_ID not in out.input_ids
 

@@ -48,5 +48,5 @@ def test_step_kernels_are_looked_up_by_module_name(monkeypatch):
         mask_rows=np.array([0]), mask_cols=np.array([1]), target_ids=np.array([6]),
     )
     config = training.TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1)
-    training._train_loop(encoder.init_params(cfg, 0), [batch], [3], lambda items: items[0], config, "mlm", None)
+    training._train_loop(encoder.init_params(cfg, 0), [batch], [3], lambda items: items[0], config, "mlm")
     assert called == {attr for attrs in names.values() for attr in attrs}

@@ -17,6 +17,7 @@ from kiqa.training import (
     TrainConfig,
     adamw_step,
     collate_mlm,
+    collate_qa,
     locate_answer_span,
     lr_at,
     prepare_qa_examples,
@@ -131,7 +132,7 @@ def test_adamw_first_step_hand_value():
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     grads["qa_bs"] = np.asarray(1.0)
     state = AdamWState.zeros_like(params)
-    adamw_step(params, grads, state, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    adamw_step(params, grads, state, lr=0.1, weight_decay=0.0)
     # t=1: m_hat = g, v_hat = g^2, step = -lr * g / (|g| + eps)
     want = -0.1 * (1.0 / (1.0 + 1e-8))
     assert float(params.tensors["qa_bs"]) == pytest.approx(want, abs=1e-12)
@@ -198,7 +199,7 @@ def test_adamw_matches_plain_expressions_bitwise():
         grads["l0.w1"][:] = -0.0
         grads["qa_be"] = np.asarray(-60.0)
         before = {k: g.copy() for k, g in grads.items()}
-        adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=wd)
+        adamw_step(params, grads, state, lr, weight_decay=wd)
         for name, g in grads.items():
             p0, m0, v0 = want[name]
             want[name] = adamw_oracle(p0, g, m0, v0, t, lr, 0.9, 0.999, 1e-8, wd)
@@ -225,6 +226,9 @@ def test_train_config_validation():
         TrainConfig(phase="pretrain", learning_rate=1e-3, batch_size=2, epochs=1)
     with pytest.raises(ConfigError):
         TrainConfig(phase="inject", learning_rate=0.0, batch_size=2, epochs=1)
+    for bad_lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(phase="inject", learning_rate=bad_lr, batch_size=2, epochs=1)
     with pytest.raises(ConfigError):
         TrainConfig(phase="inject", learning_rate=1e-3, batch_size=0, epochs=1)
     with pytest.raises(ConfigError):
@@ -281,6 +285,26 @@ def test_prepare_qa_examples_drops_and_counts():
     prepared, dropped = prepare_qa_examples([good, bad], vocab, max_len=16)
     assert len(prepared) == 1 and dropped == 1
     assert (prepared[0].gold_start, prepared[0].gold_end) == (1, 1)
+
+
+def test_collate_qa_marks_the_context_window_and_gold_positions():
+    """Rows with questions of different lengths: each row's valid positions are
+    exactly its context tokens, and its gold positions hold the answer's tokens."""
+    vocab = _mini_vocab()
+    examples = [
+        QAExample("a", "who", "kevin durant plays basketball", (("plays basketball", 13),), "en", "en"),
+        QAExample("b", "who who plays", "durant plays", (("durant", 0),), "en", "en"),
+    ]
+    prepared, dropped = prepare_qa_examples(examples, vocab, max_len=16)
+    assert dropped == 0
+    batch = collate_qa(prepared)
+    assert batch.valid_mask.tolist() == [
+        [False, False, False, True, True, True, True, False],
+        [False, False, False, False, False, True, True, False],
+    ]
+    ids = batch.input_ids
+    assert [ids[0, batch.start_gold[0]], ids[0, batch.end_gold[0]]] == [vocab.id("plays"), vocab.id("basketball")]
+    assert ids[1, batch.start_gold[1]] == ids[1, batch.end_gold[1]] == vocab.id("durant")
 
 
 # ------------------------------------------------------------- training runs
@@ -440,6 +464,6 @@ def test_finetune_beats_uniform_floor():
     params = init_params(model_config, seed=0)
     config = TrainConfig(phase="finetune", learning_rate=3e-3, batch_size=16, epochs=30, seed=1)
     result = run_finetune(params, examples, vocab, config)
-    n_ctx_tokens = len(pack_qa(examples[0].question, examples[0].context, vocab, 64).context_positions)
+    n_ctx_tokens = len(pack_qa(examples[0].question, examples[0].context, vocab, 64).context_offsets)
     assert result.history[-1]["loss"] < math.log(n_ctx_tokens)
     assert result.dropped == 0
