@@ -3,13 +3,22 @@ subcommands that persist corpora, checkpoints, logs, and reports.
 
 Every artifact records the hash of the resolved config so mismatched
 checkpoint/vocab pairs are refused at evaluation time.
+
+``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
+most ``min(arms, cpus)`` at a time, so it runs on POSIX only. Rows are
+submitted in table order; each arm's output and the first failing arm's
+error come back in table order. A failing arm does not stop the others,
+which may still write their artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -368,50 +377,78 @@ def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "evaluate", config)
 
 
-def cmd_coverage(config: PipelineConfig, run_dir: Path) -> None:
-    kb = _load_kb(config, run_dir)
-    questions = []
-    for path in _test_dataset_paths(config, run_dir):
-        for ex in evaluation.load_qa_dataset(
-            path,
-            default_context_lang=config["eval.default_context_lang"],
-            default_question_lang=config["eval.default_question_lang"],
-        ):
-            questions.append((ex.question, ex.question_lang))
-    triple_texts = []
-    for lang in sorted({lang for _, lang in questions}):
-        if lang not in kb.languages:
-            continue
-        for t in kbmod.triples_renderable(kb, (lang,)):
-            triple_texts.append((kbmod.triple_text(kb, t, lang), lang))
-    report = evaluation.token_coverage(questions, triple_texts)
-    _write_json(run_dir / "reports" / "coverage.json",
-                {"config_hash": config.hash, "per_lang": report.per_lang})
-    for lang, frac in sorted(report.per_lang.items()):
-        print(f"coverage {lang}: {frac:.4f}")
+@dataclass(frozen=True)
+class Arm:
+    """One trained arm of ``pipeline``: the kind weights of its own corpus
+    (``None``: the corpus ``assemble`` wrote) and the files it writes."""
+
+    name: str
+    kind_weights: tuple[float, float, float] | None
+    corpus: str
+    inject_ckpt: str
+    final_ckpt: str
+    inject_log: str
+    finetune_log: str
+    report: str
+
+
+_ARMS = (
+    Arm("injected", None, "corpus.jsonl", "ckpt-inject.bin", "ckpt-final.bin",
+        "inject.jsonl", "finetune.jsonl", "report_injected"),
+    # Same data exposure and step count, but K1-only (monolingual).
+    Arm("baseline", (1.0, 0.0, 0.0), "corpus_baseline.jsonl", "ckpt-inject-baseline.bin",
+        "ckpt-final-baseline.bin", "inject_baseline.jsonl", "finetune_baseline.jsonl", "report_baseline"),
+)
+
+
+def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm) -> tuple[float, str, float]:
+    """Assemble the arm's own corpus if it has one, then inject, finetune and
+    evaluate. Returns the cross-pair F1, the arm's printed lines and its wall
+    seconds."""
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if arm.kind_weights is not None:
+            _assemble_into(config, run_dir, arm.kind_weights, arm.corpus)
+        _run_injection(config, run_dir, arm.corpus, arm.inject_ckpt, arm.inject_log)
+        _run_finetune(config, run_dir, arm.inject_ckpt, arm.final_ckpt, arm.finetune_log)
+        report = _evaluate_checkpoint(config, run_dir, arm.final_ckpt, arm.report)
+    return report.cross_pair_f1(), out.getvalue(), time.perf_counter() - start
 
 
 def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
-    """synth-gen -> assemble -> inject -> finetune -> evaluate, plus the
-    monolingual-injection baseline trained for the same number of steps."""
+    """synth-gen -> assemble, then every row of ``_ARMS``: the injected arm and
+    the monolingual-injection baseline trained for the same number of steps.
+
+    The rows go, in table order, to at most ``min(arms, cpus)`` forked
+    workers; one CPU still runs them through the pool, one after the other.
+    Each arm's output is printed, and the first failing arm's error raised,
+    in table order, so stdout matches a serial run. A failing arm does not
+    stop the others, which may still write their artifacts.
+    """
+    # Imported here: every other command, and every import of this module, skips their cost.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cmd_synth_gen(config, run_dir)
     cmd_assemble(config, run_dir)
-    _run_injection(config, run_dir, "corpus.jsonl", "ckpt-inject.bin", "inject.jsonl")
-    _run_finetune(config, run_dir, "ckpt-inject.bin", "ckpt-final.bin", "finetune.jsonl")
-    injected = _evaluate_checkpoint(config, run_dir, "ckpt-final.bin", "report_injected")
+    workers = min(len(_ARMS), os.cpu_count() or 1)
+    arms = []
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_arm, config, run_dir, arm) for arm in _ARMS]
+        for arm, future in zip(_ARMS, futures):
+            f1, printed, wall_s = future.result()
+            sys.stdout.write(printed)
+            arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s})
 
-    # Baseline: same data exposure and step count, but K1-only (monolingual).
-    _assemble_into(config, run_dir, (1.0, 0.0, 0.0), "corpus_baseline.jsonl")
-    _run_injection(config, run_dir, "corpus_baseline.jsonl", "ckpt-inject-baseline.bin", "inject_baseline.jsonl")
-    _run_finetune(config, run_dir, "ckpt-inject-baseline.bin", "ckpt-final-baseline.bin", "finetune_baseline.jsonl")
-    baseline = _evaluate_checkpoint(config, run_dir, "ckpt-final-baseline.bin", "report_baseline")
-
-    delta = injected.cross_pair_f1() - baseline.cross_pair_f1()
-    print(f"pipeline: cross-pair F1 injected {injected.cross_pair_f1():.2f} "
-          f"vs baseline {baseline.cross_pair_f1():.2f} (delta {delta:+.2f})")
+    f1 = {arm["name"]: arm["cross_pair_f1"] for arm in arms}
+    print(f"pipeline: cross-pair F1 injected {f1['injected']:.2f} "
+          f"vs baseline {f1['baseline']:.2f} (delta {f1['injected'] - f1['baseline']:+.2f})")
     _write_manifest(run_dir, "pipeline", config, {
-        "cross_pair_f1_injected": injected.cross_pair_f1(),
-        "cross_pair_f1_baseline": baseline.cross_pair_f1(),
+        "cross_pair_f1_injected": f1["injected"],
+        "cross_pair_f1_baseline": f1["baseline"],
+        "workers": workers,
+        "arms": arms,
     })
 
 
@@ -422,7 +459,6 @@ _COMMANDS = {
     "inject": cmd_inject,
     "finetune": cmd_finetune,
     "evaluate": cmd_evaluate,
-    "coverage": cmd_coverage,
     "pipeline": cmd_pipeline,
 }
 

@@ -1,5 +1,5 @@
 """Span decoding, answer normalization, EM / mean-token-F1 scoring,
-per-language-pair reporting, and token-coverage analysis.
+and per-language-pair reporting.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -11,7 +11,7 @@ import json
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,18 +101,20 @@ def load_qa_dataset(path, default_context_lang: str = "", default_question_lang:
                     answers = tuple((a["text"], a["answer_start"]) for a in qa["answers"])
                     if not answers:
                         raise KBParseError(f"{path}: question {qa.get('id')!r} has no gold answers")
-                    texts = [context, qa["question"]] + [text for text, _ in answers]
+                    context_lang = qa.get("context_lang", default_context_lang)
+                    question_lang = qa.get("question_lang", default_question_lang)
+                    texts = [context, qa["question"], context_lang, question_lang] + [text for text, _ in answers]
                     if not all(isinstance(t, str) for t in texts) or any(type(s) is not int for _, s in answers):
-                        raise KBParseError(f"{path}: question {qa.get('id')!r}: texts must be strings, "
-                                           "answer_start an integer")
+                        raise KBParseError(f"{path}: question {qa.get('id')!r}: texts and languages must be "
+                                           "strings, answer_start an integer")
                     examples.append(
                         QAExample(
                             qa_id=str(qa["id"]),
                             question=qa["question"],
                             context=context,
                             answers=answers,
-                            context_lang=qa.get("context_lang", default_context_lang),
-                            question_lang=qa.get("question_lang", default_question_lang),
+                            context_lang=context_lang,
+                            question_lang=question_lang,
                         )
                     )
     except (KeyError, TypeError) as exc:
@@ -248,31 +250,3 @@ def evaluate(
 ) -> EvalReport:
     predictions = predict_spans(params, vocab, examples, max_answer_len, batch_size)
     return score_examples(examples, predictions)
-
-
-# ------------------------------------------------------------ token coverage
-
-
-@dataclass
-class CoverageReport:
-    per_lang: dict[str, float] = field(default_factory=dict)
-
-
-def token_coverage(
-    questions: Iterable[tuple[str, str]],
-    triple_texts: Iterable[tuple[str, str]],
-) -> CoverageReport:
-    """Per language: fraction of unique question tokens that also occur in
-    the tokenized triple renderings of that language."""
-    q_tokens: dict[str, set[str]] = defaultdict(set)
-    for text, lang in questions:
-        q_tokens[lang].update(tokenize(text))
-    t_tokens: dict[str, set[str]] = defaultdict(set)
-    for text, lang in triple_texts:
-        t_tokens[lang].update(tokenize(text))
-    report = CoverageReport()
-    for lang, toks in sorted(q_tokens.items()):
-        if not toks:
-            continue
-        report.per_lang[lang] = len(toks & t_tokens.get(lang, set())) / len(toks)
-    return report

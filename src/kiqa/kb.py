@@ -199,14 +199,3 @@ def triples_renderable(kb: KnowledgeBase, langs: Iterable[str]) -> list[Triple]:
     if unknown:
         raise ValueError(f"languages not present in KB: {sorted(unknown)}")
     return [t for t in kb.triples if triple_renderable(kb, t, langs)]
-
-
-def triple_text(kb: KnowledgeBase, t: Triple, lang: str) -> str:
-    """Render a triple as plain text in one language: head, relation, tail."""
-    return " ".join(
-        (
-            surface(kb, "entity", t.head, lang),
-            surface(kb, "relation", t.rel, lang),
-            surface(kb, "entity", t.tail, lang),
-        )
-    )

@@ -58,8 +58,8 @@ class TrainConfig:
             raise ConfigError("warmup_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0.0:
             raise ConfigError(f"max_grad_norm must be positive or none, got {self.max_grad_norm}")
 

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -193,11 +195,76 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
         assert err["error"] == "artifact-mismatch" and path.name in err["message"]
 
 
+def _files(run_dir):
+    """Every file of a run directory but the pipeline manifest, which holds wall times."""
+    return {p.relative_to(run_dir): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest-pipeline.json"}
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("pipeline") / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 0
+    return run_dir
+
+
+def test_pipeline_injected_arm_equals_the_separate_commands(tmp_path, pipeline_run):
+    run_dir = tmp_path / "run"
+    for command in ("synth-gen", "assemble", "inject", "finetune", "evaluate"):
+        assert run_cli(command, run_dir, FAST) == 0
+    assert (run_dir / "ckpt-final.bin").read_bytes() == (pipeline_run / "ckpt-final.bin").read_bytes()
+    separate = json.loads((run_dir / "reports" / "report.json").read_text())
+    pooled = json.loads((pipeline_run / "reports" / "report_injected.json").read_text())
+    assert pooled["cells"] == separate["cells"]
+
+
+def test_pipeline_rerun_on_one_worker_gives_identical_artifacts(tmp_path, monkeypatch, pipeline_run):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker runs the arms in turn
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 0
+    assert _files(run_dir) == _files(pipeline_run)
+    manifest = json.loads((run_dir / "manifest-pipeline.json").read_text())
+    assert manifest["workers"] == 1
+
+
+def test_pipeline_prints_and_records_arms_in_table_order(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 0
+    lines = capsys.readouterr().out.splitlines()
+    steps = [line for line in lines if line.startswith(("inject:", "finetune:", "report_", "pipeline:"))]
+    assert [line.split(":")[0] for line in steps] == [
+        "inject", "finetune", "report_injected", "inject", "finetune", "report_baseline", "pipeline"]
+    assert [line.rsplit("/", 1)[-1] for line in steps if " -> " in line] == [
+        "ckpt-inject.bin", "ckpt-final.bin", "ckpt-inject-baseline.bin", "ckpt-final-baseline.bin"]
+    for report in ("report_injected", "report_baseline"):
+        table = (run_dir / "reports" / f"{report}.txt").read_text().splitlines()
+        start = lines.index(f"{report}:") + 1
+        assert lines[start:start + len(table)] == table
+    manifest = json.loads((run_dir / "manifest-pipeline.json").read_text())
+    assert manifest["workers"] == min(2, os.cpu_count() or 1)
+    assert [arm["name"] for arm in manifest["arms"]] == ["injected", "baseline"]
+    assert [arm["cross_pair_f1"] for arm in manifest["arms"]] == [
+        manifest["cross_pair_f1_injected"], manifest["cross_pair_f1_baseline"]]
+    assert all(arm["wall_s"] > 0 for arm in manifest["arms"])
+
+
+def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST + ["assembler.render_max_len=2"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "config" and "overflowed" in record["message"]
+    assert multiprocessing.active_children() == []
+    assert not (run_dir / "manifest-pipeline.json").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0",
      "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1", "inject.learning_rate=nan",
-     "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1"],
+     "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1",
+     "inject.weight_decay=inf"],
 )
 def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
@@ -294,19 +361,6 @@ def test_failed_artifact_write_leaves_target_unchanged(tmp_path, write):
         write(target)
     assert target.read_bytes() == b"earlier run\n"
     assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
-
-
-def test_coverage_command(tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    assert run_cli("synth-gen", run_dir, FAST) == 0
-    capsys.readouterr()
-    assert run_cli("coverage", run_dir, FAST) == 0
-    out = capsys.readouterr().out
-    assert "coverage syn0" in out
-    payload = json.loads((run_dir / "reports" / "coverage.json").read_text())
-    assert set(payload["per_lang"]) == {"syn0", "syn1"}
-    for frac in payload["per_lang"].values():
-        assert frac > 0.5
 
 
 def test_inject_then_finetune_separately(tmp_path):

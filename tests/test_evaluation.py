@@ -9,7 +9,6 @@ from kiqa import evaluation
 from kiqa.encoder import ModelConfig, init_params
 from kiqa.errors import KBParseError
 from kiqa.evaluation import (
-    CoverageReport,
     EvalCell,
     EvalReport,
     QAExample,
@@ -21,7 +20,6 @@ from kiqa.evaluation import (
     normalize_answer,
     predict_spans,
     score_examples,
-    token_coverage,
     token_f1,
 )
 from kiqa.textmodel import build_vocab, pack_qa
@@ -227,7 +225,8 @@ def test_load_qa_dataset_rejects_malformed(tmp_path):
     # wrongly typed fields; answer_start must be a JSON integer, not a float or a bool
     for where, key, value in (("answer", "answer_start", "x"), ("answer", "answer_start", 19.0),
                               ("answer", "answer_start", True), ("qa", "question", 5),
-                              ("para", "context", 5), ("answer", "text", 7)):
+                              ("para", "context", 5), ("answer", "text", 7), ("qa", "context_lang", 5),
+                              ("qa", "question_lang", None)):
         doc = _dataset_dict()
         para = doc["data"][0]["paragraphs"][0]
         {"para": para, "qa": para["qas"][0], "answer": para["qas"][0]["answers"][0]}[where][key] = value
@@ -392,31 +391,3 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
         widths.clear()
         assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size) == one_at_a_time
         assert widths == [lengths[min(lo + batch_size, len(lengths)) - 1] for lo in range(0, len(lengths), batch_size)]
-
-
-# ------------------------------------------------------------------ coverage
-
-
-def test_token_coverage_hand_case():
-    report = token_coverage([("a b", "en")], [("a c", "en")])
-    assert report.per_lang == {"en": 0.5}
-
-
-def test_token_coverage_subset_is_one():
-    report = token_coverage([("a b", "en")], [("a b c d", "en")])
-    assert report.per_lang["en"] == 1.0
-
-
-def test_token_coverage_absent_language():
-    report = token_coverage([("a", "en")], [("b", "zh")])
-    assert report.per_lang == {"en": 0.0}
-    assert "zh" not in report.per_lang  # no questions in zh -> absent cell
-
-
-def test_token_coverage_multiple_languages():
-    report = token_coverage(
-        [("a b", "en"), ("篮球", "zh")],
-        [("b c", "en"), ("篮 球 场", "zh")],
-    )
-    assert report.per_lang["en"] == 0.5
-    assert report.per_lang["zh"] == 1.0

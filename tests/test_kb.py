@@ -15,7 +15,6 @@ from kiqa.kb import (
     load_kb,
     save_kb,
     surface,
-    triple_text,
     triples_renderable,
 )
 
@@ -47,11 +46,6 @@ def test_surface_missing_form(tiny_kb):
 def test_surface_unknown_id(tiny_kb):
     with pytest.raises(DanglingIdError):
         surface(tiny_kb, "entity", "Q99", "en")
-
-
-def test_triple_text(tiny_kb):
-    assert triple_text(tiny_kb, tiny_kb.triples[0], "en") == "Kevin Durant is a Basketball Player"
-    assert triple_text(tiny_kb, tiny_kb.triples[0], "zh") == "凯文杜兰特 是 篮球运动员"
 
 
 def test_triples_renderable(tiny_kb):

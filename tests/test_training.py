@@ -236,7 +236,7 @@ def test_train_config_validation():
     TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1, weight_decay=0.0, max_grad_norm=0.5)
     # A negative clip norm would flip every update's sign; a negative decay grows the weights.
     for bad in ({"max_grad_norm": -1.0}, {"max_grad_norm": 0.0}, {"max_grad_norm": float("nan")},
-                {"weight_decay": -0.1}, {"weight_decay": float("nan")}):
+                {"weight_decay": -0.1}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")}):
         with pytest.raises(ConfigError):
             TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1, **bad)
 
