@@ -1,8 +1,14 @@
 """Pipeline orchestration: one flat config file, key=value overrides, and
 subcommands that persist corpora, checkpoints, logs, and reports.
 
-Every artifact records the hash of the resolved config so mismatched
-checkpoint/vocab pairs are refused at evaluation time.
+Every artifact records the hash of the resolved config; a command refuses a
+corpus, vocab or checkpoint written under another config before reading it.
+
+An arm, a row of ``_ARMS``, is a name and its kind weights. The first row's
+files carry no suffix (``corpus.jsonl``, ``ckpt-inject.bin``, ``ckpt-final.bin``,
+``logs/{inject,finetune}.jsonl``); every other row puts ``-<name>`` before the
+extension. Each row reports to ``reports/report_<name>.{txt,json}``. The
+single-step commands run the first row.
 
 ``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
 most ``min(arms, cpus)`` at a time, so it runs on POSIX only. Rows are
@@ -188,31 +194,42 @@ def _sidecar(path: Path, config: PipelineConfig, extra: dict | None = None) -> N
     _write_json(Path(str(path) + ".meta.json"), payload)
 
 
-def _read_sidecar_hash(path: Path) -> str:
+def _own_artifact(config: PipelineConfig, path: Path) -> Path:
+    """``path``, refused unless its sidecar records this config's hash."""
     meta_path = Path(str(path) + ".meta.json")
     if not meta_path.exists():
         raise ArtifactMismatchError(f"{path}: missing sidecar {meta_path.name}")
     with open(meta_path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)["config_hash"]
+            config_hash = json.load(fh)["config_hash"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ArtifactMismatchError(f"{meta_path}: malformed sidecar ({exc!r})") from exc
+    if config_hash != config.hash:
+        raise ArtifactMismatchError(f"{path}: written under another config")
+    return path
 
 
-def _kb_paths(config: PipelineConfig, run_dir: Path) -> tuple[Path, Path, Path]:
+def _load_own_checkpoint(config: PipelineConfig, path: Path) -> EncoderParams:
+    """Load a checkpoint of this run, refusing one written under another config."""
+    params, meta = load_checkpoint(path)
+    if meta.get("config_hash") != config.hash:
+        raise ArtifactMismatchError(f"{path.name}: checkpoint config hash does not match current config")
+    return params
+
+
+def _load_vocab(config: PipelineConfig, run_dir: Path) -> textmodel.Vocab:
+    return textmodel.load_vocab(_own_artifact(config, run_dir / "vocab.txt"))
+
+
+def _load_kb(config: PipelineConfig, run_dir: Path) -> kbmod.KnowledgeBase:
     if config["kb.entities"]:
-        return Path(config["kb.entities"]), Path(config["kb.relations"]), Path(config["kb.triples"])
+        return kbmod.load_kb(config["kb.entities"], config["kb.relations"], config["kb.triples"])
     data = run_dir / "data"
-    return data / "entities.jsonl", data / "relations.jsonl", data / "triples.jsonl"
+    return kbmod.load_kb(data / "entities.jsonl", data / "relations.jsonl", data / "triples.jsonl")
 
 
 def _langs(config: PipelineConfig) -> tuple[str, ...]:
     return config["assembler.langs"] or config["synth.languages"]
-
-
-def _load_kb(config: PipelineConfig, run_dir: Path) -> kbmod.KnowledgeBase:
-    ents, rels, trips = _kb_paths(config, run_dir)
-    return kbmod.load_kb(ents, rels, trips)
 
 
 def _write_train_log(path: Path, history: list[dict]) -> None:
@@ -251,20 +268,42 @@ def cmd_kb_validate(config: PipelineConfig, run_dir: Path) -> None:
           f"{len(kb.triples)} triples, languages {sorted(kb.languages)}")
 
 
-def _assemble_into(config: PipelineConfig, run_dir: Path, kind_weights, corpus_name: str) -> tuple[Path, int]:
-    kb = _load_kb(config, run_dir)
-    langs = _langs(config)
+@dataclass(frozen=True)
+class Arm:
+    """One trained arm of ``pipeline``: its name and the kind weights of its
+    own corpus (``None``: the corpus ``assemble`` wrote). The first row's files
+    carry no suffix; every other row's put ``-<name>`` before the extension."""
+
+    name: str
+    kind_weights: tuple[float, float, float] | None
+
+    def path(self, run_dir: Path, name: str) -> Path:
+        # ==, not is: the pool pickles each Arm into its worker.
+        if self != _ARMS[0]:
+            stem, ext = name.rsplit(".", 1)
+            name = f"{stem}-{self.name}.{ext}"
+        return run_dir / name
+
+
+_ARMS = (
+    Arm("injected", None),
+    # Same data exposure and step count, but K1-only (monolingual).
+    Arm("baseline", (1.0, 0.0, 0.0)),
+)
+
+
+def _assemble_into(config: PipelineConfig, run_dir: Path, arm: Arm, kb: kbmod.KnowledgeBase) -> tuple[Path, int]:
+    kind_weights = config["assembler.kind_weights"] if arm.kind_weights is None else arm.kind_weights
     corpus = assembler.build_corpus(
-        kb, langs, config["assembler.n_triples"], kind_weights, config["assembler.seed"]
+        kb, _langs(config), config["assembler.n_triples"], kind_weights, config["assembler.seed"]
     )
-    corpus_path = run_dir / corpus_name
+    corpus_path = arm.path(run_dir, "corpus.jsonl")
     assembler.save_corpus(corpus, corpus_path)
     _sidecar(corpus_path, config, {"n_samples": len(corpus)})
     return corpus_path, len(corpus)
 
 
-def _build_vocab_artifact(config: PipelineConfig, run_dir: Path) -> Path:
-    kb = _load_kb(config, run_dir)
+def _build_vocab_artifact(config: PipelineConfig, run_dir: Path, kb: kbmod.KnowledgeBase) -> Path:
     langs = set(_langs(config))
     texts = []
     for coll in (kb.entities, kb.relations):
@@ -278,56 +317,48 @@ def _build_vocab_artifact(config: PipelineConfig, run_dir: Path) -> Path:
 
 
 def cmd_assemble(config: PipelineConfig, run_dir: Path) -> None:
-    corpus_path, n = _assemble_into(config, run_dir, config["assembler.kind_weights"], "corpus.jsonl")
-    vocab_path = _build_vocab_artifact(config, run_dir)
+    kb = _load_kb(config, run_dir)
+    corpus_path, n = _assemble_into(config, run_dir, _ARMS[0], kb)
+    vocab_path = _build_vocab_artifact(config, run_dir, kb)
     _write_manifest(run_dir, "assemble", config, {"seed": config["assembler.seed"], "n_samples": n})
     print(f"assemble: {n} samples -> {corpus_path}, vocab -> {vocab_path}")
 
 
-def _run_injection(config: PipelineConfig, run_dir: Path, corpus_file: str, ckpt_name: str, log_name: str) -> None:
-    corpus = assembler.load_corpus(run_dir / corpus_file)
-    vocab = textmodel.load_vocab(run_dir / "vocab.txt")
+def _save_phase(config: PipelineConfig, run_dir: Path, arm: Arm, phase: str, ckpt_name: str,
+                result: training.TrainResult, dropped: str) -> None:
+    ckpt = arm.path(run_dir, ckpt_name)
+    save_checkpoint(ckpt, result.params, meta={"config_hash": config.hash, "phase": phase})
+    _write_train_log(arm.path(run_dir, f"logs/{phase}.jsonl"), result.history)
+    print(f"{phase}: {len(result.history)} steps, final loss {result.history[-1]['loss']:.4f}, "
+          f"{result.dropped} {dropped} -> {ckpt}")
+
+
+def _run_injection(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
+    corpus = assembler.load_corpus(_own_artifact(config, arm.path(run_dir, "corpus.jsonl")))
+    vocab = _load_vocab(config, run_dir)
     result = training.run_injection(
         corpus, vocab, config.train_config("inject"),
         ModelConfig(vocab_size=len(vocab), **config.section("model")),
         render_max_len=config["assembler.render_max_len"],
     )
-    ckpt = run_dir / ckpt_name
-    save_checkpoint(ckpt, result.params, meta={"config_hash": config.hash, "phase": "inject"})
-    _write_train_log(run_dir / "logs" / log_name, result.history)
-    final = result.history[-1]["loss"] if result.history else float("nan")
-    print(f"inject: {len(result.history)} steps, final loss {final:.4f}, "
-          f"{result.dropped} overflowed -> {ckpt}")
+    _save_phase(config, run_dir, arm, "inject", "ckpt-inject.bin", result, "overflowed")
 
 
 def cmd_inject(config: PipelineConfig, run_dir: Path) -> None:
-    _run_injection(config, run_dir, "corpus.jsonl", "ckpt-inject.bin", "inject.jsonl")
+    _run_injection(config, run_dir, _ARMS[0])
     _write_manifest(run_dir, "inject", config, {"seed": config["inject.seed"]})
 
 
-def _load_own_checkpoint(config: PipelineConfig, run_dir: Path, name: str) -> EncoderParams:
-    """Load a checkpoint of this run, refusing one written under another config."""
-    params, meta = load_checkpoint(run_dir / name)
-    if meta.get("config_hash") != config.hash:
-        raise ArtifactMismatchError(f"{name}: checkpoint config hash does not match current config")
-    return params
-
-
-def _run_finetune(config: PipelineConfig, run_dir: Path, init_name: str, ckpt_name: str, log_name: str) -> None:
-    params = _load_own_checkpoint(config, run_dir, init_name)
-    vocab = textmodel.load_vocab(run_dir / "vocab.txt")
+def _run_finetune(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
+    params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-inject.bin"))
+    vocab = _load_vocab(config, run_dir)
     dataset = evaluation.load_qa_dataset(run_dir / "data" / "qa" / "train.json")
     result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"))
-    ckpt = run_dir / ckpt_name
-    save_checkpoint(ckpt, result.params, meta={"config_hash": config.hash, "phase": "finetune"})
-    _write_train_log(run_dir / "logs" / log_name, result.history)
-    final = result.history[-1]["loss"] if result.history else float("nan")
-    print(f"finetune: {len(result.history)} steps, final loss {final:.4f}, "
-          f"{result.dropped} dropped -> {ckpt}")
+    _save_phase(config, run_dir, arm, "finetune", "ckpt-final.bin", result, "dropped")
 
 
 def cmd_finetune(config: PipelineConfig, run_dir: Path) -> None:
-    _run_finetune(config, run_dir, "ckpt-inject.bin", "ckpt-final.bin", "finetune.jsonl")
+    _run_finetune(config, run_dir, _ARMS[0])
     _write_manifest(run_dir, "finetune", config, {"seed": config["finetune.seed"]})
 
 
@@ -341,12 +372,9 @@ def _test_dataset_paths(config: PipelineConfig, run_dir: Path) -> list[Path]:
     return paths
 
 
-def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, ckpt_name: str, report_stem: str) -> evaluation.EvalReport:
-    params = _load_own_checkpoint(config, run_dir, ckpt_name)
-    vocab_path = run_dir / "vocab.txt"
-    if config.hash != _read_sidecar_hash(vocab_path):
-        raise ArtifactMismatchError("checkpoint and vocab were produced by different configs")
-    vocab = textmodel.load_vocab(vocab_path)
+def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> evaluation.EvalReport:
+    params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-final.bin"))
+    vocab = _load_vocab(config, run_dir)
     examples = []
     for path in _test_dataset_paths(config, run_dir):
         examples.extend(
@@ -364,41 +392,18 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, ckpt_name: str, 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     text = evaluation.format_report(report)
-    with atomic_write(reports / f"{report_stem}.txt", "w", encoding="utf-8") as fh:
+    stem = f"report_{arm.name}"
+    with atomic_write(reports / f"{stem}.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    _write_json(reports / f"{report_stem}.json", {"config_hash": config.hash, **report.to_dict()})
-    print(f"{report_stem}:")
+    _write_json(reports / f"{stem}.json", {"config_hash": config.hash, **report.to_dict()})
+    print(f"{stem}:")
     print(text)
     return report
 
 
 def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
-    _evaluate_checkpoint(config, run_dir, "ckpt-final.bin", "report")
+    _evaluate_checkpoint(config, run_dir, _ARMS[0])
     _write_manifest(run_dir, "evaluate", config)
-
-
-@dataclass(frozen=True)
-class Arm:
-    """One trained arm of ``pipeline``: the kind weights of its own corpus
-    (``None``: the corpus ``assemble`` wrote) and the files it writes."""
-
-    name: str
-    kind_weights: tuple[float, float, float] | None
-    corpus: str
-    inject_ckpt: str
-    final_ckpt: str
-    inject_log: str
-    finetune_log: str
-    report: str
-
-
-_ARMS = (
-    Arm("injected", None, "corpus.jsonl", "ckpt-inject.bin", "ckpt-final.bin",
-        "inject.jsonl", "finetune.jsonl", "report_injected"),
-    # Same data exposure and step count, but K1-only (monolingual).
-    Arm("baseline", (1.0, 0.0, 0.0), "corpus_baseline.jsonl", "ckpt-inject-baseline.bin",
-        "ckpt-final-baseline.bin", "inject_baseline.jsonl", "finetune_baseline.jsonl", "report_baseline"),
-)
 
 
 def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm) -> tuple[float, str, float]:
@@ -409,10 +414,10 @@ def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm) -> tuple[float, st
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if arm.kind_weights is not None:
-            _assemble_into(config, run_dir, arm.kind_weights, arm.corpus)
-        _run_injection(config, run_dir, arm.corpus, arm.inject_ckpt, arm.inject_log)
-        _run_finetune(config, run_dir, arm.inject_ckpt, arm.final_ckpt, arm.finetune_log)
-        report = _evaluate_checkpoint(config, run_dir, arm.final_ckpt, arm.report)
+            _assemble_into(config, run_dir, arm, _load_kb(config, run_dir))
+        _run_injection(config, run_dir, arm)
+        _run_finetune(config, run_dir, arm)
+        report = _evaluate_checkpoint(config, run_dir, arm)
     return report.cross_pair_f1(), out.getvalue(), time.perf_counter() - start
 
 
@@ -444,12 +449,7 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
     f1 = {arm["name"]: arm["cross_pair_f1"] for arm in arms}
     print(f"pipeline: cross-pair F1 injected {f1['injected']:.2f} "
           f"vs baseline {f1['baseline']:.2f} (delta {f1['injected'] - f1['baseline']:+.2f})")
-    _write_manifest(run_dir, "pipeline", config, {
-        "cross_pair_f1_injected": f1["injected"],
-        "cross_pair_f1_baseline": f1["baseline"],
-        "workers": workers,
-        "arms": arms,
-    })
+    _write_manifest(run_dir, "pipeline", config, {"workers": workers, "arms": arms})
 
 
 _COMMANDS = {

@@ -19,6 +19,14 @@ _CONSONANTS = "bcdfghjklmnpqrstvwxz"
 _VOWELS = "aeiou"
 _DIGITS = "0123456789"
 
+# Fraction of entities with two-token names (the rest are single-token).
+TWO_TOKEN_ENTITY_FRAC = 0.1
+# Fraction of triples that are reflexive naming facts (head == tail); they
+# anchor span supervision on the easy direct-match case.
+SELF_LOOP_FRAC = 0.2
+# Facts besides the target in each QA context.
+N_DISTRACTORS = 4
+
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -39,11 +47,6 @@ class SynthSpec:
     n_qa_per_lang_pair: int
     n_qa_train: int
     seed: int
-    # fraction of entities with two-token names (the rest are single-token)
-    two_token_entity_frac: float = 0.1
-    # fraction of triples that are reflexive naming facts (head == tail);
-    # they anchor span supervision on the easy direct-match case
-    self_loop_frac: float = 0.2
 
     def __post_init__(self):
         if min(self.n_entities, self.n_relations, self.n_triples, self.n_qa_per_lang_pair, self.n_qa_train) < 1:
@@ -52,9 +55,6 @@ class SynthSpec:
             raise ConfigError("need at least two languages")
         if len(set(self.languages)) != len(self.languages):
             raise ConfigError("languages must be distinct")
-        for name in ("two_token_entity_frac", "self_loop_frac"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
 
     @property
     def pivot(self) -> str:
@@ -117,7 +117,7 @@ def gen_kb(spec: SynthSpec) -> KnowledgeBase:
     used: set[str] = set()
     entity_names = []
     for _ in range(spec.n_entities):
-        n_tokens = 2 if rng.random() < spec.two_token_entity_frac else 1
+        n_tokens = 2 if rng.random() < TWO_TOKEN_ENTITY_FRAC else 1
         entity_names.append(" ".join(_gen_base_token(rng, used) for _ in range(n_tokens)))
     relation_names = [_gen_base_token(rng, used) for _ in range(spec.n_relations)]
 
@@ -145,7 +145,7 @@ def gen_kb(spec: SynthSpec) -> KnowledgeBase:
     while len(triples) < spec.n_triples:
         head = f"E{triple_rng.randrange(spec.n_entities)}"
         rel = f"R{triple_rng.randrange(spec.n_relations)}"
-        if triple_rng.random() < spec.self_loop_frac:
+        if triple_rng.random() < SELF_LOOP_FRAC:
             tail = head
         else:
             tail = f"E{triple_rng.randrange(spec.n_entities)}"
@@ -155,9 +155,6 @@ def gen_kb(spec: SynthSpec) -> KnowledgeBase:
         seen.add(key)
         triples.append(Triple(*key))
     return build_kb(entities, relations, triples)
-
-
-N_DISTRACTORS = 4
 
 
 def _make_example(rng: random.Random, kb: KnowledgeBase, clang: str, qlang: str, qa_id: str) -> dict:

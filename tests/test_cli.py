@@ -160,9 +160,10 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cross-pair F1" in out
     for name in (
-        "corpus.jsonl", "corpus_baseline.jsonl", "vocab.txt",
+        "corpus.jsonl", "corpus-baseline.jsonl", "corpus-baseline.jsonl.meta.json", "vocab.txt",
         "ckpt-inject.bin", "ckpt-final.bin",
         "ckpt-inject-baseline.bin", "ckpt-final-baseline.bin",
+        "logs/inject-baseline.jsonl", "logs/finetune-baseline.jsonl",
     ):
         assert (run_dir / name).exists(), name
     for report in ("report_injected", "report_baseline"):
@@ -212,10 +213,11 @@ def test_pipeline_injected_arm_equals_the_separate_commands(tmp_path, pipeline_r
     run_dir = tmp_path / "run"
     for command in ("synth-gen", "assemble", "inject", "finetune", "evaluate"):
         assert run_cli(command, run_dir, FAST) == 0
-    assert (run_dir / "ckpt-final.bin").read_bytes() == (pipeline_run / "ckpt-final.bin").read_bytes()
-    separate = json.loads((run_dir / "reports" / "report.json").read_text())
-    pooled = json.loads((pipeline_run / "reports" / "report_injected.json").read_text())
-    assert pooled["cells"] == separate["cells"]
+    for name in (
+        "corpus.jsonl", "vocab.txt", "ckpt-inject.bin", "ckpt-final.bin", "logs/inject.jsonl",
+        "logs/finetune.jsonl", "reports/report_injected.txt", "reports/report_injected.json",
+    ):
+        assert (run_dir / name).read_bytes() == (pipeline_run / name).read_bytes(), name
 
 
 def test_pipeline_rerun_on_one_worker_gives_identical_artifacts(tmp_path, monkeypatch, pipeline_run):
@@ -243,8 +245,6 @@ def test_pipeline_prints_and_records_arms_in_table_order(tmp_path, capsys):
     manifest = json.loads((run_dir / "manifest-pipeline.json").read_text())
     assert manifest["workers"] == min(2, os.cpu_count() or 1)
     assert [arm["name"] for arm in manifest["arms"]] == ["injected", "baseline"]
-    assert [arm["cross_pair_f1"] for arm in manifest["arms"]] == [
-        manifest["cross_pair_f1_injected"], manifest["cross_pair_f1_baseline"]]
     assert all(arm["wall_s"] > 0 for arm in manifest["arms"])
 
 
@@ -372,4 +372,33 @@ def test_inject_then_finetune_separately(tmp_path):
     assert run_cli("finetune", run_dir, FAST) == 0
     assert (run_dir / "ckpt-final.bin").exists()
     assert run_cli("evaluate", run_dir, FAST) == 0
-    assert (run_dir / "reports" / "report.json").exists()
+    assert (run_dir / "reports" / "report_injected.json").exists()
+
+
+def test_inject_under_another_config_is_refused_before_training(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    for command in ("synth-gen", "assemble"):
+        assert run_cli(command, run_dir, FAST) == 0
+    capsys.readouterr()
+    assert run_cli("inject", run_dir, FAST + ["inject.seed=9"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "artifact-mismatch" and "corpus.jsonl" in record["message"]
+    assert not (run_dir / "ckpt-inject.bin").exists()
+
+
+@pytest.mark.parametrize("command, target", [("inject", "ckpt-inject.bin"), ("finetune", "ckpt-final.bin")])
+def test_vocab_of_another_config_is_refused_before_training(tmp_path, capsys, injected_run, command, target):
+    run_dir = tmp_path / "run"
+    shutil.copytree(injected_run, run_dir)
+    (run_dir / target).unlink(missing_ok=True)
+    other = load_config(None, FAST + ["inject.seed=9"]).hash
+    _write_json(run_dir / "vocab.txt.meta.json", {"config_hash": other})
+    capsys.readouterr()
+    assert run_cli(command, run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "artifact-mismatch" and "vocab.txt" in record["message"]
+    assert not (run_dir / target).exists()
