@@ -2,13 +2,17 @@
 subcommands that persist corpora, checkpoints, logs, and reports.
 
 Every artifact records the hash of the resolved config; a command refuses a
-corpus, vocab or checkpoint written under another config before reading it.
+KB or QA file of ``synth-gen``, a corpus, vocab or checkpoint written under
+another config before reading it. External ``kb.*`` and ``eval.dataset``
+files carry no hash and are read as they are.
 
 An arm, a row of ``_ARMS``, is a name and its kind weights. The first row's
 files carry no suffix (``corpus.jsonl``, ``ckpt-inject.bin``, ``ckpt-final.bin``,
 ``logs/{inject,finetune}.jsonl``); every other row puts ``-<name>`` before the
-extension. Each row reports to ``reports/report_<name>.{txt,json}``. The
-single-step commands run the first row.
+extension. Each row reports to ``reports/report_<name>.{txt,json}`` and
+writes one line per eval example, in input order, to
+``reports/predictions_<name>.jsonl``. The single-step commands run the first
+row.
 
 ``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
 most ``min(arms, cpus)`` at a time, so it runs on POSIX only. Rows are
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -196,6 +201,8 @@ def _sidecar(path: Path, config: PipelineConfig, extra: dict | None = None) -> N
 
 def _own_artifact(config: PipelineConfig, path: Path) -> Path:
     """``path``, refused unless its sidecar records this config's hash."""
+    if not path.exists():  # reported as the missing artifact, not as its missing sidecar
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     meta_path = Path(str(path) + ".meta.json")
     if not meta_path.exists():
         raise ArtifactMismatchError(f"{path}: missing sidecar {meta_path.name}")
@@ -221,11 +228,13 @@ def _load_vocab(config: PipelineConfig, run_dir: Path) -> textmodel.Vocab:
     return textmodel.load_vocab(_own_artifact(config, run_dir / "vocab.txt"))
 
 
+_KB_FILES = ("entities.jsonl", "relations.jsonl", "triples.jsonl")
+
+
 def _load_kb(config: PipelineConfig, run_dir: Path) -> kbmod.KnowledgeBase:
     if config["kb.entities"]:
         return kbmod.load_kb(config["kb.entities"], config["kb.relations"], config["kb.triples"])
-    data = run_dir / "data"
-    return kbmod.load_kb(data / "entities.jsonl", data / "relations.jsonl", data / "triples.jsonl")
+    return kbmod.load_kb(*(_own_artifact(config, run_dir / "data" / name) for name in _KB_FILES))
 
 
 def _langs(config: PipelineConfig) -> tuple[str, ...]:
@@ -247,13 +256,18 @@ def cmd_synth_gen(config: PipelineConfig, run_dir: Path) -> None:
     kb = synthlang.gen_kb(spec)
     data = run_dir / "data"
     data.mkdir(parents=True, exist_ok=True)
-    kbmod.save_kb(kb, data / "entities.jsonl", data / "relations.jsonl", data / "triples.jsonl")
+    kb_paths = [data / name for name in _KB_FILES]
+    kbmod.save_kb(kb, *kb_paths)
     train, test = synthlang.gen_qa(spec, kb)
     qa_dir = data / "qa"
     qa_dir.mkdir(exist_ok=True)
-    _write_json(qa_dir / "train.json", train)
+    qa_files = {qa_dir / "train.json": train}
     for (clang, qlang), payload in sorted(test.items()):
-        _write_json(qa_dir / f"test_{clang}_{qlang}.json", payload)
+        qa_files[qa_dir / f"test_{clang}_{qlang}.json"] = payload
+    for path, payload in qa_files.items():
+        _write_json(path, payload)
+    for path in kb_paths + list(qa_files):
+        _sidecar(path, config)
     _write_manifest(
         run_dir, "synth-gen", config,
         {"seed": spec.seed, "n_triples": len(kb.triples), "languages": list(spec.languages)},
@@ -352,7 +366,7 @@ def cmd_inject(config: PipelineConfig, run_dir: Path) -> None:
 def _run_finetune(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
     params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-inject.bin"))
     vocab = _load_vocab(config, run_dir)
-    dataset = evaluation.load_qa_dataset(run_dir / "data" / "qa" / "train.json")
+    dataset = evaluation.load_qa_dataset(_own_artifact(config, run_dir / "data" / "qa" / "train.json"))
     result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"))
     _save_phase(config, run_dir, arm, "finetune", "ckpt-final.bin", result, "dropped")
 
@@ -366,10 +380,11 @@ def _test_dataset_paths(config: PipelineConfig, run_dir: Path) -> list[Path]:
     if config["eval.dataset"]:
         return [Path(p) for p in config["eval.dataset"]]
     qa_dir = run_dir / "data" / "qa"
-    paths = sorted(qa_dir.glob("test_*.json"))
+    # The glob also matches each split's test_*.json.meta.json sidecar.
+    paths = sorted(p for p in qa_dir.glob("test_*.json") if not p.name.endswith(".meta.json"))
     if not paths:
         raise ConfigError(f"no eval datasets configured and none found under {qa_dir}")
-    return paths
+    return [_own_artifact(config, path) for path in paths]
 
 
 def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> evaluation.EvalReport:
@@ -384,11 +399,13 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> eva
                 default_question_lang=config["eval.default_question_lang"],
             )
         )
-    report = evaluation.evaluate(
+    predictions = evaluation.predict_spans(
         params, vocab, examples,
         max_answer_len=config["eval.max_answer_len"],
         batch_size=config["eval.batch_size"],
     )
+    scores = [evaluation.score_example(ex, prediction) for ex, prediction in zip(examples, predictions)]
+    report = evaluation.cell_report(examples, scores)
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     text = evaluation.format_report(report)
@@ -396,6 +413,11 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> eva
     with atomic_write(reports / f"{stem}.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     _write_json(reports / f"{stem}.json", {"config_hash": config.hash, **report.to_dict()})
+    with atomic_write(reports / f"predictions_{arm.name}.jsonl", "w", encoding="utf-8") as fh:
+        for ex, prediction, (f1, em) in zip(examples, predictions, scores):
+            record = {"id": ex.qa_id, "context_lang": ex.context_lang, "question_lang": ex.question_lang,
+                      "prediction": prediction, "f1": 100.0 * f1, "em": 100.0 * em}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"{stem}:")
     print(text)
     return report

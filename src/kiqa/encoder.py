@@ -7,6 +7,11 @@ written out by hand so gradients can be checked coordinate-by-coordinate
 against finite differences. A step's large intermediates are written in place
 into arrays it already owns, in the operation order of the straight-line
 formula, so every result is bitwise that of the plain numpy expression.
+
+An inference forward (no cache, no dropout) runs the layer stack over blocks
+of ``max(1, _BLOCK_TOKENS // L)`` rows at the batch's pad width ``L``, so its
+score and feed-forward intermediates stay a few MB whatever the batch size.
+Every op works within one row, so blocking changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ from .errors import (
 from .fileio import atomic_write
 
 _NEG = -1e9  # additive attention bias for padded keys; underflows to exactly 0 after softmax
+# Tokens per block of an inference forward. At d_ff = 256 and 4 heads a block
+# holds a 0.5 MB FFN intermediate and an (8 KB * L) score tensor, 1 MB at
+# L = 128; above L = 256 a block is one row (4.7 MB of scores at L = 384).
+# Blocks of 512 tokens ran slower than one block per batch in a fresh process:
+# glibc returned their freed temporaries to the OS and faulted them in again
+# (2.7x one block's page faults over an eval set); 256-token blocks took 1/16.
+_BLOCK_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -235,10 +247,30 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     """Hidden states (batch, len, d_model). PAD positions are excluded from
     attention via the mask; pass a dropout_rng only during training. With
     return_cache, also the per-layer intermediates the backward pass reads;
-    without it, each layer's intermediates are freed as the next one runs."""
+    without it, each layer's intermediates are freed as the next one runs.
+
+    Without a cache or a dropout_rng, the rows go through the layer stack in
+    blocks of ``max(1, _BLOCK_TOKENS // len)`` and are written into one
+    result. The embedding gather, the per-row stacked matmuls, the key bias,
+    softmax and layer norm each work within one row, so a row meets the same
+    numpy calls at the same width in any block, and the result is bitwise
+    that of one block. Training stays one block: the backward pass reads the
+    whole batch's cache, and dropout draws its masks at the batch's shape."""
+    ids, segs, mask = _check_inputs(params, input_ids, segment_ids, attention_mask)
+    if return_cache or dropout_rng is not None:
+        return _forward_rows(params, ids, segs, mask, dropout_rng, return_cache)
+    rows = max(1, _BLOCK_TOKENS // ids.shape[1])
+    h = np.empty(ids.shape + (params.config.d_model,))
+    for lo in range(0, len(ids), rows):
+        block = slice(lo, lo + rows)
+        h[block] = _forward_rows(params, ids[block], segs[block], mask[block])
+    return h
+
+
+def _forward_rows(params: EncoderParams, ids, segs, mask, dropout_rng=None, return_cache=False):
+    """The layer stack of ``forward`` over checked inputs, in one block."""
     cfg = params.config
     t = params.tensors
-    ids, segs, mask = _check_inputs(params, input_ids, segment_ids, attention_mask)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
     x = t["tok_emb"][ids]

@@ -200,9 +200,12 @@ def predict_spans(
 
     Examples are batched in stable order of packed length, so each batch pads
     to little more than its own rows; each prediction is written back to its
-    example's input index. The pad width of a row's batch changes the
-    reduction order inside numpy/BLAS, so a row's span logits may differ by
-    a few ulps from those of another batching of the same examples.
+    example's input index. ``batch_size`` sets these pad groups, not the
+    memory a batch takes: ``forward`` runs each batch's rows in blocks of
+    about ``encoder._BLOCK_TOKENS`` tokens, which changes no bit of a row's
+    result. The pad width of a row's batch does change the reduction order
+    inside numpy/BLAS, so a row's span logits may differ by a few ulps from
+    those of another batching of the same examples.
     """
     check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
@@ -225,12 +228,18 @@ def predict_spans(
     return predictions
 
 
-def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
-    """Aggregate max-over-golds EM and F1 into per-(context, question) cells, x100."""
+def score_example(ex: QAExample, prediction: str) -> tuple[float, int]:
+    """Max-over-golds token F1 in [0, 1] and exact match (0 or 1) of one prediction."""
+    f1 = max(token_f1(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
+    em = max(exact_match(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
+    return f1, em
+
+
+def cell_report(examples: Sequence[QAExample], scores: Sequence[tuple[float, int]]) -> EvalReport:
+    """Aggregate each example's ``score_example`` (F1, EM) into
+    per-(context, question) cells, x100."""
     sums: dict[tuple[str, str], list] = defaultdict(lambda: [0.0, 0.0, 0])
-    for ex, pred in zip(examples, predictions):
-        f1 = max(token_f1(pred, gold, ex.context_lang) for gold, _ in ex.answers)
-        em = max(exact_match(pred, gold, ex.context_lang) for gold, _ in ex.answers)
+    for ex, (f1, em) in zip(examples, scores):
         cell = sums[(ex.context_lang, ex.question_lang)]
         cell[0] += f1
         cell[1] += em
@@ -239,6 +248,11 @@ def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) ->
     for key, (f1_sum, em_sum, count) in sums.items():
         report.cells[key] = EvalCell(f1=100.0 * f1_sum / count, em=100.0 * em_sum / count, count=count)
     return report
+
+
+def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
+    """Aggregate max-over-golds EM and F1 into per-(context, question) cells, x100."""
+    return cell_report(examples, [score_example(ex, pred) for ex, pred in zip(examples, predictions)])
 
 
 def evaluate(

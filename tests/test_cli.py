@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -164,6 +165,8 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
         "ckpt-inject.bin", "ckpt-final.bin",
         "ckpt-inject-baseline.bin", "ckpt-final-baseline.bin",
         "logs/inject-baseline.jsonl", "logs/finetune-baseline.jsonl",
+        "data/entities.jsonl.meta.json", "data/qa/train.json.meta.json", "data/qa/test_syn0_syn1.json.meta.json",
+        "reports/predictions_injected.jsonl", "reports/predictions_baseline.jsonl",
     ):
         assert (run_dir / name).exists(), name
     for report in ("report_injected", "report_baseline"):
@@ -216,8 +219,29 @@ def test_pipeline_injected_arm_equals_the_separate_commands(tmp_path, pipeline_r
     for name in (
         "corpus.jsonl", "vocab.txt", "ckpt-inject.bin", "ckpt-final.bin", "logs/inject.jsonl",
         "logs/finetune.jsonl", "reports/report_injected.txt", "reports/report_injected.json",
+        "reports/predictions_injected.jsonl",
     ):
         assert (run_dir / name).read_bytes() == (pipeline_run / name).read_bytes(), name
+
+
+def test_predictions_file_has_one_line_per_example_and_averages_to_the_report(pipeline_run):
+    qa_dir = pipeline_run / "data" / "qa"
+    ids = [qa["id"] for path in sorted(qa_dir.glob("test_*_*.json")) if not path.name.endswith(".meta.json")
+           for article in json.loads(path.read_text(encoding="utf-8"))["data"]
+           for para in article["paragraphs"] for qa in para["qas"]]
+    for arm in ("injected", "baseline"):
+        path = pipeline_run / "reports" / f"predictions_{arm}.jsonl"
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [line["id"] for line in lines] == ids  # input order: cell by cell, as evaluate reads the files
+        assert all(list(line) == ["id", "context_lang", "question_lang", "prediction", "f1", "em"] for line in lines)
+        report = json.loads((pipeline_run / "reports" / f"report_{arm}.json").read_text(encoding="utf-8"))
+        for cell in report["cells"]:
+            mine = [line for line in lines
+                    if (line["context_lang"], line["question_lang"]) == (cell["context_lang"], cell["question_lang"])]
+            assert len(mine) == cell["count"]
+            for metric in ("f1", "em"):
+                assert math.isclose(sum(line[metric] for line in mine) / len(mine), cell[metric], abs_tol=1e-9)
+        assert all(line["em"] in (0.0, 100.0) and 0.0 <= line["f1"] <= 100.0 for line in lines)
 
 
 def test_pipeline_rerun_on_one_worker_gives_identical_artifacts(tmp_path, monkeypatch, pipeline_run):
@@ -402,3 +426,47 @@ def test_vocab_of_another_config_is_refused_before_training(tmp_path, capsys, in
     record = json.loads(err[0])
     assert record["error"] == "artifact-mismatch" and "vocab.txt" in record["message"]
     assert not (run_dir / target).exists()
+
+
+def test_synth_gen_data_of_another_synth_seed_is_refused(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("synth-gen", run_dir, FAST) == 0
+    before = _files(run_dir)
+    capsys.readouterr()
+    assert run_cli("assemble", run_dir, FAST + ["synth.seed=9"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "artifact-mismatch" and "entities.jsonl" in record["message"]
+    assert _files(run_dir) == before
+
+
+@pytest.mark.parametrize("command, name", [("assemble", "data/entities.jsonl"), ("inject", "corpus.jsonl")])
+def test_missing_artifact_is_reported_as_missing(tmp_path, capsys, command, name):
+    run_dir = tmp_path / "run"
+    assert run_cli(command, run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "io" and str(run_dir / name) in record["message"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("kb-validate", "data/relations.jsonl"),
+    ("assemble", "data/triples.jsonl"),
+    ("finetune", "data/qa/train.json"),
+    ("evaluate", "data/qa/test_syn1_syn0.json"),
+])
+def test_synth_gen_file_of_another_config_is_refused_before_use(tmp_path, capsys, injected_run, command, name):
+    run_dir = tmp_path / "run"
+    shutil.copytree(injected_run, run_dir)
+    shutil.copyfile(run_dir / "ckpt-inject.bin", run_dir / "ckpt-final.bin")  # evaluate reads this config's checkpoint
+    _write_json(run_dir / f"{name}.meta.json", {"config_hash": load_config(None, FAST + ["synth.seed=9"]).hash})
+    before = _files(run_dir)
+    capsys.readouterr()
+    assert run_cli(command, run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "artifact-mismatch" and str(run_dir / name) in record["message"]
+    assert _files(run_dir) == before

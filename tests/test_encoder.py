@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from kiqa import encoder
 from kiqa.encoder import (
     _NEG,
     EncoderParams,
@@ -417,11 +419,18 @@ def bitwise_config(dropout):
     return ModelConfig(vocab_size=16, n_layers=2, n_heads=2, d_model=12, d_ff=16, max_len=16, dropout=dropout)
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-def test_forward_matches_plain_expressions_bitwise(dropout):
+@pytest.mark.parametrize(
+    "dropout, block_tokens",
+    [(0.0, encoder._BLOCK_TOKENS), (0.2, encoder._BLOCK_TOKENS), (0.0, 1), (0.2, 1)],
+    ids=["0.0", "0.2", "0.0-row-blocks", "0.2-row-blocks"],
+)
+def test_forward_matches_plain_expressions_bitwise(dropout, block_tokens, monkeypatch):
     """Covers the in-place work outside the kernels: embedding sum, affine
     maps, score scaling and key bias, dropout and residual adds; with and
-    without the cache the backward pass reads."""
+    without the cache the backward pass reads. An inference forward in blocks
+    of one row equals the one-block plain forward; a dropout RNG keeps the
+    batch one block, or its masks would be drawn at another shape."""
+    monkeypatch.setattr(encoder, "_BLOCK_TOKENS", block_tokens)
     cfg = bitwise_config(dropout)
     params = scaled_params(cfg, seed=5, scale=100.0)  # large pre-activations reach erf's saturation
     ids, segs, mask = make_inputs(cfg, seed=4, B=3, L=7, pad_from=5)
@@ -429,6 +438,22 @@ def test_forward_matches_plain_expressions_bitwise(dropout):
     want = plain_forward(params, ids, segs, mask, rng())
     assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng()), want)
     assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), return_cache=True)[0], want)
+
+
+def test_inference_forward_peak_memory_is_bounded_by_blocks():
+    """A wide padded batch never holds a whole-batch (B, heads, L, L) score
+    tensor: one inference forward peaks well below that tensor's size."""
+    cfg = ModelConfig(vocab_size=64, n_layers=2, n_heads=4, d_model=64, d_ff=256, max_len=200, dropout=0.0)
+    params = init_params(cfg, seed=0)
+    ids, segs, mask = make_inputs(cfg, seed=1, B=32, L=200, pad_from=150)
+    whole_batch_scores = 32 * cfg.n_heads * 200 * 200 * 8  # 41 MB
+    tracemalloc.start()
+    try:
+        forward(params, ids, segs, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_batch_scores / 2, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.2])

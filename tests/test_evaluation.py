@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa import evaluation
+from kiqa import encoder, evaluation
 from kiqa.encoder import ModelConfig, init_params
 from kiqa.errors import KBParseError
 from kiqa.evaluation import (
@@ -391,3 +391,26 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
         widths.clear()
         assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size) == one_at_a_time
         assert widths == [lengths[min(lo + batch_size, len(lengths)) - 1] for lo in range(0, len(lengths), batch_size)]
+
+
+def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
+    """Padded batches of several widths give the same report whether forward
+    runs each batch as one block or one row at a time."""
+    words = "alpha beta gamma delta epsilon zeta eta theta question"
+    vocab = build_vocab([words], max_size=64)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.0)
+    params = init_params(config, seed=4)
+    for tensor in params.tensors.values():
+        tensor *= 10.0
+    tokens = words.split()[:8]
+    examples = [
+        QAExample(str(i), "question " * (1 + i % 3), " ".join(tokens[i % 8:] + tokens[: i % 5]),
+                  ((tokens[i % 8], 0),), "en", "xx" if i % 2 else "en")
+        for i in range(11)
+    ]
+    reports = []
+    for block_tokens in (encoder._BLOCK_TOKENS, 1):
+        monkeypatch.setattr(encoder, "_BLOCK_TOKENS", block_tokens)
+        reports.append(evaluate(params, vocab, examples, max_answer_len=4, batch_size=4).to_dict())
+    assert reports[0] == reports[1]
+    assert reports[0]["overall"]["count"] == 11

@@ -7,15 +7,20 @@ from pathlib import Path
 
 import numpy as np
 
-from kiqa import encoder, training
+from kiqa import encoder, evaluation, textmodel, training
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_trace_points_resolve_to_callables():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_points_resolve_to_callables():
+    tracing = _load_tracing()
     assert tracing.TRACE_POINTS
     for module_name, attr, *_ in tracing.TRACE_POINTS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
@@ -50,3 +55,27 @@ def test_step_kernels_are_looked_up_by_module_name(monkeypatch):
     config = training.TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1)
     training._train_loop(encoder.init_params(cfg, 0), [batch], [3], lambda items: items[0], config, "mlm")
     assert called == {attr for attrs in names.values() for attr in attrs}
+
+
+def test_blocked_eval_forward_records_one_call_per_batch(monkeypatch):
+    """The benchmark counts ``encoder.forward`` spans, in ``kiqa.encoder`` and
+    in ``kiqa.evaluation``, as eval batches and tokens: a batch whose forward
+    runs in several row blocks is still one call."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    for module_name, attr, name, attrs, op_kind in tracing.TRACE_POINTS:
+        if attr == "forward":
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, tracer.wrap(name, getattr(module, attr), attrs, op_kind))
+    monkeypatch.setattr(encoder, "_BLOCK_TOKENS", 8)  # one row per block at widths above 4
+
+    words = "alpha beta gamma delta epsilon zeta question"
+    vocab = textmodel.build_vocab([words], max_size=32)
+    cfg = encoder.ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=8, d_ff=8, max_len=32, dropout=0.0)
+    contexts = [" ".join(words.split()[: 1 + i % 6]) for i in range(7)]
+    examples = [evaluation.QAExample(str(i), "question", context, (("alpha", 0),), "en", "en")
+                for i, context in enumerate(contexts)]
+    evaluation.predict_spans(encoder.init_params(cfg, 0), vocab, examples, max_answer_len=3, batch_size=3)
+    forwards = [span for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
+    assert [span[tracing.ATTRS]["B"] for span in forwards] == [3, 3, 1]
+    assert all(span[tracing.ATTRS]["L"] > 4 for span in forwards)  # each batch spans at least two blocks
