@@ -106,7 +106,12 @@ def adamw_step(
 
     Per tensor, ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``,
     with every term formed in one of two scratch arrays; ``grads`` is only read.
+    Every gradient is checked before anything is written, so a non-finite one
+    raises NonFiniteError with the parameters and the state unchanged.
     """
+    for name in params.tensors:
+        if not np.isfinite(grads[name]).all():
+            raise NonFiniteError(f"non-finite gradient for {name!r}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
@@ -114,8 +119,6 @@ def adamw_step(
     bc2 = 1.0 - b2**t
     for name, p in params.tensors.items():
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for {name!r}")
         m = state.m[name]
         v = state.v[name]
         # Arrays, not the scalars that ``1.0 * g`` gives for a 0-d g: each is an out= target.

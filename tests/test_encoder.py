@@ -128,7 +128,7 @@ def test_forward_single_token():
 def test_attention_rows_sum_to_one():
     params = scaled_params(TINY, seed=1)
     ids, segs, mask = make_inputs(TINY, seed=3, B=2, L=7, pad_from=5)
-    _, cache = forward(params, ids, segs, mask, return_cache=True)
+    _, cache = forward(params, ids, segs, mask, positions=np.nonzero(mask))
     probs = cache["layers"][0]["probs"]  # (B, heads, L, L)
     sums = probs.sum(-1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -297,18 +297,21 @@ def test_softmax_kernel_matches_plain_expression(seed):
     assert (got[1:, :, :, 6:] == 0.0).all()
 
 
-def plain_forward(params, ids, segs, mask, rng=None, tape=None):
+def plain_forward(params, ids, segs, mask, rng=None, tape=None, positions=None):
     """forward as plain expressions over the kernel oracles, drawing the
-    dropout masks in the same order. A ``tape`` list receives, in forward
-    order, each dropout keep mask (None without dropout) and, after each
-    layer's two masks, a dict of that layer's intermediates."""
+    dropout masks in the same order. With ``positions``, the last layer's
+    post-attention ops run at those rows, and the hidden states there are
+    returned. A ``tape`` list receives, in forward order, each dropout keep
+    mask (None without dropout) and, after each layer's two masks, a dict of
+    that layer's intermediates."""
     cfg, t = params.config, params.tensors
     B, L = ids.shape
     nh, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
     tape = [] if tape is None else tape
 
-    def dropout(x):
-        keep = None if rng is None else (rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+    def dropout(x, at=None):
+        keep = None if rng is None else (rng.random((B, L, cfg.d_model)) >= cfg.dropout) / (1.0 - cfg.dropout)
+        keep = keep if keep is None or at is None else keep[at]
         tape.append(keep)
         return x if keep is None else x * keep
 
@@ -322,25 +325,42 @@ def plain_forward(params, ids, segs, mask, rng=None, tape=None):
         qh, kh, vh = (heads(h @ w["w" + n] + w["b" + n]) for n in "qkv")
         probs = softmax_oracle(qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(dh)) + key_bias)
         ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-        n1, *ln1 = layer_norm_oracle(h + dropout(ctx @ w["wo"] + w["bo"]), w["ln1_g"], w["ln1_b"])
+        at = positions if i == cfg.n_layers - 1 else None
+        h_at, ctx = (h, ctx) if at is None else (h[at], ctx[at])
+        n1, *ln1 = layer_norm_oracle(h_at + dropout(ctx @ w["wo"] + w["bo"], at), w["ln1_g"], w["ln1_b"])
         f1 = n1 @ w["w1"] + w["b1"]
         g1 = gelu_oracle(f1)
-        out, *ln2 = layer_norm_oracle(n1 + dropout(g1 @ w["w2"] + w["b2"]), w["ln2_g"], w["ln2_b"])
+        out, *ln2 = layer_norm_oracle(n1 + dropout(g1 @ w["w2"] + w["b2"], at), w["ln2_g"], w["ln2_b"])
         tape.append({"h_in": h, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
                      "ln1": ln1, "n1": n1, "f1": f1, "g1": g1, "ln2": ln2})
         h = out
     return h
 
 
-def plain_backward(params, batch, kind, rng=None):
+def scatter_add(out, at, rows):
+    """out with each row added at its position, one at a time as np.add.at does."""
+    out = out.copy()
+    for r, c, v in zip(*at, rows):
+        out[r, c] = out[r, c] + v
+    return out
+
+
+def plain_backward(params, batch, kind, rng=None, whole_last_layer=False):
     """loss_and_grad as plain expressions over the kernel oracles: the loss
-    value and every parameter gradient, each sum in the order of the formula."""
+    value and every parameter gradient, each sum in the order of the formula.
+    The last layer runs at the rows the loss reads, as in loss_and_grad, or,
+    with ``whole_last_layer``, at every position, and the loss reads the rows
+    from its output."""
     cfg, t = params.config, params.tensors
     ids, segs = batch.input_ids, batch.segment_ids
     B, L = ids.shape
     nh, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    positions = (batch.mask_rows, batch.mask_cols) if kind == "mlm" else np.nonzero(batch.valid_mask)
     tape = []
-    hidden = plain_forward(params, ids, segs, batch.attention_mask, rng, tape)
+    if whole_last_layer:
+        sel = plain_forward(params, ids, segs, batch.attention_mask, rng, tape)[positions]
+    else:
+        sel = plain_forward(params, ids, segs, batch.attention_mask, rng, tape, positions)
     grads = {k: np.zeros_like(v) for k, v in t.items()}
 
     def add(name, value):
@@ -356,7 +376,7 @@ def plain_backward(params, batch, kind, rng=None):
 
     def linear(p, n, x, dy):
         add(p + "w" + n, x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1]))
-        add(p + "b" + n, dy.sum((0, 1)))
+        add(p + "b" + n, dy.sum(tuple(range(dy.ndim - 1))))
         return dy @ t[p + "w" + n].T
 
     def layer_norm(name, dy, cache):
@@ -366,34 +386,37 @@ def plain_backward(params, batch, kind, rng=None):
         return dx
 
     if kind == "mlm":
-        sel = hidden[batch.mask_rows, batch.mask_cols]
         nll, dlogits = cross_entropy(sel @ t["tok_emb"].T + t["mlm_bias"], batch.target_ids)
         value = nll.mean()
         dlogits = dlogits / len(nll)
         add("mlm_bias", dlogits.sum(0))
         add("tok_emb", dlogits.T @ sel)
-        dh_out = np.zeros_like(hidden)
-        for r, c, d in zip(batch.mask_rows, batch.mask_cols, dlogits @ t["tok_emb"]):
-            dh_out[r, c] = dh_out[r, c] + d
+        dsel = dlogits @ t["tok_emb"]
     else:
-        nll_s, dstart = cross_entropy(np.where(batch.valid_mask, hidden @ t["qa_ws"] + t["qa_bs"], -np.inf),
-                                      batch.start_gold)
-        nll_e, dend = cross_entropy(np.where(batch.valid_mask, hidden @ t["qa_we"] + t["qa_be"], -np.inf),
-                                    batch.end_gold)
+        logits = np.full((2, B, L), -np.inf)
+        logits[0][positions] = sel @ t["qa_ws"] + t["qa_bs"]
+        logits[1][positions] = sel @ t["qa_we"] + t["qa_be"]
+        nll_s, dstart = cross_entropy(logits[0], batch.start_gold)
+        nll_e, dend = cross_entropy(logits[1], batch.end_gold)
         value = (nll_s.sum() + nll_e.sum()) / (2.0 * B)
-        dstart, dend = dstart / (2.0 * B), dend / (2.0 * B)
+        dstart, dend = dstart[positions] / (2.0 * B), dend[positions] / (2.0 * B)
         for n, d in (("s", dstart), ("e", dend)):
-            add("qa_w" + n, (d[..., None] * hidden).sum((0, 1)))
+            add("qa_w" + n, (d[:, None] * sel).sum(0))
             add("qa_b" + n, d.sum())
-        dh_out = 0.0 + (dstart[..., None] * t["qa_ws"] + dend[..., None] * t["qa_we"])  # added into zeros
+        dsel = dstart[:, None] * t["qa_ws"] + dend[:, None] * t["qa_we"]
+    dh_out = scatter_add(np.zeros((B, L, cfg.d_model)), positions, dsel) if whole_last_layer else dsel
 
     for i in reversed(range(cfg.n_layers)):
         p = f"l{i}."
+        at = None if whole_last_layer or i < cfg.n_layers - 1 else positions
         c, keep_f, keep_a = tape.pop(), tape.pop(), tape.pop()
         dr2 = layer_norm(p + "ln2", dh_out, c["ln2"])
         df1 = gelu_grad_oracle(linear(p, "2", c["g1"], undrop(dr2, keep_f)), c["f1"])
         dr1 = layer_norm(p + "ln1", linear(p, "1", c["n1"], df1) + dr2, c["ln1"])
-        dctx = linear(p, "o", c["ctx"], undrop(dr1, keep_a)).reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
+        dctx = linear(p, "o", c["ctx"], undrop(dr1, keep_a))
+        if at is not None:
+            dctx = scatter_add(np.zeros((B, L, cfg.d_model)), at, dctx)
+        dctx = dctx.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
         probs = c["probs"]
         dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
         dscores = (dprobs - (dprobs * probs).sum(-1, keepdims=True)) * probs
@@ -404,7 +427,7 @@ def plain_backward(params, batch, kind, rng=None):
             linear(p, n, c["h_in"], d.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model))
             for n, d in zip("qkv", (dqh, dkh, dvh))
         )
-        dh_out = dr1 + ((dxq + dxk) + dxv)
+        dh_out = dr1 + ((dxq + dxk) + dxv) if at is None else scatter_add((dxq + dxk) + dxv, at, dr1)
 
     dx = undrop(dh_out, tape.pop())
     grads["pos_emb"][:L] = grads["pos_emb"][:L] + dx.sum(0)
@@ -426,10 +449,11 @@ def bitwise_config(dropout):
 )
 def test_forward_matches_plain_expressions_bitwise(dropout, block_tokens, monkeypatch):
     """Covers the in-place work outside the kernels: embedding sum, affine
-    maps, score scaling and key bias, dropout and residual adds; with and
-    without the cache the backward pass reads. An inference forward in blocks
-    of one row equals the one-block plain forward; a dropout RNG keeps the
-    batch one block, or its masks would be drawn at another shape."""
+    maps, score scaling and key bias, dropout and residual adds; for the whole
+    batch and, in the training form, at a last layer computed at some rows.
+    An inference forward in blocks of one row equals the one-block plain
+    forward; a dropout RNG keeps the batch one block, or its masks would be
+    drawn at another shape."""
     monkeypatch.setattr(encoder, "_BLOCK_TOKENS", block_tokens)
     cfg = bitwise_config(dropout)
     params = scaled_params(cfg, seed=5, scale=100.0)  # large pre-activations reach erf's saturation
@@ -437,7 +461,9 @@ def test_forward_matches_plain_expressions_bitwise(dropout, block_tokens, monkey
     rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
     want = plain_forward(params, ids, segs, mask, rng())
     assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng()), want)
-    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), return_cache=True)[0], want)
+    at = (np.array([2, 0, 1, 0, 2]), np.array([6, 3, 0, 3, 1]))  # a repeat and a padded position
+    want_at = plain_forward(params, ids, segs, mask, rng(), positions=at)
+    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), positions=at)[0], want_at)
 
 
 def test_inference_forward_peak_memory_is_bounded_by_blocks():
@@ -471,6 +497,24 @@ def test_loss_and_grad_matches_plain_backward_bitwise(dropout, kind):
     assert grads.keys() == want_grads.keys()
     for name, grad in grads.items():
         assert_bitwise(grad, want_grads[name])
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["mlm", "span"])
+def test_loss_and_grad_matches_whole_last_layer(kind, dropout, n_layers):
+    """Computing the last layer at the read rows only is exact: the loss and
+    every gradient equal those of a forward and backward that run the whole
+    last layer, up to the rounding of sums over fewer rows."""
+    cfg = ModelConfig(vocab_size=16, n_layers=n_layers, n_heads=2, d_model=12, d_ff=16, max_len=16, dropout=dropout)
+    params = scaled_params(cfg, seed=5)
+    batch = make_mlm_batch(cfg, seed=4) if kind == "mlm" else make_qa_batch(cfg, seed=4)
+    rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
+    value, grads = loss_and_grad(params, batch, kind, dropout_rng=rng())
+    want_value, want_grads = plain_backward(params, batch, kind, rng(), whole_last_layer=True)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, want_grads[name], rtol=1e-12, atol=0.0, err_msg=name)
 
 
 # ---------------------------------------------------------------- no aliasing
@@ -654,6 +698,57 @@ def test_gradcheck_two_layers_padded_with_dropout():
     gradcheck(params, make_mlm_batch(cfg, seed=1), "mlm", tol=1e-4, dropout_seed=5)
 
 
+SCATTER_CFG = ModelConfig(vocab_size=12, n_layers=2, n_heads=2, d_model=8, d_ff=8, max_len=8, dropout=0.2)
+
+
+def test_gradcheck_mlm_repeated_position():
+    """A batch that reads one (row, col) twice: the last layer computes that
+    row twice, and both row gradients add into the attention backward."""
+    params = scaled_params(SCATTER_CFG, seed=2)
+    batch = make_mlm_batch(SCATTER_CFG, seed=1)
+    batch.mask_rows, batch.mask_cols = np.array([0, 1, 0, 1]), np.array([2, 1, 4, 1])
+    batch.target_ids = np.array([3, 7, 9, 4])
+    gradcheck(params, batch, "mlm", tol=1e-4, dropout_seed=5)
+
+
+def test_gradcheck_span_uneven_windows_and_padded_row():
+    """Rows with different valid windows, and one row padded past its
+    window: the span rows scatter into a batch whose unread rows differ."""
+    params = scaled_params(SCATTER_CFG, seed=2)
+    rng = np.random.default_rng(6)
+    ids = rng.integers(5, SCATTER_CFG.vocab_size, size=(3, 8))
+    segs = np.zeros((3, 8), dtype=np.int64)
+    segs[:, 3:] = 1
+    mask = np.ones((3, 8))
+    mask[2, 6:], ids[2, 6:], segs[2, 6:] = 0.0, 0, 0
+    valid = np.zeros((3, 8), dtype=bool)
+    valid[0, 4:7], valid[1, 3:8], valid[2, 4:6] = True, True, True
+    batch = QABatch(input_ids=ids, segment_ids=segs, attention_mask=mask,
+                    start_gold=np.array([4, 3, 4]), end_gold=np.array([6, 5, 5]), valid_mask=valid)
+    gradcheck(params, batch, "span", tol=1e-4, dropout_seed=5)
+
+
+def test_read_positions_are_checked_before_the_forward(monkeypatch):
+    params = scaled_params(TINY, seed=1)
+    ids, segs, mask = make_inputs(TINY, seed=3, B=2, L=7)
+    for rows, cols in (([0, 2], [1, 1]), ([0, 1], [7, 0]), ([-1], [0]), ([0, 1], [1]), ([[0]], [[1]])):
+        with pytest.raises(ValueError):
+            forward(params, ids, segs, mask, positions=(np.array(rows), np.array(cols)))
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran on a bad batch")
+
+    monkeypatch.setattr(encoder, "forward", no_forward)
+    mlm = make_mlm_batch(TINY, seed=0)
+    mlm.target_ids = mlm.target_ids[:2]
+    with pytest.raises(ValueError):
+        loss_and_grad(params, mlm, "mlm")
+    qa = make_qa_batch(TINY, seed=0)
+    qa.valid_mask = qa.valid_mask[:, :5]
+    with pytest.raises(ValueError):
+        loss_and_grad(params, qa, "span")
+
+
 def test_loss_value_matches_oracle():
     """mlm: mean cross-entropy over masked slots; span: half-sum of start and
     end cross-entropies over each row's valid positions, averaged over rows."""
@@ -701,8 +796,9 @@ def test_loss_identical_samples_equals_single():
     assert abs(l2 - l1) < 1e-12
 
 
-def test_loss_errors():
+def test_loss_errors(monkeypatch):
     params = scaled_params(TINY, seed=1)
+    monkeypatch.setattr(encoder, "forward", None)  # raised before the forward runs
     batch = make_mlm_batch(TINY, seed=0)
     empty = MLMBatch(batch.input_ids, batch.segment_ids, batch.attention_mask,
                      np.array([], dtype=int), np.array([], dtype=int), np.array([], dtype=int))

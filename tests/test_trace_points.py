@@ -79,3 +79,27 @@ def test_blocked_eval_forward_records_one_call_per_batch(monkeypatch):
     forwards = [span for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
     assert [span[tracing.ATTRS]["B"] for span in forwards] == [3, 3, 1]
     assert all(span[tracing.ATTRS]["L"] > 4 for span in forwards)  # each batch spans at least two blocks
+
+
+def test_training_step_records_one_forward_span(monkeypatch):
+    """The benchmark counts a training step's ``encoder.forward`` span from
+    ``kiqa.encoder.forward``: ``loss_and_grad`` looks the training forward up
+    there, once per step, with the batch's ids first."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    for module_name, attr, name, attrs, op_kind in tracing.TRACE_POINTS:
+        if (module_name, attr) == ("kiqa.encoder", "forward"):
+            monkeypatch.setattr(encoder, attr, tracer.wrap(name, getattr(encoder, attr), attrs, op_kind))
+
+    cfg = encoder.ModelConfig(vocab_size=12, n_layers=2, n_heads=2, d_model=8, d_ff=8, max_len=8, dropout=0.1)
+    batch = encoder.MLMBatch(
+        input_ids=np.array([[5, 6, 7, 0], [8, 9, 10, 11]]), segment_ids=np.zeros((2, 4), dtype=np.int64),
+        attention_mask=np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]]),
+        mask_rows=np.array([0, 1]), mask_cols=np.array([1, 3]), target_ids=np.array([6, 11]),
+    )
+    config = training.TrainConfig(phase="inject", learning_rate=1e-3, batch_size=1, epochs=1)
+    training._train_loop(encoder.init_params(cfg, 0), [batch], [4], lambda items: items[0], config, "mlm")
+    forwards = [span for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
+    assert len(forwards) == 1
+    assert (forwards[0][tracing.ATTRS]["B"], forwards[0][tracing.ATTRS]["L"]) == (2, 4)
+    assert forwards[0][tracing.ATTRS]["real"] == 7.0

@@ -217,6 +217,25 @@ def test_adamw_non_finite_grad():
         adamw_step(params, grads, AdamWState.zeros_like(params), lr=0.1)
 
 
+def test_adamw_non_finite_last_grad_writes_nothing():
+    """A NaN in the last tensor raises before any tensor or moment changes."""
+    cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    state = AdamWState.zeros_like(params)
+    adamw_step(params, {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}, state, lr=1e-2)
+    before = params.copy().tensors, {k: m.copy() for k, m in state.m.items()}, {k: v.copy() for k, v in state.v.items()}
+    grads = {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}
+    last = list(params.tensors)[-1]
+    grads[last][...] = float("nan")
+    with pytest.raises(NonFiniteError, match=last):
+        adamw_step(params, grads, state, lr=1e-2)
+    assert state.step == 1
+    for got, want in zip((params.tensors, state.m, state.v), before):
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
 # -------------------------------------------------------------- train config
 
 
