@@ -451,7 +451,8 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
     workers; one CPU still runs them through the pool, one after the other.
     Each arm's output is printed, and the first failing arm's error raised,
     in table order, so stdout matches a serial run. A failing arm does not
-    stop the others, which may still write their artifacts.
+    stop the others, which may still write their artifacts. A last line per
+    row after the first gives the first row's cross-pair F1 against that row's.
     """
     # Imported here: every other command, and every import of this module, skips their cost.
     import multiprocessing
@@ -468,9 +469,10 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
             sys.stdout.write(printed)
             arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s})
 
-    f1 = {arm["name"]: arm["cross_pair_f1"] for arm in arms}
-    print(f"pipeline: cross-pair F1 injected {f1['injected']:.2f} "
-          f"vs baseline {f1['baseline']:.2f} (delta {f1['injected'] - f1['baseline']:+.2f})")
+    first = arms[0]
+    for other in arms[1:]:
+        a, b = first["cross_pair_f1"], other["cross_pair_f1"]
+        print(f"pipeline: cross-pair F1 {first['name']} {a:.2f} vs {other['name']} {b:.2f} (delta {a - b:+.2f})")
     _write_manifest(run_dir, "pipeline", config, {"workers": workers, "arms": arms})
 
 

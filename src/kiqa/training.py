@@ -101,7 +101,7 @@ def adamw_step(
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.01,
-) -> tuple[EncoderParams, AdamWState]:
+) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
     Per tensor, ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``,
@@ -137,7 +137,6 @@ def adamw_step(
         step += np.multiply(weight_decay, p, out=tmp)
         step *= lr
         p -= step
-    return params, state
 
 
 def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kiqa import assembler
+from kiqa import assembler, cli
 from kiqa.cli import _write_json, _write_train_log, load_config, main
 from kiqa.encoder import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kiqa.errors import ConfigError
@@ -272,6 +272,21 @@ def test_pipeline_prints_and_records_arms_in_table_order(tmp_path, capsys):
     assert all(arm["wall_s"] > 0 for arm in manifest["arms"])
 
 
+def test_pipeline_summary_compares_the_first_arm_with_each_other(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_ARMS", cli._ARMS + (cli.Arm("k1k2", (1.0, 1.0, 0.0)),))
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 0
+    summary = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pipeline:")]
+    arms = json.loads((run_dir / "manifest-pipeline.json").read_text())["arms"]
+    f1 = {arm["name"]: arm["cross_pair_f1"] for arm in arms}
+    assert list(f1) == ["injected", "baseline", "k1k2"]
+    assert summary == [
+        f"pipeline: cross-pair F1 injected {f1['injected']:.2f} vs {name} {f1[name]:.2f} "
+        f"(delta {f1['injected'] - f1[name]:+.2f})"
+        for name in ("baseline", "k1k2")
+    ]
+
+
 def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_cli("pipeline", run_dir, FAST + ["assembler.render_max_len=2"]) == 1
@@ -325,6 +340,26 @@ def test_non_utf8_input_exits_with_one_error_record(tmp_path, capsys, injected_r
     record = json.loads(err[0])
     assert record["error"] == code
     assert str(bad) in record["message"] and "not UTF-8" in record["message"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda tokens: tokens[1:],  # the first five lines are not the special tokens
+    lambda tokens: tokens + tokens[5:6],  # a token repeats
+], ids=["special-tokens", "repeated-token"])
+def test_corrupted_vocab_exits_with_an_artifact_record_naming_it(tmp_path, capsys, injected_run, corrupt):
+    run_dir = tmp_path / "run"
+    shutil.copytree(injected_run, run_dir)
+    (run_dir / "ckpt-inject.bin").unlink()
+    vocab = run_dir / "vocab.txt"
+    vocab.write_text("".join(tok + "\n" for tok in corrupt(vocab.read_text(encoding="utf-8").splitlines())),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("inject", run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "artifact-mismatch" and str(vocab) in record["message"]
+    assert not (run_dir / "ckpt-inject.bin").exists()
 
 
 def test_nan_checkpoint_exits_with_one_non_finite_record(tmp_path, capsys, injected_run):

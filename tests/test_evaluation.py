@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa import encoder, evaluation
+from kiqa import evaluation
 from kiqa.encoder import ModelConfig, init_params
 from kiqa.errors import KBParseError
 from kiqa.evaluation import (
@@ -394,8 +395,8 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
 
 
 def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
-    """Padded batches of several widths give the same report whether forward
-    runs each batch as one block or one row at a time."""
+    """Padded batches of several widths give the same report at the default
+    token budget and at a budget of 1, which sends each row alone to forward."""
     words = "alpha beta gamma delta epsilon zeta eta theta question"
     vocab = build_vocab([words], max_size=64)
     config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.0)
@@ -409,8 +410,33 @@ def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
         for i in range(11)
     ]
     reports = []
-    for block_tokens in (encoder._BLOCK_TOKENS, 1):
-        monkeypatch.setattr(encoder, "_BLOCK_TOKENS", block_tokens)
+    for budget in (evaluation._BATCH_TOKENS, 1):
+        monkeypatch.setattr(evaluation, "_BATCH_TOKENS", budget)
         reports.append(evaluate(params, vocab, examples, max_answer_len=4, batch_size=4).to_dict())
     assert reports[0] == reports[1]
     assert reports[0]["overall"]["count"] == 11
+
+
+def test_predict_spans_peak_memory_is_bounded_by_the_token_budget():
+    """Many long contexts in one ``batch_size`` group never meet in one
+    whole-batch (B, heads, L, L) score tensor: predict_spans peaks well below
+    that tensor's size."""
+    words = [f"w{i}" for i in range(40)]
+    vocab = build_vocab([" ".join(words) + " question"], max_size=64)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=4, d_model=64, d_ff=256, max_len=200,
+                         dropout=0.0)
+    params = init_params(config, seed=0)
+    examples = [
+        QAExample(str(i), "question", " ".join(words[(i + j) % 40] for j in range(150 + i)), (("w0", 0),), "en", "en")
+        for i in range(32)
+    ]
+    longest = max(len(pack_qa(ex.question, ex.context, vocab, config.max_len).input_ids) for ex in examples)
+    whole_batch_scores = len(examples) * config.n_heads * longest * longest * 8  # 38 MB
+    tracemalloc.start()
+    try:
+        predictions = predict_spans(params, vocab, examples, max_answer_len=30, batch_size=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(pred in ex.context for pred, ex in zip(predictions, examples))
+    assert peak < whole_batch_scores / 2, f"peak {peak / 1e6:.1f} MB"

@@ -1,5 +1,5 @@
-"""Every top-level function and class in ``src/kiqa`` has a user in the
-program: ``src/kiqa`` itself or the benchmark harness (``perfbench/*.py``,
+"""Every top-level function, class and assigned name in ``src/kiqa`` has a
+user in the program: ``src/kiqa`` itself or the benchmark harness (``perfbench/*.py``,
 not its tests). Code that only tests use belongs next to those tests."""
 
 import ast
@@ -32,6 +32,21 @@ def _references(tree):
             yield node.value, node.lineno
 
 
+def _defined_names(node):
+    """Names a top-level statement defines: a function or class, or the
+    plain names an assignment binds (``__all__`` and other dunders aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def unused_definitions(files) -> list[str]:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in files}
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
@@ -40,16 +55,15 @@ def unused_definitions(files) -> list[str]:
         if path.parent.name != "kiqa":
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
             own = range(node.lineno, node.end_lineno + 1)
-            used = any(
-                name == node.name and not (other == path and line in own)
-                for other, pairs in refs.items()
-                for name, line in pairs
-            )
-            if not used:
-                unused.append(f"{path.stem}.{node.name}")
+            for defined in _defined_names(node):
+                used = any(
+                    name == defined and not (other == path and line in own)
+                    for other, pairs in refs.items()
+                    for name, line in pairs
+                )
+                if not used:
+                    unused.append(f"{path.stem}.{defined}")
     return unused
 
 
@@ -62,8 +76,9 @@ def test_unused_definition_is_flagged(tmp_path):
     pkg.mkdir()
     (pkg / "mod.py").write_text(
         "def used():\n    return 1\n\n\n"
-        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
-        "__all__ = ['used', 'recursive']\n",
+        "def recursive(n):\n    return recursive(n - 1) if n else used() + LIMIT\n\n\n"
+        "LIMIT = 3\nUNUSED = LIMIT + 1\nPAIR_A, PAIR_B = 1, 2\nTYPED: int = PAIR_A\n"
+        "__all__ = ['used', 'recursive', 'UNUSED']\n",
         encoding="utf-8",
     )
-    assert unused_definitions([pkg / "mod.py"]) == ["mod.recursive"]
+    assert unused_definitions([pkg / "mod.py"]) == ["mod.recursive", "mod.UNUSED", "mod.PAIR_B", "mod.TYPED"]

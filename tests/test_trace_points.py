@@ -59,26 +59,29 @@ def test_step_kernels_are_looked_up_by_module_name(monkeypatch):
 
 def test_blocked_eval_forward_records_one_call_per_batch(monkeypatch):
     """The benchmark counts ``encoder.forward`` spans, in ``kiqa.encoder`` and
-    in ``kiqa.evaluation``, as eval batches and tokens: a batch whose forward
-    runs in several row blocks is still one call."""
+    in ``kiqa.evaluation``, as eval batches and tokens: one span per batch,
+    with at most ``batch_size`` rows and, unless it is one row, at most
+    ``evaluation._BATCH_TOKENS`` padded tokens."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     for module_name, attr, name, attrs, op_kind in tracing.TRACE_POINTS:
         if attr == "forward":
             module = importlib.import_module(module_name)
             monkeypatch.setattr(module, attr, tracer.wrap(name, getattr(module, attr), attrs, op_kind))
-    monkeypatch.setattr(encoder, "_BLOCK_TOKENS", 8)  # one row per block at widths above 4
 
     words = "alpha beta gamma delta epsilon zeta question"
     vocab = textmodel.build_vocab([words], max_size=32)
-    cfg = encoder.ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=8, d_ff=8, max_len=32, dropout=0.0)
-    contexts = [" ".join(words.split()[: 1 + i % 6]) for i in range(7)]
+    cfg = encoder.ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=8, d_ff=8, max_len=300, dropout=0.0)
+    # Packed rows of 10, 70 and 280 tokens: the row cap, the token budget and a row over the budget.
+    contexts = [" ".join(words.split()[:6] * (n // 6)) for n in [6] * 5 + [66] * 4 + [276] * 2]
     examples = [evaluation.QAExample(str(i), "question", context, (("alpha", 0),), "en", "en")
                 for i, context in enumerate(contexts)]
-    evaluation.predict_spans(encoder.init_params(cfg, 0), vocab, examples, max_answer_len=3, batch_size=3)
-    forwards = [span for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
-    assert [span[tracing.ATTRS]["B"] for span in forwards] == [3, 3, 1]
-    assert all(span[tracing.ATTRS]["L"] > 4 for span in forwards)  # each batch spans at least two blocks
+    evaluation.predict_spans(encoder.init_params(cfg, 0), vocab, examples, max_answer_len=3, batch_size=4)
+    forwards = [span[tracing.ATTRS] for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
+    assert [(span["B"], span["L"]) for span in forwards] == [(4, 10), (3, 70), (2, 70), (1, 280), (1, 280)]
+    for span in forwards:
+        assert span["B"] <= 4
+        assert span["B"] * span["L"] <= evaluation._BATCH_TOKENS or span["B"] == 1
 
 
 def test_training_step_records_one_forward_span(monkeypatch):
