@@ -34,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -44,8 +43,8 @@ from .errors import (
     SameLanguageError,
     ZeroWeightsError,
 )
-from .fileio import atomic_write
-from .kb import KnowledgeBase, Triple, _read_records, surface, triples_renderable
+from .fileio import atomic_write, read_jsonl
+from .kb import KnowledgeBase, Triple, surface, triples_renderable
 
 
 class SampleKind(str, Enum):
@@ -117,12 +116,15 @@ def assemble_k3(kb: KnowledgeBase, t: Triple, lang_i: str, lang_j: str) -> list[
     ]
 
 
-def check_kind_weights(kind_weights: Sequence[float]) -> None:
-    """Refuse a negative or non-finite K1/K2/K3 weight, and weights that sum to zero."""
+def check_kind_weights(kind_weights: Sequence[float], langs: Iterable[str]) -> None:
+    """Refuse a negative or non-finite K1/K2/K3 weight, weights that sum to
+    zero, and a K2 or K3 weight with fewer than two distinct languages."""
     if not all(0 <= w < math.inf for w in kind_weights):
         raise ConfigError(f"kind weights must be finite and non-negative, got {tuple(kind_weights)}")
     if sum(kind_weights) <= 0:
         raise ZeroWeightsError("kind weights sum to zero")
+    if len(set(langs)) < 2 and (kind_weights[1] > 0 or kind_weights[2] > 0):
+        raise ConfigError("K2/K3 weights require at least two languages")
 
 
 def build_corpus(
@@ -138,11 +140,8 @@ def build_corpus(
     Per-triple draws use RNG streams derived from (seed, index) so the output
     is independent of evaluation order.
     """
-    check_kind_weights(kind_weights)
-    w1, w2, w3 = kind_weights
     langs_sorted = sorted(set(langs))
-    if len(langs_sorted) < 2 and (w2 > 0 or w3 > 0):
-        raise ConfigError("K2/K3 weights require at least two languages")
+    check_kind_weights(kind_weights, langs_sorted)
     pairs = [(a, b) for a in langs_sorted for b in langs_sorted if a != b]
 
     pool = triples_renderable(kb, langs_sorted)
@@ -158,7 +157,7 @@ def build_corpus(
     for j, idx in enumerate(chosen):
         rng = random.Random(f"{seed}|triple|{j}")
         t = pool[idx]
-        kind = rng.choices(("K1", "K2", "K3"), weights=(w1, w2, w3))[0]
+        kind = rng.choices(("K1", "K2", "K3"), weights=kind_weights)[0]
         if kind == "K1":
             samples.extend(assemble_k1(kb, t, rng.choice(langs_sorted)))
         elif kind == "K2":
@@ -186,7 +185,7 @@ def load_corpus(path) -> list[MaskedSample]:
     ignored, so files that still carry ``targets``, ``mask_side``, ``langs``
     and a per-piece ``role`` load to the same samples."""
     samples = []
-    for lineno, rec in _read_records(Path(path)):
+    for lineno, rec in read_jsonl(path, KBParseError):
         try:
             triple = None
             if "triple" in rec:

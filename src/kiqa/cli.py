@@ -9,8 +9,9 @@ files carry no hash and are read as they are.
 An arm, a row of ``_ARMS``, is a name and its kind weights. The first row's
 files carry no suffix (``corpus.jsonl``, ``ckpt-inject.bin``, ``ckpt-final.bin``,
 ``logs/{inject,finetune}.jsonl``); every other row puts ``-<name>`` before the
-extension. Each row reports to ``reports/report_<name>.{txt,json}`` and
-writes one line per eval example, in input order, to
+extension. Each row is scored by ``evaluation.evaluate``, as the ``eval``
+benchmark is. It reports to ``reports/report_<name>.{txt,json}`` and writes
+``EvalReport.predictions``, one line per eval example in input order, to
 ``reports/predictions_<name>.jsonl``. The single-step commands run the first
 row.
 
@@ -134,9 +135,9 @@ class PipelineConfig:
 
 def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     """Defaults, then the config file, then key=value overrides. Unknown keys
-    are rejected, and so are out-of-range training, model and eval values,
-    negative, non-finite or all-zero ``assembler.kind_weights`` and a negative
-    ``assembler.n_triples``, before any command writes anything."""
+    are rejected, and so are out-of-range values and K2/K3 weights with fewer
+    than two languages, before any command writes anything. Each section's
+    values go through the check its reader runs, where one exists."""
     raw = {key: str(default) for key, (_, default) in _SCHEMA.items()}
 
     def apply(key: str, value: str, where: str):
@@ -168,10 +169,12 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     # Every vocabulary holds the special tokens, so this is the smallest real vocab_size.
     ModelConfig(vocab_size=len(textmodel.SPECIAL_TOKENS), **config.section("model"))
     evaluation.check_eval_values(config["eval.max_answer_len"], config["eval.batch_size"])
-    assembler.check_kind_weights(config["assembler.kind_weights"])
-    # The upper bound, the number of renderable triples, needs the KB: build_corpus checks it.
-    if config["assembler.n_triples"] < 0:
-        raise ConfigError(f"assembler.n_triples must be >= 0, got {config['assembler.n_triples']}")
+    assembler.check_kind_weights(config["assembler.kind_weights"], _langs(config))
+    textmodel.build_vocab((), config["assembler.vocab_max_size"])  # refuses a size below the special tokens'
+    # n_triples' upper bound, the number of renderable triples, needs the KB: build_corpus checks it.
+    for key, low in (("assembler.n_triples", 0), ("assembler.render_max_len", 1)):
+        if config[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {config[key]}")
     return config
 
 
@@ -399,13 +402,11 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> eva
                 default_question_lang=config["eval.default_question_lang"],
             )
         )
-    predictions = evaluation.predict_spans(
+    report = evaluation.evaluate(
         params, vocab, examples,
         max_answer_len=config["eval.max_answer_len"],
         batch_size=config["eval.batch_size"],
     )
-    scores = [evaluation.score_example(ex, prediction) for ex, prediction in zip(examples, predictions)]
-    report = evaluation.cell_report(examples, scores)
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     text = evaluation.format_report(report)
@@ -414,9 +415,7 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> eva
         fh.write(text + "\n")
     _write_json(reports / f"{stem}.json", {"config_hash": config.hash, **report.to_dict()})
     with atomic_write(reports / f"predictions_{arm.name}.jsonl", "w", encoding="utf-8") as fh:
-        for ex, prediction, (f1, em) in zip(examples, predictions, scores):
-            record = {"id": ex.qa_id, "context_lang": ex.context_lang, "question_lang": ex.question_lang,
-                      "prediction": prediction, "f1": 100.0 * f1, "em": 100.0 * em}
+        for record in report.predictions:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"{stem}:")
     print(text)

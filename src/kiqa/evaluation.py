@@ -1,5 +1,6 @@
 """Span decoding, answer normalization, EM / mean-token-F1 scoring,
-and per-language-pair reporting.
+and per-language-pair reporting. ``evaluate`` is the one evaluation path:
+``kiqa evaluate``, ``kiqa pipeline`` and the ``eval`` benchmark all run it.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -24,20 +25,17 @@ _EN_ARTICLES = frozenset({"a", "an", "the"})
 _CJK_LANG_ROOTS = frozenset({"zh", "ja", "ko"})
 
 
-def _is_cjk_lang(lang: str) -> bool:
-    return lang.split("-")[0].split("_")[0] in _CJK_LANG_ROOTS
-
-
 def normalize_answer(text: str, lang: str) -> str:
     """Lowercase, strip all Unicode punctuation, collapse whitespace; drop
     standalone English articles; remove whitespace entirely for CJK."""
+    root = lang.split("-")[0].split("_")[0]
     lowered = text.lower()
     stripped = "".join(ch for ch in lowered if not unicodedata.category(ch).startswith("P"))
     words = stripped.split()
-    if lang.split("-")[0].split("_")[0] == "en":
+    if root == "en":
         words = [w for w in words if w not in _EN_ARTICLES]
     joined = " ".join(words)
-    if _is_cjk_lang(lang):
+    if root in _CJK_LANG_ROOTS:
         joined = "".join(joined.split())
     return joined
 
@@ -132,9 +130,20 @@ class EvalCell:
     count: int
 
 
+def _mean(cells: Sequence[EvalCell], metric: str) -> float:
+    """Count-weighted mean of ``metric`` ("f1" or "em"); 0.0 over no example."""
+    n = sum(c.count for c in cells)
+    return sum(getattr(c, metric) * c.count for c in cells) / n if n else 0.0
+
+
 @dataclass
 class EvalReport:
+    """Per-(context, question) cells, and ``predictions``: one record per
+    example in input order, keyed ``id``, ``context_lang``, ``question_lang``,
+    ``prediction``, ``f1``, ``em`` (x100). ``to_dict`` holds no record."""
+
     cells: dict[tuple[str, str], EvalCell] = field(default_factory=dict)
+    predictions: list[dict] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -142,20 +151,16 @@ class EvalReport:
 
     @property
     def overall_f1(self) -> float:
-        n = self.total
-        return sum(c.f1 * c.count for c in self.cells.values()) / n if n else 0.0
+        return _mean(list(self.cells.values()), "f1")
 
     @property
     def overall_em(self) -> float:
-        n = self.total
-        return sum(c.em * c.count for c in self.cells.values()) / n if n else 0.0
+        return _mean(list(self.cells.values()), "em")
 
     def cross_pair_f1(self) -> float:
         """Count-weighted F1 over cells whose question language differs from
         the context language."""
-        cross = [(k, c) for k, c in self.cells.items() if k[0] != k[1]]
-        n = sum(c.count for _, c in cross)
-        return sum(c.f1 * c.count for _, c in cross) / n if n else 0.0
+        return _mean([c for (ctx, q), c in self.cells.items() if ctx != q], "f1")
 
     def to_dict(self) -> dict:
         return {
@@ -243,31 +248,24 @@ def predict_spans(
     return predictions
 
 
-def score_example(ex: QAExample, prediction: str) -> tuple[float, int]:
-    """Max-over-golds token F1 in [0, 1] and exact match (0 or 1) of one prediction."""
-    f1 = max(token_f1(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
-    em = max(exact_match(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
-    return f1, em
-
-
-def cell_report(examples: Sequence[QAExample], scores: Sequence[tuple[float, int]]) -> EvalReport:
-    """Aggregate each example's ``score_example`` (F1, EM) into
-    per-(context, question) cells, x100."""
+def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
+    """Score each example once by max-over-golds token F1 and exact match.
+    Its record goes to ``EvalReport.predictions``, in input order, and its
+    F1/EM to its (context, question) cell, whose means are reported x100."""
+    report = EvalReport()
     sums: dict[tuple[str, str], list] = defaultdict(lambda: [0.0, 0.0, 0])
-    for ex, (f1, em) in zip(examples, scores):
+    for ex, prediction in zip(examples, predictions):
+        f1 = max(token_f1(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
+        em = max(exact_match(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
+        report.predictions.append({"id": ex.qa_id, "context_lang": ex.context_lang, "question_lang": ex.question_lang,
+                                   "prediction": prediction, "f1": 100.0 * f1, "em": 100.0 * em})
         cell = sums[(ex.context_lang, ex.question_lang)]
         cell[0] += f1
         cell[1] += em
         cell[2] += 1
-    report = EvalReport()
     for key, (f1_sum, em_sum, count) in sums.items():
         report.cells[key] = EvalCell(f1=100.0 * f1_sum / count, em=100.0 * em_sum / count, count=count)
     return report
-
-
-def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
-    """Aggregate max-over-golds EM and F1 into per-(context, question) cells, x100."""
-    return cell_report(examples, [score_example(ex, pred) for ex, pred in zip(examples, predictions)])
 
 
 def evaluate(
@@ -277,5 +275,4 @@ def evaluate(
     max_answer_len: int = 30,
     batch_size: int = 64,
 ) -> EvalReport:
-    predictions = predict_spans(params, vocab, examples, max_answer_len, batch_size)
-    return score_examples(examples, predictions)
+    return score_examples(examples, predict_spans(params, vocab, examples, max_answer_len, batch_size))

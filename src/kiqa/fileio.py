@@ -1,13 +1,15 @@
 """File access shared by every module: artifact writes that never leave a
-half-written file at the target path, and UTF-8 reads whose decoding errors
-name the file."""
+half-written file at the target path, and UTF-8 and JSON Lines reads whose
+errors name the file."""
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 
 @contextmanager
@@ -36,3 +38,19 @@ def read_utf8(path, error: type[Exception]):
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a UTF-8 JSON Lines
+    file. A line that is not a JSON object raises ``error`` naming file and line."""
+    with read_utf8(path, error) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise error(f"{path}:{lineno}: record is not an object")
+            yield lineno, rec

@@ -14,17 +14,17 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
+    ConfigError,
     DanglingIdError,
     DuplicateIdError,
     DuplicateTripleError,
     KBParseError,
     MissingFormError,
 )
-from .fileio import atomic_write, read_utf8
+from .fileio import atomic_write, read_jsonl
 
 LANG_TAG_RE = re.compile(r"^[a-z0-9_-]{1,16}$")
 
@@ -73,23 +73,9 @@ def _check_forms(forms: dict, where: str) -> dict[str, str]:
     return out
 
 
-def _read_records(path: Path) -> Iterable[tuple[int, dict]]:
-    with read_utf8(path, KBParseError) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise KBParseError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise KBParseError(f"{path}:{lineno}: record is not an object")
-            yield lineno, rec
-
-
-def _load_form_file(path: Path, cls):
+def _load_form_file(path, cls):
     items: dict[str, object] = {}
-    for lineno, rec in _read_records(path):
+    for lineno, rec in read_jsonl(path, KBParseError):
         where = f"{path}:{lineno}"
         ident = rec.get("id")
         if not isinstance(ident, str) or not ident:
@@ -132,12 +118,12 @@ def build_kb(
 
 def load_kb(entities_path, relations_path, triples_path) -> KnowledgeBase:
     """Load and validate a knowledge base from three line-delimited JSON files."""
-    entities = _load_form_file(Path(entities_path), Entity)
-    relations = _load_form_file(Path(relations_path), Relation)
+    entities = _load_form_file(entities_path, Entity)
+    relations = _load_form_file(relations_path, Relation)
 
     triples: list[Triple] = []
     labels: list[str] = []
-    for lineno, rec in _read_records(Path(triples_path)):
+    for lineno, rec in read_jsonl(triples_path, KBParseError):
         where = f"{triples_path}:{lineno}"
         try:
             h, r, t = rec["h"], rec["r"], rec["t"]
@@ -197,5 +183,5 @@ def triples_renderable(kb: KnowledgeBase, langs: Iterable[str]) -> list[Triple]:
     langs = frozenset(langs)
     unknown = langs - kb.languages
     if unknown:
-        raise ValueError(f"languages not present in KB: {sorted(unknown)}")
+        raise ConfigError(f"languages not present in KB: {sorted(unknown)}")
     return [t for t in kb.triples if triple_renderable(kb, t, langs)]

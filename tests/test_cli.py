@@ -298,12 +298,20 @@ def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys)
     assert not (run_dir / "manifest-pipeline.json").exists()
 
 
+def test_pipeline_with_a_language_the_kb_lacks_exits_with_one_config_record(tmp_path, capsys):
+    assert run_cli("pipeline", tmp_path / "run", FAST + ["assembler.langs=syn0,xx"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "config" and "xx" in record["message"]
+
+
 @pytest.mark.parametrize(
     "override",
     ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0",
      "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1", "inject.learning_rate=nan",
      "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1",
-     "inject.weight_decay=inf"],
+     "inject.weight_decay=inf", "assembler.vocab_max_size=4", "assembler.render_max_len=0", "assembler.langs=syn0"],
 )
 def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
     run_dir = tmp_path / "run"

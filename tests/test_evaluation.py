@@ -257,6 +257,15 @@ def test_score_examples_cells_and_overall():
     assert report.overall_f1 == pytest.approx((1.0 + 2 / 3 + 0.0) / 3 * 100)
     assert report.overall_em == pytest.approx(100.0 / 3)
     assert report.total == 3
+    # one scored record per example, in input order, with the predictions file's keys in its order
+    assert [list(r) for r in report.predictions] == [["id", "context_lang", "question_lang", "prediction", "f1", "em"]] * 3
+    assert [(r["id"], r["context_lang"], r["question_lang"], r["prediction"]) for r in report.predictions] == [
+        (ex.qa_id, ex.context_lang, ex.question_lang, pred) for ex, pred in zip(examples, predictions)
+    ]
+    assert [r["f1"] for r in report.predictions] == pytest.approx([100.0, 100.0 * 2 / 3, 0.0])
+    assert [r["em"] for r in report.predictions] == [100.0, 0.0, 0.0]
+    assert set(report.to_dict()) == {"cells", "overall"}
+    assert set(report.to_dict()["cells"][0]) == {"context_lang", "question_lang", "f1", "em", "count"}
 
 
 def test_score_examples_max_over_golds():
