@@ -16,7 +16,8 @@ benchmark is. It reports to ``reports/report_<name>.{txt,json}`` and writes
 row.
 
 ``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
-most ``min(arms, cpus)`` at a time, so it runs on POSIX only. Rows are
+most ``min(arms, cpus)`` at a time, so it runs on POSIX only; each arm
+evaluates on its share of the CPUs. Rows are
 submitted in table order; each arm's output and the first failing arm's
 error come back in table order. A failing arm does not stop the others,
 which may still write their artifacts.
@@ -170,11 +171,16 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     ModelConfig(vocab_size=len(textmodel.SPECIAL_TOKENS), **config.section("model"))
     evaluation.check_eval_values(config["eval.max_answer_len"], config["eval.batch_size"])
     assembler.check_kind_weights(config["assembler.kind_weights"], _langs(config))
-    textmodel.build_vocab((), config["assembler.vocab_max_size"])  # refuses a size below the special tokens'
+    try:
+        textmodel.build_vocab((), config["assembler.vocab_max_size"])  # refuses a size below the special tokens'
+    except ConfigError as exc:
+        raise ConfigError(f"assembler.vocab_max_size: {exc}") from exc
     # n_triples' upper bound, the number of renderable triples, needs the KB: build_corpus checks it.
-    for key, low in (("assembler.n_triples", 0), ("assembler.render_max_len", 1)):
-        if config[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {config[key]}")
+    if config["assembler.n_triples"] < 0:
+        raise ConfigError(f"assembler.n_triples must be >= 0, got {config['assembler.n_triples']}")
+    if config["assembler.render_max_len"] < 5:
+        raise ConfigError("assembler.render_max_len must be >= 5, the length of the shortest sample "
+                          f"([CLS] head relation tail [SEP]), got {config['assembler.render_max_len']}")
     return config
 
 
@@ -390,7 +396,10 @@ def _test_dataset_paths(config: PipelineConfig, run_dir: Path) -> list[Path]:
     return [_own_artifact(config, path) for path in paths]
 
 
-def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> evaluation.EvalReport:
+def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm,
+                         workers: int | None = None) -> evaluation.EvalReport:
+    """Score the arm's final checkpoint on ``workers`` threads (default: every
+    usable CPU) and write its reports and predictions."""
     params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-final.bin"))
     vocab = _load_vocab(config, run_dir)
     examples = []
@@ -406,6 +415,7 @@ def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm) -> eva
         params, vocab, examples,
         max_answer_len=config["eval.max_answer_len"],
         batch_size=config["eval.batch_size"],
+        workers=workers,
     )
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
@@ -427,10 +437,10 @@ def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "evaluate", config)
 
 
-def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm) -> tuple[float, str, float]:
+def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, eval_workers: int) -> tuple[float, str, float]:
     """Assemble the arm's own corpus if it has one, then inject, finetune and
-    evaluate. Returns the cross-pair F1, the arm's printed lines and its wall
-    seconds."""
+    evaluate on ``eval_workers`` threads. Returns the cross-pair F1, the arm's
+    printed lines and its wall seconds."""
     start = time.perf_counter()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -438,8 +448,15 @@ def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm) -> tuple[float, st
             _assemble_into(config, run_dir, arm, _load_kb(config, run_dir))
         _run_injection(config, run_dir, arm)
         _run_finetune(config, run_dir, arm)
-        report = _evaluate_checkpoint(config, run_dir, arm)
+        report = _evaluate_checkpoint(config, run_dir, arm, eval_workers)
     return report.cross_pair_f1(), out.getvalue(), time.perf_counter() - start
+
+
+def _cpu_budget(arms: int, cpus: int) -> tuple[int, int]:
+    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the eval threads
+    each arm runs: ``min(arms, cpus)`` and ``max(1, cpus // workers)``."""
+    workers = min(arms, cpus)
+    return workers, max(1, cpus // workers)
 
 
 def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
@@ -447,7 +464,10 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
     the monolingual-injection baseline trained for the same number of steps.
 
     The rows go, in table order, to at most ``min(arms, cpus)`` forked
-    workers; one CPU still runs them through the pool, one after the other.
+    workers, where cpus is ``evaluation.usable_cpus()``; one CPU still runs
+    them through the pool, one after the other. Each arm evaluates on
+    ``max(1, cpus // workers)`` threads, so the arms in flight share the
+    process's CPUs: two arms on 2 CPUs get one thread each, on 4 CPUs two.
     Each arm's output is printed, and the first failing arm's error raised,
     in table order, so stdout matches a serial run. A failing arm does not
     stop the others, which may still write their artifacts. A last line per
@@ -459,10 +479,10 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
 
     cmd_synth_gen(config, run_dir)
     cmd_assemble(config, run_dir)
-    workers = min(len(_ARMS), os.cpu_count() or 1)
+    workers, eval_workers = _cpu_budget(len(_ARMS), evaluation.usable_cpus())
     arms = []
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_arm, config, run_dir, arm) for arm in _ARMS]
+        futures = [pool.submit(_run_arm, config, run_dir, arm, eval_workers) for arm in _ARMS]
         for arm, future in zip(_ARMS, futures):
             f1, printed, wall_s = future.result()
             sys.stdout.write(printed)

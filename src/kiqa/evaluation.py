@@ -2,6 +2,15 @@
 and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 ``kiqa evaluate``, ``kiqa pipeline`` and the ``eval`` benchmark all run it.
 
+``predict_spans`` plans its batches first: examples in order of packed
+length, each batch capped by ``batch_size`` rows and ``_BATCH_TOKENS``
+padded tokens. A pool of threads, by default one per CPU the process may
+use (``usable_cpus``) and never more than there are batches, runs the
+encoder on the planned batches side by side; numpy and BLAS release the
+interpreter lock inside their loops. The calling thread takes the logits
+in plan order and decodes them. A batch's logits depend on its rows alone,
+so every worker count gives bitwise the same predictions and reports.
+
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
 """
@@ -9,8 +18,10 @@ Datasets follow the SQuAD-style JSON layout with optional per-question
 from __future__ import annotations
 
 import json
+import os
 import unicodedata
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -184,10 +195,12 @@ def format_report(report: EvalReport) -> str:
 # Tokens per inference batch: its rows times its pad width L. At d_ff = 256 and
 # 4 heads a batch holds a 0.5 MB FFN intermediate and an (8 KB * L) score
 # tensor, 1 MB at L = 128; a row longer than the budget goes alone (4.7 MB of
-# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread) a process
-# peaked at 71 MB with this cap, 76 MB at 512 tokens and 207-219 MB uncapped,
-# and uncapped passes were the slowest. Capped passes take 3-6x the minor page
-# faults of uncapped ones but are not slower for it.
+# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread) with two
+# batches in flight, a process peaked at 76 MB with this cap, 85-86 MB at 512
+# tokens and 332-335 MB uncapped (71, 75 and 206-208 MB with one), and passes
+# took the same time at every cap. Capped passes take 4-6x the minor page
+# faults of uncapped ones (94k-123k against 21k-27k per pass) but are not
+# slower for it.
 _BATCH_TOKENS = 256
 
 
@@ -197,12 +210,23 @@ def check_eval_values(max_answer_len: int, batch_size: int) -> None:
         raise ConfigError(f"max_answer_len and batch_size must be >= 1, got {max_answer_len} and {batch_size}")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
 def predict_spans(
     params: EncoderParams,
     vocab: Vocab,
     examples: Sequence[QAExample],
     max_answer_len: int = 30,
     batch_size: int = 64,
+    *,
+    workers: int | None = None,
 ) -> list[str]:
     """Extract an answer string for each example (verbatim context substring),
     in input order.
@@ -211,40 +235,62 @@ def predict_spans(
     for its n context tokens (see ``pack_qa``). ``decode_span`` scores that
     slice of the row's span logits, and the chosen (start, end) indices map
     through ``context_offsets`` to characters. An empty context predicts "".
-    A batch whose span logits are not all finite raises NonFiniteError.
 
-    Examples are batched in stable order of packed length, so each batch pads
-    to its longest row, the last; each prediction is written back to its
-    example's input index. A batch grows while it has fewer than
-    ``batch_size`` rows and its rows times the next row's length stay within
-    ``_BATCH_TOKENS``; a longer row goes alone. So a forward's intermediates
-    stay a few MB whatever ``batch_size`` is. The pad width of a row's batch
-    changes the reduction order inside numpy/BLAS, so a row's span logits may
-    differ by a few ulps from those of another batching of the same examples.
+    The batches are planned first. Examples are taken in stable order of
+    packed length, so each batch pads to its longest row, the last; each
+    prediction is written back to its example's input index. A batch grows
+    while it has fewer than ``batch_size`` rows and its rows times the next
+    row's length stay within ``_BATCH_TOKENS``; a longer row goes alone. So a
+    forward's intermediates stay a few MB whatever ``batch_size`` is. The pad
+    width of a row's batch changes the reduction order inside numpy/BLAS, so
+    a row's span logits may differ by a few ulps from those of another
+    batching of the same examples.
+
+    Up to ``workers`` threads (default ``usable_cpus()``, capped at the number
+    of batches) run ``forward`` and ``qa_logits`` on the planned batches; one
+    worker runs them in the calling thread. A pool is shut down before the
+    call returns or raises. The calling thread takes the logits in plan
+    order, checks them and decodes, so the first batch in plan order whose
+    span logits are not all finite raises NonFiniteError. A batch's logits
+    depend on its rows alone, so predictions are bitwise the same for every
+    worker count.
     """
     check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
     order = sorted(range(len(packed)), key=lambda i: len(packed[i].input_ids))
     widths = [len(packed[i].input_ids) for i in order]
-    predictions = [""] * len(packed)
+    plan = []
     lo = 0
     while lo < len(order):
         hi = lo + 1
         while hi < len(order) and hi - lo < batch_size and (hi - lo + 1) * widths[hi] <= _BATCH_TOKENS:
             hi += 1
-        chunk, lo = order[lo:hi], hi
+        plan.append(order[lo:hi])
+        lo = hi
+    predictions = [""] * len(packed)
+
+    def span_logits(chunk: list[int]) -> tuple[np.ndarray, np.ndarray]:
         ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
-        hidden = forward(params, ids, segs, mask)
-        start_logits, end_logits = qa_logits(params, hidden)
-        if not (np.isfinite(start_logits).all() and np.isfinite(end_logits).all()):
-            raise NonFiniteError("span logits are not finite; the checkpoint may hold NaN or inf weights")
-        for b, i in enumerate(chunk):
-            p = packed[i]
-            if not p.context_offsets:
-                continue
-            window = slice(p.context_start, p.context_start + len(p.context_offsets))
-            s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
-            predictions[i] = examples[i].context[p.context_offsets[s][0] : p.context_offsets[e][1]]
+        return qa_logits(params, forward(params, ids, segs, mask))
+
+    threads = min(usable_cpus() if workers is None else workers, len(plan))
+    # One thread runs in the caller: no hand-off per batch, and no second malloc arena.
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    try:
+        batches = pool.map(span_logits, plan) if pool else map(span_logits, plan)
+        for chunk, (start_logits, end_logits) in zip(plan, batches):
+            if not (np.isfinite(start_logits).all() and np.isfinite(end_logits).all()):
+                raise NonFiniteError("span logits are not finite; the checkpoint may hold NaN or inf weights")
+            for b, i in enumerate(chunk):
+                p = packed[i]
+                if not p.context_offsets:
+                    continue
+                window = slice(p.context_start, p.context_start + len(p.context_offsets))
+                s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
+                predictions[i] = examples[i].context[p.context_offsets[s][0] : p.context_offsets[e][1]]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return predictions
 
 
@@ -274,5 +320,9 @@ def evaluate(
     examples: Sequence[QAExample],
     max_answer_len: int = 30,
     batch_size: int = 64,
+    *,
+    workers: int | None = None,
 ) -> EvalReport:
-    return score_examples(examples, predict_spans(params, vocab, examples, max_answer_len, batch_size))
+    """``score_examples`` over ``predict_spans``; ``workers`` as there."""
+    return score_examples(examples, predict_spans(params, vocab, examples, max_answer_len, batch_size,
+                                                  workers=workers))

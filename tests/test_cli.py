@@ -1,14 +1,13 @@
 import json
 import math
 import multiprocessing
-import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kiqa import assembler, cli
+from kiqa import assembler, cli, evaluation, training
 from kiqa.cli import _write_json, _write_train_log, load_config, main
 from kiqa.encoder import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kiqa.errors import ConfigError
@@ -245,7 +244,7 @@ def test_predictions_file_has_one_line_per_example_and_averages_to_the_report(pi
 
 
 def test_pipeline_rerun_on_one_worker_gives_identical_artifacts(tmp_path, monkeypatch, pipeline_run):
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker runs the arms in turn
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)  # one worker runs the arms in turn
     run_dir = tmp_path / "run"
     assert run_cli("pipeline", run_dir, FAST) == 0
     assert _files(run_dir) == _files(pipeline_run)
@@ -267,7 +266,7 @@ def test_pipeline_prints_and_records_arms_in_table_order(tmp_path, capsys):
         start = lines.index(f"{report}:") + 1
         assert lines[start:start + len(table)] == table
     manifest = json.loads((run_dir / "manifest-pipeline.json").read_text())
-    assert manifest["workers"] == min(2, os.cpu_count() or 1)
+    assert manifest["workers"] == min(2, evaluation.usable_cpus())
     assert [arm["name"] for arm in manifest["arms"]] == ["injected", "baseline"]
     assert all(arm["wall_s"] > 0 for arm in manifest["arms"])
 
@@ -287,13 +286,22 @@ def test_pipeline_summary_compares_the_first_arm_with_each_other(tmp_path, capsy
     ]
 
 
-def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys):
+@pytest.mark.parametrize("arms,cpus,budget", [(2, 1, (1, 1)), (2, 2, (2, 1)), (2, 4, (2, 2))])
+def test_pipeline_cpu_budget_splits_the_cpus_between_arms(arms, cpus, budget):
+    assert cli._cpu_budget(arms, cpus) == budget  # (forked workers, eval threads per arm)
+
+
+def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ConfigError("injection refused")
+
+    monkeypatch.setattr(training, "run_injection", refuse)  # the forked workers inherit it
     run_dir = tmp_path / "run"
-    assert run_cli("pipeline", run_dir, FAST + ["assembler.render_max_len=2"]) == 1
+    assert run_cli("pipeline", run_dir, FAST) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     record = json.loads(err[0])
-    assert record["error"] == "config" and "overflowed" in record["message"]
+    assert record == {"error": "config", "message": "injection refused"}
     assert multiprocessing.active_children() == []
     assert not (run_dir / "manifest-pipeline.json").exists()
 
@@ -311,13 +319,17 @@ def test_pipeline_with_a_language_the_kb_lacks_exits_with_one_config_record(tmp_
     ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0",
      "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1", "inject.learning_rate=nan",
      "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1",
-     "inject.weight_decay=inf", "assembler.vocab_max_size=4", "assembler.render_max_len=0", "assembler.langs=syn0"],
+     "inject.weight_decay=inf", "assembler.vocab_max_size=4", "assembler.render_max_len=0",
+     "assembler.render_max_len=4", "assembler.langs=syn0"],
 )
 def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
     assert run_cli("pipeline", run_dir, FAST + [override]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
+    key = override.split("=")[0]
+    if key in ("assembler.vocab_max_size", "assembler.render_max_len"):
+        assert key in record["message"]
     assert not (run_dir / "data" / "entities.jsonl").exists()  # refused by load_config, before synth-gen writes
 
 

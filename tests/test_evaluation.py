@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from kiqa import evaluation
 from kiqa.encoder import ModelConfig, init_params
-from kiqa.errors import KBParseError
+from kiqa.errors import KBParseError, NonFiniteError
 from kiqa.evaluation import (
     EvalCell,
     EvalReport,
@@ -398,9 +399,13 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
     monkeypatch.setattr(evaluation, "forward", recording_forward)
     lengths = sorted(len(pack_qa(ex.question, ex.context, vocab, config.max_len).input_ids) for ex in examples)
     for batch_size in (2, 3):
-        widths.clear()
-        assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size) == one_at_a_time
-        assert widths == [lengths[min(lo + batch_size, len(lengths)) - 1] for lo in range(0, len(lengths), batch_size)]
+        planned = [lengths[min(lo + batch_size, len(lengths)) - 1] for lo in range(0, len(lengths), batch_size)]
+        for workers in (1, 2):
+            widths.clear()
+            assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size,
+                                 workers=workers) == one_at_a_time
+            # One thread runs the batches in plan order; several may start them in any order.
+            assert (widths if workers == 1 else sorted(widths)) == planned
 
 
 def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
@@ -424,6 +429,59 @@ def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
         reports.append(evaluate(params, vocab, examples, max_answer_len=4, batch_size=4).to_dict())
     assert reports[0] == reports[1]
     assert reports[0]["overall"]["count"] == 11
+
+
+def _batched_inputs():
+    """Examples that plan into several batches capped by the token budget, and
+    one row longer than the budget, which goes alone."""
+    words = "alpha beta gamma delta epsilon zeta eta theta question"
+    vocab = build_vocab([words], max_size=64)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=300, dropout=0.0)
+    params = init_params(config, seed=5)
+    for tensor in params.tensors.values():
+        tensor *= 10.0
+    tokens = words.split()[:8]
+    examples = [
+        QAExample(str(i), "question " * (1 + i % 3), " ".join((tokens * 40)[i % 8 : i % 8 + 3 + 5 * (i % 7)]),
+                  ((tokens[i % 8], 0),), "en", "xx" if i % 2 else "en")
+        for i in range(23)
+    ]
+    examples.append(QAExample("long", "question", " ".join(tokens * 35), ((tokens[0], 0),), "en", "en"))
+    assert len(pack_qa("question", examples[-1].context, vocab, config.max_len).input_ids) > evaluation._BATCH_TOKENS
+    return params, vocab, examples
+
+
+def test_evaluate_is_bitwise_the_same_for_every_worker_count():
+    params, vocab, examples = _batched_inputs()
+    reports = [evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=workers)
+               for workers in (1, 2, 5)]
+    for report in reports[1:]:
+        assert json.dumps(report.to_dict()) == json.dumps(reports[0].to_dict())
+        assert json.dumps(report.predictions) == json.dumps(reports[0].predictions)
+    assert reports[0].total == len(examples)
+
+
+def test_non_finite_checkpoint_raises_under_several_workers_and_leaves_no_thread(monkeypatch):
+    """Pool threads run the batches, and every one of them has ended when
+    evaluate returns or raises."""
+    params, vocab, examples = _batched_inputs()
+    threads, forward = set(), evaluation.forward
+
+    def recording_forward(params, ids, segs, mask):
+        threads.add(threading.current_thread())
+        return forward(params, ids, segs, mask)
+
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    count = threading.active_count()
+    evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=3)
+    assert threads and threading.current_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads) and threading.active_count() == count
+    threads.clear()
+    params.tensors["qa_ws"][0] = np.nan
+    with pytest.raises(NonFiniteError):
+        evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=3)
+    assert threads and threading.current_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads) and threading.active_count() == count
 
 
 def test_predict_spans_peak_memory_is_bounded_by_the_token_budget():

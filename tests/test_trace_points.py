@@ -76,12 +76,19 @@ def test_blocked_eval_forward_records_one_call_per_batch(monkeypatch):
     contexts = [" ".join(words.split()[:6] * (n // 6)) for n in [6] * 5 + [66] * 4 + [276] * 2]
     examples = [evaluation.QAExample(str(i), "question", context, (("alpha", 0),), "en", "en")
                 for i, context in enumerate(contexts)]
-    evaluation.predict_spans(encoder.init_params(cfg, 0), vocab, examples, max_answer_len=3, batch_size=4)
-    forwards = [span[tracing.ATTRS] for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
-    assert [(span["B"], span["L"]) for span in forwards] == [(4, 10), (3, 70), (2, 70), (1, 280), (1, 280)]
-    for span in forwards:
-        assert span["B"] <= 4
-        assert span["B"] * span["L"] <= evaluation._BATCH_TOKENS or span["B"] == 1
+    params = encoder.init_params(cfg, 0)
+    plan = [(4, 10), (3, 70), (2, 70), (1, 280), (1, 280)]
+    for workers in (1, 2):
+        tracer.spans.clear()
+        evaluation.predict_spans(params, vocab, examples, max_answer_len=3, batch_size=4, workers=workers)
+        forwards = [span[tracing.ATTRS] for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
+        shapes = [(span["B"], span["L"]) for span in forwards]
+        assert sorted(shapes) == sorted(plan)
+        if workers == 1:  # threads may open their spans out of plan order; one thread keeps it
+            assert shapes == plan
+        for span in forwards:
+            assert span["B"] <= 4
+            assert span["B"] * span["L"] <= evaluation._BATCH_TOKENS or span["B"] == 1
 
 
 def test_training_step_records_one_forward_span(monkeypatch):
