@@ -19,13 +19,31 @@ weight- and bias-gradient sums run over fewer rows and round differently.
 ``forward`` runs every batch whole. Its memory grows with B * L * L, so the
 caller sizes each batch: inference batches are capped by a token budget
 where ``evaluation.predict_spans`` builds them.
+
+Parameter layout: ``EncoderParams.tensors`` are views into one float64
+buffer, ``EncoderParams.flat``, packed end to end in sorted-name order
+(``param_layout``). That is the order a checkpoint writes, so a checkpoint
+body is that buffer's bytes. A training run keeps its gradients and AdamW
+moments in buffers of the same layout (``param_views``).
+
+Workspace rule: a training step takes every array whose size grows with the
+batch from the ``Workspace`` its training loop keeps for the whole run. Those
+are the (B, L, d) activations and their gradients, the (N, d_ff) FFN arrays,
+the (B, heads, L, L) scores, the (M, vocab) MLM logits, the dropout draws,
+the scatter target of the last layer's backward and the weight-gradient
+products. Each is written with ``out=`` in the operation order of the plain
+expression, so its values are bitwise those of a freshly allocated array,
+and a step after the first few maps no new memory. Inference (``forward``
+without a workspace, as ``evaluation.predict_spans`` calls it) allocates its
+arrays per call, so batches running side by side share nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -61,13 +79,24 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass
+@dataclass(eq=False)
 class EncoderParams:
+    """The model's tensors, each a view into ``flat``: one float64 buffer laid
+    out by ``param_layout``. Without ``flat`` every tensor starts at zero.
+    Write a tensor in place (``t[...] = x``, ``t += x``); binding a new array
+    to a name detaches it from the buffer, and ``save_checkpoint`` refuses."""
+
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
+    flat: np.ndarray | None = None
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = np.zeros(param_layout(self.config)[-1][3])
+        self.tensors = param_views(self.config, self.flat)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return EncoderParams(self.config, self.flat.copy())
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -99,22 +128,75 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """(name, shape, start, stop) of each tensor in a flat parameter buffer:
+    sorted by name and packed end to end, the order of a checkpoint body."""
+    shapes = param_shapes(config)
+    layout, start = [], 0
+    for name in sorted(shapes):
+        stop = start + math.prod(shapes[name])
+        layout.append((name, shapes[name], start, stop))
+        start = stop
+    return layout
+
+
+def param_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each tensor of ``param_layout`` as a view into ``flat``, a contiguous
+    float64 buffer of the layout's size; the 0-d span-head biases too."""
+    layout = param_layout(config)
+    if flat.dtype != np.float64 or flat.shape != (layout[-1][3],) or not flat.flags.c_contiguous:
+        raise ValueError(f"need a contiguous float64 buffer of {layout[-1][3]} elements, got {flat.dtype} {flat.shape}")
+    return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout}
+
+
 _MATRIX_KEYS = ("tok_emb", "pos_emb", "seg_emb", "wq", "wk", "wv", "wo", "w1", "w2", "qa_ws", "qa_we")
 
 
 def init_params(config: ModelConfig, seed: int) -> EncoderParams:
-    """normal(0, 0.02) weights, zero biases, unit layer-norm gains; seeded."""
+    """normal(0, 0.02) weights, zero biases, unit layer-norm gains; seeded.
+    Tensors are drawn in ``param_shapes`` order."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
+    params = EncoderParams(config)
     for name, shape in param_shapes(config).items():
         leaf = name.split(".")[-1]
         if leaf in _MATRIX_KEYS:
-            tensors[name] = rng.normal(0.0, 0.02, size=shape)
+            params.tensors[name][...] = rng.normal(0.0, 0.02, size=shape)
         elif leaf in ("ln1_g", "ln2_g"):
-            tensors[name] = np.ones(shape)
-        else:
-            tensors[name] = np.zeros(shape)
-    return EncoderParams(config=config, tensors=tensors)
+            params.tensors[name][...] = 1.0
+    return params
+
+
+class Workspace:
+    """Float64 arrays that a training run reuses from step to step, by key.
+
+    ``take(key, shape)`` returns the first prod(shape) elements of the key's
+    buffer, which is replaced by a larger one when a batch first needs more.
+    A step takes a key at most once while its array is still read, and the
+    next step writes over it. The forward's keys name their layer, since the
+    backward reads every layer's cache. The backward's keys (``b.`` prefix)
+    serve every layer: a layer reads the gradient it gets from the layer
+    above before it writes any of them."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < n:
+            buf = self._buffers[key] = np.empty(n)
+        return buf[:n].reshape(shape)
+
+
+class _PerCall:
+    """The allocator of a step without a workspace: a new array per request."""
+
+    @staticmethod
+    def take(key: str, shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape)
+
+
+_PER_CALL = _PerCall()
 
 
 # ---------------------------------------------------------------- primitives
@@ -124,17 +206,18 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _affine(x, t, p, n):
-    """x @ t[p w<n>] + t[p b<n>], with the bias added into the product."""
-    y = x @ t[p + "w" + n]
+def _affine(x, t, p, n, ws):
+    """x @ t[p w<n>] + t[p b<n>], with the bias added into the product, in ws[p n]."""
+    w = t[p + "w" + n]
+    y = np.matmul(x, w, out=ws.take(p + n, x.shape[:-1] + w.shape[1:]))
     y += t[p + "b" + n]
     return y
 
 
-def _layer_norm(x, g, b):
+def _layer_norm(x, g, b, ws=_PER_CALL, key="ln"):
     mu = x.mean(-1, keepdims=True)
-    xhat = x - mu  # centred here, scaled to xhat below
-    out = np.multiply(xhat, xhat)
+    xhat = np.subtract(x, mu, out=ws.take(key + ".xhat", x.shape))  # centred here, scaled to xhat below
+    out = np.multiply(xhat, xhat, out=ws.take(key + ".out", x.shape))
     var = out.mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
@@ -143,13 +226,13 @@ def _layer_norm(x, g, b):
     return out, (xhat, inv)
 
 
-def _layer_norm_backward(dy, t, grads, name, cache):
+def _layer_norm_backward(dy, t, grads, name, cache, ws=_PER_CALL, key="b.ln"):
     """dx of _layer_norm with gain t[name_g] and bias t[name_b]; adds their grads."""
     xhat, inv = cache
-    tmp = np.multiply(dy, xhat)
+    tmp = np.multiply(dy, xhat, out=ws.take(key + ".tmp", dy.shape))
     grads[name + "_g"] += tmp.sum(axis=tuple(range(dy.ndim - 1)))
     grads[name + "_b"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dx = dy * t[name + "_g"]
+    dx = np.multiply(dy, t[name + "_g"], out=ws.take(key + ".dx", dy.shape))
     m1 = dx.mean(-1, keepdims=True)
     np.multiply(dx, xhat, out=tmp)
     m2 = tmp.mean(-1, keepdims=True)
@@ -160,27 +243,28 @@ def _layer_norm_backward(dy, t, grads, name, cache):
     return dx
 
 
-def _linear_backward(t, grads, p, n, x, dy):
+def _linear_backward(t, grads, p, n, x, dy, ws=_PER_CALL):
     """dx of y = x @ t[p w<n>] + t[p b<n>]; adds the weight and bias grads."""
     w = p + "w" + n
-    grads[w] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+    shape = t[w].shape
+    grads[w] += np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=ws.take("b.gw" + n, shape))
     grads[p + "b" + n] += dy.sum(axis=tuple(range(dy.ndim - 1)))
-    return dy @ t[w].T
+    return np.matmul(dy, t[w].T, out=ws.take("b.dx" + n, dy.shape[:-1] + shape[:1]))
 
 
-def _gelu(x):
+def _gelu(x, ws=_PER_CALL, key="gelu"):
     """GELU(x) = x * phi and phi = Phi(x), the standard normal CDF, which
     _gelu_grad reuses."""
-    phi = x / _SQRT2
+    phi = np.divide(x, _SQRT2, out=ws.take(key + ".phi", x.shape))
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    return x * phi, phi
+    return np.multiply(x, phi, out=ws.take(key + ".y", x.shape)), phi
 
 
-def _gelu_grad(dy, x, phi):
+def _gelu_grad(dy, x, phi, ws=_PER_CALL, key="b.gelu"):
     """dy * GELU'(x), given phi = Phi(x) from _gelu."""
-    out = np.multiply(-0.5, x)
+    out = np.multiply(-0.5, x, out=ws.take(key, x.shape))
     out *= x
     np.exp(out, out=out)
     out *= x
@@ -198,22 +282,32 @@ def _softmax_last(x):
     return x
 
 
-def _dropout(x, p, rng, shape, at=None):
+def _gather(x, rows, ws, key):
+    """Rows ``rows`` of x viewed as (B * L, d), in ws[key]. The rows are
+    range-checked by the caller, so ``mode="clip"`` changes nothing and spares
+    np.take its buffered copy."""
+    flat = x.reshape(-1, x.shape[-1])
+    return np.take(flat, rows, axis=0, out=ws.take(key, (len(rows), flat.shape[1])), mode="clip")
+
+
+def _dropout(x, p, rng, shape, ws, key, at=None):
     """x with dropout applied, written over x, which the caller owns; and the
-    scaled keep mask. The mask is drawn at ``shape``, the whole (B, L, d)
-    tensor's, and gathered at positions ``at`` when x holds only those rows,
-    so the RNG stream and every mask entry do not depend on the rows computed."""
+    scaled keep mask, in ws[key]. The mask is drawn at ``shape``, the whole
+    (B, L, d) tensor's, and gathered at flat rows ``at`` when x holds only
+    those rows, so the RNG stream and every mask entry do not depend on the
+    rows computed."""
     if rng is None or p <= 0.0:
         return x, None
-    draw = rng.random(shape)
-    keep = (draw if at is None else draw[at]) >= p
-    keep = keep / (1.0 - p)
+    draw = rng.random(out=ws.take(key if at is None else "draw", shape))
+    np.greater_equal(draw, p, out=draw)  # 1.0 where kept
+    draw /= 1.0 - p
+    keep = draw if at is None else _gather(draw, at, ws, key)
     x *= keep
     return x, keep
 
 
-def _dropout_backward(dy, keep):
-    return dy if keep is None else dy * keep
+def _dropout_backward(dy, keep, ws, key):
+    return dy if keep is None else np.multiply(dy, keep, out=ws.take(key, dy.shape))
 
 
 def _split_heads(x, n_heads):
@@ -221,9 +315,11 @@ def _split_heads(x, n_heads):
     return x.reshape(B, L, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _merge_heads(x, out):
+    """(B, heads, L, dh) x copied into out, (B, L, heads * dh)."""
     B, nh, L, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, L, nh * dh)
+    np.copyto(out.reshape(B, L, nh, dh), x.transpose(0, 2, 1, 3))
+    return out
 
 
 # ------------------------------------------------------------------- forward
@@ -254,7 +350,8 @@ def _check_inputs(params: EncoderParams, input_ids, segment_ids, attention_mask,
     return ids, segs, mask, (rows, cols)
 
 
-def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, positions=None):
+def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, positions=None,
+            workspace: Workspace | None = None):
     """Hidden states (batch, len, d_model). PAD positions are excluded from
     attention via the mask; pass a dropout_rng only during training.
 
@@ -267,44 +364,51 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     within one row, so a row gets the same value as in the whole-layer
     formula. Dropout draws each mask at the whole (B, L, d) shape and
     gathers the rows, so the RNG stream is that of a whole-layer forward.
+    A training step passes its run's ``workspace``, which then holds every
+    batch-sized array, the returned ones included, until its next step;
+    without one, each array is allocated for this call.
 
     The batch runs whole, with a (B, heads, L, L) score tensor per layer:
     the caller sizes it, as ``evaluation.predict_spans`` does by a token
     budget."""
     ids, segs, mask, positions = _check_inputs(params, input_ids, segment_ids, attention_mask, positions)
+    ws = _PER_CALL if workspace is None else workspace
     cfg = params.config
     t = params.tensors
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    shape = ids.shape + (cfg.d_model,)
+    B, L = ids.shape
+    shape = (B, L, cfg.d_model)
+    # Flat (B * L) row of each read position; the ids and positions are range-checked, so "clip" clips nothing.
+    at_rows = None if positions is None else positions[0] * L + positions[1]
 
-    x = t["tok_emb"][ids]
-    x += t["pos_emb"][: ids.shape[1]][None, :, :]
-    x += t["seg_emb"][segs]
-    x, drop0 = _dropout(x, cfg.dropout, dropout_rng, shape)
+    x = np.take(t["tok_emb"], ids, axis=0, out=ws.take("emb", shape), mode="clip")
+    x += t["pos_emb"][:L][None, :, :]
+    x += np.take(t["seg_emb"], segs, axis=0, out=ws.take("emb.seg", shape), mode="clip")
+    x, drop0 = _dropout(x, cfg.dropout, dropout_rng, shape, ws, "drop0")
 
     key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,L)
     layers = []
     h = x
     for i in range(cfg.n_layers):
         p = f"l{i}."
-        qh, kh, vh = (_split_heads(_affine(h, t, p, n), cfg.n_heads) for n in "qkv")
-        scores = qh @ kh.transpose(0, 1, 3, 2)
+        qh, kh, vh = (_split_heads(_affine(h, t, p, n, ws), cfg.n_heads) for n in "qkv")
+        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=ws.take(p + "probs", qh.shape[:3] + (L,)))
         scores *= scale
         scores += key_bias
         probs = _softmax_last(scores)
-        ctx = _merge_heads(probs @ vh)
+        ctx = _merge_heads(np.matmul(probs, vh, out=ws.take(p + "pv", vh.shape)), ws.take(p + "ctx", shape))
         h_in = h
-        at = positions if i == cfg.n_layers - 1 else None
+        at = at_rows if i == cfg.n_layers - 1 else None
         if at is not None:
-            ctx, h = ctx[at], h[at]
-        r1, drop_a = _dropout(_affine(ctx, t, p, "o"), cfg.dropout, dropout_rng, shape, at)
+            ctx, h = _gather(ctx, at, ws, p + "ctx.at"), _gather(h, at, ws, p + "h.at")
+        r1, drop_a = _dropout(_affine(ctx, t, p, "o", ws), cfg.dropout, dropout_rng, shape, ws, p + "drop_a", at)
         r1 += h
-        n1, ln1_cache = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"])
-        f1 = _affine(n1, t, p, "1")
-        g1, phi = _gelu(f1)
-        r2, drop_f = _dropout(_affine(g1, t, p, "2"), cfg.dropout, dropout_rng, shape, at)
+        n1, ln1_cache = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], ws, p + "ln1")
+        f1 = _affine(n1, t, p, "1", ws)
+        g1, phi = _gelu(f1, ws, p + "gelu")
+        r2, drop_f = _dropout(_affine(g1, t, p, "2", ws), cfg.dropout, dropout_rng, shape, ws, p + "drop_f", at)
         r2 += n1
-        out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"])
+        out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], ws, p + "ln2")
         if positions is not None:
             layers.append(
                 {
@@ -319,55 +423,60 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
         return h
     cache = {
         "ids": ids, "segs": segs, "mask": mask, "drop0": drop0, "layers": layers, "scale": scale,
-        "positions": positions,
+        "at_rows": at_rows,
     }
     return h, cache
 
 
-def _backward_to_params(params: EncoderParams, cache, dh, grads):
+def _backward_to_params(params: EncoderParams, cache, dh, grads, ws=_PER_CALL):
     """Backprop dh, the gradient wrt the last layer's output at the cache's
     positions, through the stack into grads. The last layer's row gradients
     are scattered, with add, into whole (B, L, d) tensors before its
     attention backward; the layers below run at every position."""
     t = params.tensors
-    at = cache["positions"]
+    nh = params.config.n_heads
+    shape = cache["ids"].shape + (params.config.d_model,)
+    at = cache["at_rows"]
     for i in reversed(range(params.config.n_layers)):
         p = f"l{i}."
         c = cache["layers"][i]
-        dr2 = _layer_norm_backward(dh, t, grads, p + "ln2", c["ln2"])
-        dg1 = _linear_backward(t, grads, p, "2", c["g1"], _dropout_backward(dr2, c["drop_f"]))
-        df1 = _gelu_grad(dg1, c["f1"], c["phi"])
-        dn1 = _linear_backward(t, grads, p, "1", c["n1"], df1)
+        dr2 = _layer_norm_backward(dh, t, grads, p + "ln2", c["ln2"], ws, "b.ln2")
+        dg1 = _linear_backward(t, grads, p, "2", c["g1"], _dropout_backward(dr2, c["drop_f"], ws, "b.drop_f"), ws)
+        df1 = _gelu_grad(dg1, c["f1"], c["phi"], ws)
+        dn1 = _linear_backward(t, grads, p, "1", c["n1"], df1, ws)
         dn1 += dr2
-        dr1 = _layer_norm_backward(dn1, t, grads, p + "ln1", c["ln1"])
-        dao = _dropout_backward(dr1, c["drop_a"])
-        dctx = _linear_backward(t, grads, p, "o", c["ctx"], dao)
+        dr1 = _layer_norm_backward(dn1, t, grads, p + "ln1", c["ln1"], ws, "b.ln1")
+        dao = _dropout_backward(dr1, c["drop_a"], ws, "b.drop_a")
+        dctx = _linear_backward(t, grads, p, "o", c["ctx"], dao, ws)
         if at is not None:
             drows = dctx
-            dctx = np.zeros(c["h_in"].shape)
-            np.add.at(dctx, at, drows)
-        dctx = _split_heads(dctx, params.config.n_heads)
+            dctx = ws.take("b.scatter", shape)
+            dctx.fill(0.0)
+            np.add.at(dctx.reshape(-1, shape[2]), at, drows)
+        dctx = _split_heads(dctx, nh)
         probs = c["probs"]
-        dscores = dctx @ c["vh"].transpose(0, 1, 3, 2)  # dprobs, until turned into dscores in place
-        dscores -= (dscores * probs).sum(-1, keepdims=True)
+        # dprobs, until turned into dscores in place
+        dscores = np.matmul(dctx, c["vh"].transpose(0, 1, 3, 2), out=ws.take("b.dscores", probs.shape))
+        dscores -= np.multiply(dscores, probs, out=ws.take("b.dprobs", probs.shape)).sum(-1, keepdims=True)
         dscores *= probs
-        dqh = dscores @ c["kh"]
+        dqh = np.matmul(dscores, c["kh"], out=ws.take("b.dqh", dctx.shape))
         dqh *= cache["scale"]
-        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
+        dkh = np.matmul(dscores.transpose(0, 1, 3, 2), c["qh"], out=ws.take("b.dkh", dctx.shape))
         dkh *= cache["scale"]
-        dvh = probs.transpose(0, 1, 3, 2) @ dctx
+        dvh = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=ws.take("b.dvh", dctx.shape))
         dh, dxk, dxv = (
-            _linear_backward(t, grads, p, n, c["h_in"], _merge_heads(d)) for n, d in zip("qkv", (dqh, dkh, dvh))
+            _linear_backward(t, grads, p, n, c["h_in"], _merge_heads(d, ws.take("b.merged" + n, shape)), ws)
+            for n, d in zip("qkv", (dqh, dkh, dvh))
         )
         dh += dxk  # ((dxq + dxk) + dxv) + dr1, summed in that order
         dh += dxv
         if at is None:
             dh += dr1
         else:
-            np.add.at(dh, at, dr1)
+            np.add.at(dh.reshape(-1, shape[2]), at, dr1)
             at = None  # the layers below ran at every position
 
-    dh = _dropout_backward(dh, cache["drop0"])
+    dh = _dropout_backward(dh, cache["drop0"], ws, "b.drop0")
     np.add.at(grads["tok_emb"], cache["ids"], dh)
     grads["pos_emb"][: dh.shape[1]] += dh.sum(0)
     np.add.at(grads["seg_emb"], cache["segs"], dh)
@@ -376,9 +485,12 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads):
 # ---------------------------------------------------------------- loss heads
 
 
-def mlm_logits(params: EncoderParams, sel):
+def mlm_logits(params: EncoderParams, sel, ws=_PER_CALL):
     """Tied-embedding logits for gathered hidden rows ``sel`` of shape (M, d_model)."""
-    return sel @ params.tensors["tok_emb"].T + params.tensors["mlm_bias"]
+    tok_emb = params.tensors["tok_emb"]
+    logits = np.matmul(sel, tok_emb.T, out=ws.take("mlm.logits", (len(sel), len(tok_emb))))
+    logits += params.tensors["mlm_bias"]
+    return logits
 
 
 def qa_logits(params: EncoderParams, hidden):
@@ -389,17 +501,18 @@ def qa_logits(params: EncoderParams, hidden):
     return start, end
 
 
-def cross_entropy(logits, targets):
+def cross_entropy(logits, targets, ws=_PER_CALL):
     """Per-row negative log-likelihood of ``targets`` under softmax(logits),
     and its gradient with respect to the logits (softmax minus one-hot).
 
     Classes excluded from a row carry -inf logits: they get probability 0 and
     gradient 0.
     """
-    z = logits - logits.max(-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+    logp = np.subtract(logits, logits.max(-1, keepdims=True), out=ws.take("ce.logp", logits.shape))  # z, then logp
+    dlogits = np.exp(logp, out=ws.take("ce.dlogits", logits.shape))
+    logp -= np.log(dlogits.sum(-1, keepdims=True))
     rows = np.arange(len(targets))
-    dlogits = np.exp(logp)
+    np.exp(logp, out=dlogits)
     dlogits[rows, targets] -= 1.0
     return -logp[rows, targets], dlogits
 
@@ -424,7 +537,8 @@ class QABatch:
     valid_mask: np.ndarray      # (B, L) bool, True where a span may start/end
 
 
-def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
+def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, grads=None,
+                  workspace: Workspace | None = None):
     """Scalar loss and its exact gradient for every parameter.
 
     loss="mlm" averages cross-entropy over the batch's masked positions
@@ -438,6 +552,11 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
     hidden state reaches the loss, so the value and gradients are those of
     the whole-layer formula in real arithmetic; the weight-gradient sums run
     over fewer rows, so they round differently.
+
+    The gradient is added into ``grads``, name -> views of a zeroed buffer
+    laid out as ``params.flat`` (see ``param_views``), which is returned; a
+    zeroed set is made when it is None. A training loop passes the same
+    buffer and ``workspace`` at every step (see the module docstring).
     """
     ids = np.asarray(batch.input_ids)
     if loss == "mlm":
@@ -465,16 +584,19 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
 
     sel, cache = forward(
         params, ids, batch.segment_ids, batch.attention_mask, dropout_rng=dropout_rng, positions=positions,
+        workspace=workspace,
     )
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    ws = _PER_CALL if workspace is None else workspace
+    if grads is None:
+        grads = param_views(params.config, np.zeros_like(params.flat))
     t = params.tensors
     if loss == "mlm":
-        nll, dlogits = cross_entropy(mlm_logits(params, sel), targets)
+        nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws)
         value = nll.mean()
         dlogits /= M
         grads["mlm_bias"] += dlogits.sum(0)
-        grads["tok_emb"] += dlogits.T @ sel
-        dsel = dlogits @ t["tok_emb"]
+        grads["tok_emb"] += np.matmul(dlogits.T, sel, out=ws.take("mlm.gw", t["tok_emb"].shape))
+        dsel = np.matmul(dlogits, t["tok_emb"], out=ws.take("mlm.dsel", sel.shape))
     else:
         start_logits, end_logits = np.full(valid.shape, -np.inf), np.full(valid.shape, -np.inf)
         start_logits[positions], end_logits[positions] = qa_logits(params, sel)
@@ -484,13 +606,14 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None):
         dstart, dend = dstart[positions], dend[positions]
         for n, d in (("s", dstart), ("e", dend)):
             d /= 2.0 * B
-            grads["qa_w" + n] += (d[:, None] * sel).sum(0)
+            grads["qa_w" + n] += np.multiply(d[:, None], sel, out=ws.take("qa.tmp", sel.shape)).sum(0)
             grads["qa_b" + n] += d.sum()
-        dsel = dstart[:, None] * t["qa_ws"] + dend[:, None] * t["qa_we"]
+        dsel = np.multiply(dstart[:, None], t["qa_ws"], out=ws.take("qa.dsel", sel.shape))
+        dsel += np.multiply(dend[:, None], t["qa_we"], out=ws.take("qa.tmp", sel.shape))
 
     if not np.isfinite(value):
         raise NonFiniteError(f"{loss} loss is not finite")
-    _backward_to_params(params, cache, dsel, grads)
+    _backward_to_params(params, cache, dsel, grads, ws)
     return float(value), grads
 
 
@@ -501,22 +624,34 @@ _CKPT_MAGIC = b"KIQA-CKPT-v1\n"
 
 def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> None:
     """Versioned binary: one JSON header line, then raw little-endian float64
-    buffers in sorted key order. Deterministic byte-for-byte, and written
-    atomically: a failed save leaves any file already at ``path`` as it was."""
-    names = sorted(params.tensors)
+    buffers in sorted key order, which is ``params.flat`` byte for byte.
+    Deterministic byte-for-byte, and written atomically: a failed save leaves
+    any file already at ``path`` as it was. A tensor that no longer views its
+    place in ``params.flat`` raises ValueError before anything is written."""
+    layout = param_layout(params.config)
+    base = params.flat.ctypes.data
+    if params.tensors.keys() != {name for name, *_ in layout}:
+        raise ValueError("the tensor names do not match the model config")
+    for name, shape, start, _ in layout:
+        t = params.tensors[name]
+        if not (isinstance(t, np.ndarray) and t.dtype == np.float64 and t.shape == shape
+                and t.flags.c_contiguous and t.ctypes.data == base + 8 * start):
+            raise ValueError(f"tensor {name!r} is not a view of the parameter buffer")
     header = {
         "config": asdict(params.config),
         "meta": meta or {},
-        "tensors": [[n, list(params.tensors[n].shape)] for n in names],
+        "tensors": [[name, list(shape)] for name, shape, _, _ in layout],
     }
     with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(params.tensors[n], dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
+    """Read a ``save_checkpoint`` file; its body goes into the new parameter
+    buffer with one ``readinto``. Every header tensor must match the config's
+    shape, in layout order; a short body is named by the tensor it cuts."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _CKPT_MAGIC:
@@ -530,19 +665,23 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
             raise ArtifactMismatchError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         if not isinstance(meta, dict) or not all(isinstance(name, str) for name, _ in shapes):
             raise ArtifactMismatchError(f"{path}: malformed checkpoint header")
-        expected = param_shapes(config)
-        tensors: dict[str, np.ndarray] = {}
+        layout = param_layout(config)
+        expected = {name: shape for name, shape, _, _ in layout}
         for name, shape in shapes:
-            if name not in expected or expected[name] != shape:
+            if expected.get(name) != shape:
                 raise ArtifactMismatchError(f"{path}: tensor {name!r} shape {shape} does not match config")
-            n_items = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n_items * 8)
-            if len(buf) != n_items * 8:
-                raise ArtifactMismatchError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-        missing = set(expected) - set(tensors)
+        missing = set(expected) - {name for name, _ in shapes}
         if missing:
             raise ArtifactMismatchError(f"{path}: missing tensors {sorted(missing)}")
+        if [name for name, _ in shapes] != list(expected):
+            raise ArtifactMismatchError(f"{path}: tensors not in sorted-name order")
+        params = EncoderParams(config)
+        got = fh.readinto(params.flat)
+        if got != params.flat.nbytes:
+            cut = next(name for name, _, _, stop in layout if 8 * stop > got)
+            raise ArtifactMismatchError(f"{path}: truncated tensor {cut!r}")
         if fh.read(1):
             raise ArtifactMismatchError(f"{path}: trailing bytes after the last tensor")
-    return EncoderParams(config=config, tensors=tensors), meta
+    if sys.byteorder == "big":
+        params.flat.byteswap(inplace=True)  # the body is little-endian
+    return params, meta

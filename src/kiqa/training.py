@@ -10,6 +10,17 @@ each epoch shuffles the items, stable-sorts them by unpadded length (so ties
 keep the shuffled order), cuts that order into ``batch_size`` chunks and
 shuffles the chunks. An epoch is still ``ceil(n / batch_size)`` steps, and
 the batch sequence is a pure function of (seed, epoch).
+
+A training run works on persistent memory. The parameters are views into
+one float64 buffer (``EncoderParams.flat``, sorted-name order, the bytes of
+a checkpoint body). ``_train_loop`` keeps, for the whole run, a gradient
+buffer of that layout, which it zeroes in place each step; the AdamW
+moments and scratch (``AdamWState``); and one ``encoder.Workspace``, from
+which the step's forward, backward and loss head take every array whose
+size grows with the batch. The global gradient norm is one dot product over
+the gradient buffer, optional clipping scales that buffer in place, and
+``adamw_step`` is one chunked pass over the flat buffers. Inference does not
+use the workspace; it allocates per call.
 """
 
 from __future__ import annotations
@@ -27,8 +38,11 @@ from .encoder import (
     MLMBatch,
     ModelConfig,
     QABatch,
+    Workspace,
     init_params,
     loss_and_grad,
+    param_layout,
+    param_views,
 )
 from .errors import ConfigError, NonFiniteError, RenderOverflowError
 from .textmodel import QAInput, TokenizedSample, Vocab, pack_qa, pad_batch, render
@@ -78,51 +92,64 @@ def lr_at(step: int, total_steps: int, peak_lr: float, warmup_fraction: float) -
 # --------------------------------------------------------------------- AdamW
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements per AdamW chunk: a chunk of each of the six arrays an update reads
+# or writes stays in cache between its ufuncs.
+_ADAM_CHUNK = 1 << 14
 
 
 @dataclass
 class AdamWState:
+    """The step count and both moments, each moment one buffer laid out as
+    ``EncoderParams.flat``; and the scratch an update reuses: two chunk-sized
+    rows and one finiteness flag per parameter."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
+    finite: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "AdamWState":
+        n = params.flat.size
         return cls(
-            step=0,
-            m={k: np.zeros_like(t) for k, t in params.tensors.items()},
-            v={k: np.zeros_like(t) for k, t in params.tensors.items()},
+            step=0, m=np.zeros(n), v=np.zeros(n),
+            scratch=np.empty((2, min(n, _ADAM_CHUNK))), finite=np.empty(n, dtype=bool),
         )
 
 
 def adamw_step(
     params: EncoderParams,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.01,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update of ``params.flat``, in place.
 
-    Per tensor, ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``,
-    with every term formed in one of two scratch arrays; ``grads`` is only read.
-    Every gradient is checked before anything is written, so a non-finite one
-    raises NonFiniteError with the parameters and the state unchanged.
+    ``grad`` is the gradient buffer, laid out as ``params.flat``. Per element,
+    ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``, with every
+    term formed in the state's scratch, one chunk of the buffers at a time;
+    ``grad`` is only read. Elementwise, so the result is bitwise that of the
+    same formula per tensor. One ``isfinite`` over ``grad`` runs before
+    anything is written: a non-finite gradient raises NonFiniteError, naming
+    its tensor, with the parameters and the state unchanged.
     """
-    for name in params.tensors:
-        if not np.isfinite(grads[name]).all():
-            raise NonFiniteError(f"non-finite gradient for {name!r}")
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient buffer shape {grad.shape} does not match the parameters' {params.flat.shape}")
+    if not np.isfinite(grad, out=state.finite).all():
+        bad = int(np.argmin(state.finite))
+        name = next(name for name, _, start, stop in param_layout(params.config) if start <= bad < stop)
+        raise NonFiniteError(f"non-finite gradient for {name!r}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, p in params.tensors.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        # Arrays, not the scalars that ``1.0 * g`` gives for a 0-d g: each is an out= target.
-        tmp, step = np.empty_like(p), np.empty_like(p)
+    for lo in range(0, grad.size, _ADAM_CHUNK):
+        hi = lo + _ADAM_CHUNK
+        p, g, m, v = params.flat[lo:hi], grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        tmp, step = state.scratch[0, : p.size], state.scratch[1, : p.size]
         m *= b1
         m += np.multiply(1.0 - b1, g, out=tmp)
         v *= b2
@@ -137,15 +164,6 @@ def adamw_step(
         step += np.multiply(weight_decay, p, out=tmp)
         step *= lr
         p -= step
-
-
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return total
 
 
 # ------------------------------------------------------------------ batching
@@ -256,9 +274,18 @@ def _train_loop(
     lengths, so little of a batch is padding; the same RNG then shuffles the
     chunks. An epoch stays ``ceil(n / batch_size)`` steps, so the LR schedule
     is that of unbucketed batches. Each step record holds ``tokens``, the
-    B x L padded positions it computed.
+    B x L padded positions it computed, and ``grad_norm``, the global L2 norm
+    of the gradient before any clipping.
+
+    The loop owns, for the whole run, one gradient buffer laid out as
+    ``params.flat`` (zeroed in place each step), the AdamW moments and one
+    ``encoder.Workspace`` for the step's batch-sized arrays, so a step after
+    the first few maps no new memory.
     """
     state = AdamWState.zeros_like(params)
+    grad = np.zeros_like(params.flat)
+    grads = param_views(params.config, grad)
+    workspace = Workspace()
     total_steps = config.epochs * math.ceil(len(items) / config.batch_size)
     history = []
     step = 0
@@ -275,13 +302,17 @@ def _train_loop(
             step += 1
             lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
             rng = np.random.default_rng([config.seed, step]) if use_dropout else None
-            value, grads = loss_and_grad(params, batch, loss_kind, dropout_rng=rng)
+            grad.fill(0.0)
+            value, _ = loss_and_grad(params, batch, loss_kind, dropout_rng=rng, grads=grads, workspace=workspace)
             if not math.isfinite(value):
                 raise NonFiniteError(f"loss diverged at step {step}")
-            if config.max_grad_norm is not None:
-                clip_grads(grads, config.max_grad_norm)
-            adamw_step(params, grads, state, lr, weight_decay=config.weight_decay)
-            history.append({"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size})
+            grad_norm = math.sqrt(np.dot(grad, grad))
+            if config.max_grad_norm is not None and grad_norm > config.max_grad_norm:
+                grad *= config.max_grad_norm / grad_norm
+            adamw_step(params, grad, state, lr, weight_decay=config.weight_decay)
+            history.append(
+                {"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size, "grad_norm": grad_norm}
+            )
     return TrainResult(params=params, history=history)
 
 

@@ -176,7 +176,7 @@ def test_full_pipeline_and_hash_guard(tmp_path, capsys):
         assert text.startswith("Settings(c/q)")
     log_lines = (run_dir / "logs" / "inject.jsonl").read_text().strip().splitlines()
     rec = json.loads(log_lines[0])
-    assert set(rec) == {"step", "lr", "loss", "tokens"}
+    assert set(rec) == {"step", "lr", "loss", "tokens", "grad_norm"}
 
     # evaluate refuses artifacts from a different config
     assert run_cli("evaluate", run_dir, FAST + ["eval.max_answer_len=5"]) == 1

@@ -22,7 +22,9 @@ from kiqa.encoder import (
     load_checkpoint,
     loss_and_grad,
     mlm_logits,
+    param_layout,
     param_shapes,
+    param_views,
     qa_logits,
     save_checkpoint,
 )
@@ -492,6 +494,43 @@ def test_loss_and_grad_matches_whole_last_layer(kind, dropout, n_layers):
         np.testing.assert_allclose(grad, want_grads[name], rtol=1e-12, atol=0.0, err_msg=name)
 
 
+def sized_batch(config, kind, seed, B, L):
+    """A batch of shape (B, L), padded from column L - 1 on in every other row."""
+    rng = np.random.default_rng(seed)
+    ids, segs, mask = make_inputs(config, seed=seed, B=B, L=L)
+    mask[1::2, L - 1:], ids[1::2, L - 1:] = 0.0, 0
+    if kind == "mlm":
+        rows, cols = rng.integers(0, B, size=B + 1), rng.integers(0, L - 1, size=B + 1)
+        return MLMBatch(ids, segs, mask, rows, cols, rng.integers(0, config.vocab_size, size=B + 1))
+    valid = np.zeros((B, L), dtype=bool)
+    valid[:, 1 : L - 1] = True
+    gold = rng.integers(1, L - 1, size=(2, B))
+    return QABatch(ids, segs, mask, gold.min(0), gold.max(0), valid)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["mlm", "span"])
+def test_workspace_steps_match_fresh_arrays_bitwise(dropout, kind):
+    """Steps that share one workspace and one gradient buffer, over batches
+    that grow and shrink, give the loss and gradients of steps that allocate
+    every array afresh, bit for bit: no step reads another's leftovers and no
+    two live arrays share a workspace slot."""
+    cfg = bitwise_config(dropout)
+    params = scaled_params(cfg, seed=5)
+    workspace = encoder.Workspace()
+    grad = np.zeros_like(params.flat)
+    grads = param_views(cfg, grad)
+    for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
+        batch = sized_batch(cfg, kind, seed, B, L)
+        rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+        want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng())
+        grad.fill(0.0)
+        value, got = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
+        assert got is grads and value == want_value
+        for name, tensor in want_grads.items():
+            assert_bitwise(grads[name], tensor)
+
+
 # ---------------------------------------------------------------- no aliasing
 
 
@@ -851,3 +890,47 @@ def test_checkpoint_rejects_garbage(tmp_path):
         path.write_bytes(magic + header + b"\n")
         with pytest.raises(ArtifactMismatchError, match="bad.bin"):
             load_checkpoint(path)
+
+
+def test_checkpoint_body_is_the_parameter_buffer(tmp_path):
+    """The body is params.flat's bytes; a short body is refused, naming the
+    tensor it cuts; a header whose tensors are out of layout order, or a
+    tensor rebound off the buffer, is refused."""
+    params = scaled_params(TINY, seed=9)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params)
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    assert body == params.flat.astype("<f8").tobytes()
+    names = [name for name, *_ in param_layout(TINY)]
+    assert names == sorted(params.tensors) == [name for name, _ in json.loads(header)["tensors"]]
+
+    head = path.read_bytes()[: -len(body)]
+    bad = tmp_path / "bad.bin"
+    for name, _, start, stop in param_layout(TINY):
+        for cut in (8 * start, 8 * stop - 1):
+            bad.write_bytes(head + body[:cut])
+            with pytest.raises(ArtifactMismatchError, match=f"truncated tensor '{name}'"):
+                load_checkpoint(bad)
+
+    tensors = json.loads(header)["tensors"]
+    swapped = dict(json.loads(header), tensors=[tensors[1], tensors[0], *tensors[2:]])
+    bad.write_bytes(magic + b"\n" + json.dumps(swapped).encode() + b"\n" + body)
+    with pytest.raises(ArtifactMismatchError, match="order"):
+        load_checkpoint(bad)
+
+    params.tensors["l0.wq"] = params.tensors["l0.wq"].copy()
+    with pytest.raises(ValueError, match="l0.wq"):
+        save_checkpoint(tmp_path / "detached.bin", params)
+    assert not (tmp_path / "detached.bin").exists()
+
+
+def test_params_copy_is_one_new_buffer():
+    params = scaled_params(TINY, seed=9)
+    copy = params.copy()
+    assert not np.shares_memory(copy.flat, params.flat)
+    assert_bitwise(copy.flat, params.flat)
+    for name, tensor in copy.tensors.items():
+        assert np.shares_memory(tensor, copy.flat), name
+        assert_bitwise(tensor, params.tensors[name])
+    copy.tensors["qa_bs"][...] += 1.0
+    assert float(copy.tensors["qa_bs"]) != float(params.tensors["qa_bs"])

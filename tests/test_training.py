@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kiqa import training
 from kiqa.assembler import build_corpus
-from kiqa.encoder import EncoderParams, ModelConfig, cross_entropy, init_params
+from kiqa.encoder import EncoderParams, ModelConfig, cross_entropy, init_params, param_views
 from kiqa.errors import ConfigError, NonFiniteError
 from kiqa.evaluation import QAExample
 from kiqa.synthlang import SynthSpec, gen_kb
@@ -127,12 +127,18 @@ def _scalar_params(value=0.0):
     return params
 
 
+def _grad_buffer(params, fill=0.0):
+    """A gradient buffer laid out as params.flat, and its views by name."""
+    grad = np.full_like(params.flat, fill)
+    return grad, param_views(params.config, grad)
+
+
 def test_adamw_first_step_hand_value():
     params = _scalar_params(0.0)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    grads["qa_bs"] = np.asarray(1.0)
+    grad, grads = _grad_buffer(params)
+    grads["qa_bs"][...] = 1.0
     state = AdamWState.zeros_like(params)
-    adamw_step(params, grads, state, lr=0.1, weight_decay=0.0)
+    adamw_step(params, grad, state, lr=0.1, weight_decay=0.0)
     # t=1: m_hat = g, v_hat = g^2, step = -lr * g / (|g| + eps)
     want = -0.1 * (1.0 / (1.0 + 1e-8))
     assert float(params.tensors["qa_bs"]) == pytest.approx(want, abs=1e-12)
@@ -141,33 +147,34 @@ def test_adamw_first_step_hand_value():
 
 def test_adamw_decay_only():
     params = _scalar_params(1.0)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grad, _ = _grad_buffer(params)
     state = AdamWState.zeros_like(params)
-    adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+    adamw_step(params, grad, state, lr=0.1, weight_decay=0.01)
     for name, tensor in params.tensors.items():
         np.testing.assert_allclose(tensor, 1.0 - 0.001, rtol=0, atol=1e-12)
 
 
 def test_adamw_zero_lr_is_identity():
     params = _scalar_params(0.5)
-    grads = {k: np.full_like(v, 0.3) for k, v in params.tensors.items()}
+    grad, _ = _grad_buffer(params, 0.3)
     state = AdamWState.zeros_like(params)
-    adamw_step(params, grads, state, lr=0.0, weight_decay=0.01)
+    adamw_step(params, grad, state, lr=0.0, weight_decay=0.01)
     for tensor in params.tensors.values():
         np.testing.assert_array_equal(tensor, 0.5)
     # moments still accumulate
-    assert float(state.m["qa_bs"]) == pytest.approx(0.03)
+    assert float(param_views(params.config, state.m)["qa_bs"]) == pytest.approx(0.03)
 
 
 def test_adamw_zero_grad_moments_decay():
     params = _scalar_params(0.0)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grad, _ = _grad_buffer(params)
     state = AdamWState.zeros_like(params)
-    state.m["qa_bs"] = np.asarray(1.0)
-    adamw_step(params, grads, state, lr=0.1, weight_decay=0.0)
-    assert float(state.m["qa_bs"]) == pytest.approx(0.9)
-    adamw_step(params, grads, state, lr=0.1, weight_decay=0.0)
-    assert float(state.m["qa_bs"]) == pytest.approx(0.81)
+    m = param_views(params.config, state.m)
+    m["qa_bs"][...] = 1.0
+    adamw_step(params, grad, state, lr=0.1, weight_decay=0.0)
+    assert float(m["qa_bs"]) == pytest.approx(0.9)
+    adamw_step(params, grad, state, lr=0.1, weight_decay=0.0)
+    assert float(m["qa_bs"]) == pytest.approx(0.81)
 
 
 def adamw_oracle(p, g, m, v, t, lr, b1, b2, eps, weight_decay):
@@ -192,18 +199,21 @@ def test_adamw_matches_plain_expressions_bitwise():
         tensor[...] = rng.normal(size=tensor.shape)
     params.tensors["l0.b1"][:3] = -0.0
     state = AdamWState.zeros_like(params)
-    want = {k: (p.copy(), state.m[k].copy(), state.v[k].copy()) for k, p in params.tensors.items()}
+    moments = param_views(cfg, state.m), param_views(cfg, state.v)
+    want = {k: (p.copy(), moments[0][k].copy(), moments[1][k].copy()) for k, p in params.tensors.items()}
     for t, (lr, wd) in enumerate([(1e-2, 0.01), (3e-3, 0.0), (0.0, 0.1), (1e-3, 0.01)], start=1):
-        grads = {k: rng.normal(scale=5.0, size=p.shape) for k, p in params.tensors.items()}
+        grad, grads = _grad_buffer(params)
+        for name, g in grads.items():
+            g[...] = rng.normal(scale=5.0, size=g.shape)
         grads["tok_emb"][0, :4] = [40.0, -55.0, -0.0, 0.0]
         grads["l0.w1"][:] = -0.0
-        grads["qa_be"] = np.asarray(-60.0)
+        grads["qa_be"][...] = -60.0
         before = {k: g.copy() for k, g in grads.items()}
-        adamw_step(params, grads, state, lr, weight_decay=wd)
+        adamw_step(params, grad, state, lr, weight_decay=wd)
         for name, g in grads.items():
             p0, m0, v0 = want[name]
             want[name] = adamw_oracle(p0, g, m0, v0, t, lr, 0.9, 0.999, 1e-8, wd)
-            for got, expected in zip((params.tensors[name], state.m[name], state.v[name]), want[name]):
+            for got, expected in zip((params.tensors[name], moments[0][name], moments[1][name]), want[name]):
                 assert np.array_equal(got, expected), name
                 assert np.array_equal(np.signbit(got), np.signbit(expected)), name
             assert np.array_equal(g, before[name]) and np.array_equal(np.signbit(g), np.signbit(before[name]))
@@ -211,10 +221,10 @@ def test_adamw_matches_plain_expressions_bitwise():
 
 def test_adamw_non_finite_grad():
     params = _scalar_params(0.0)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    grads["qa_bs"] = np.asarray(float("nan"))
+    grad, grads = _grad_buffer(params)
+    grads["qa_bs"][...] = float("nan")
     with pytest.raises(NonFiniteError):
-        adamw_step(params, grads, AdamWState.zeros_like(params), lr=0.1)
+        adamw_step(params, grad, AdamWState.zeros_like(params), lr=0.1)
 
 
 def test_adamw_non_finite_last_grad_writes_nothing():
@@ -223,15 +233,16 @@ def test_adamw_non_finite_last_grad_writes_nothing():
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(3)
     state = AdamWState.zeros_like(params)
-    adamw_step(params, {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}, state, lr=1e-2)
-    before = params.copy().tensors, {k: m.copy() for k, m in state.m.items()}, {k: v.copy() for k, v in state.v.items()}
-    grads = {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}
+    adamw_step(params, rng.normal(size=params.flat.shape), state, lr=1e-2)
+    before = params.copy().tensors, param_views(cfg, state.m.copy()), param_views(cfg, state.v.copy())
+    grad, grads = _grad_buffer(params)
+    grad[...] = rng.normal(size=grad.shape)
     last = list(params.tensors)[-1]
     grads[last][...] = float("nan")
     with pytest.raises(NonFiniteError, match=last):
-        adamw_step(params, grads, state, lr=1e-2)
+        adamw_step(params, grad, state, lr=1e-2)
     assert state.step == 1
-    for got, want in zip((params.tensors, state.m, state.v), before):
+    for got, want in zip((params.tensors, param_views(cfg, state.m), param_views(cfg, state.v)), before):
         for name in want:
             assert np.array_equal(got[name], want[name]), name
 
@@ -486,3 +497,170 @@ def test_finetune_beats_uniform_floor():
     n_ctx_tokens = len(pack_qa(examples[0].question, examples[0].context, vocab, 64).context_offsets)
     assert result.history[-1]["loss"] < math.log(n_ctx_tokens)
     assert result.dropped == 0
+
+
+# ------------------------------------------------------- persistent memory
+
+
+def test_adamw_chunks_match_one_pass_bitwise(monkeypatch):
+    """Chunk boundaries inside tensors change nothing: AdamW is elementwise."""
+    cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
+    rng = np.random.default_rng(8)
+    grads = [rng.normal(scale=3.0, size=init_params(cfg, 0).flat.shape) for _ in range(3)]
+    results = []
+    for chunk in (7, training._ADAM_CHUNK):
+        monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+        params = init_params(cfg, seed=1)
+        state = AdamWState.zeros_like(params)
+        for grad in grads:
+            adamw_step(params, grad, state, lr=1e-2, weight_decay=0.01)
+        results.append((params.flat, state.m, state.v))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _tiny_qa_examples(spec, kb):
+    from kiqa.synthlang import gen_qa
+
+    train, _ = gen_qa(spec, kb)
+    return [
+        QAExample(qa["id"], qa["question"], para["context"],
+                  tuple((a["text"], a["answer_start"]) for a in qa["answers"]), qa["context_lang"], qa["question_lang"])
+        for article in train["data"] for para in article["paragraphs"] for qa in para["qas"]
+    ]
+
+
+def _record_steps(monkeypatch):
+    """Wrap adamw_step; each call appends a copy of the gradient it is given
+    and the live objects of that step: (grad copy, params, grad, state)."""
+    calls = []
+
+    def recording(params, grad, state, lr, weight_decay=0.01):
+        calls.append((grad.copy(), params, grad, state))
+        return adamw_step(params, grad, state, lr, weight_decay=weight_decay)
+
+    monkeypatch.setattr(training, "adamw_step", recording)
+    return calls
+
+
+def _per_tensor_norm(params, grad):
+    return math.sqrt(sum(float((g * g).sum()) for g in param_views(params.config, grad).values()))
+
+
+@pytest.mark.parametrize("max_grad_norm", [None, 2.2])  # norms here run 2.05-2.87
+def test_step_records_carry_the_global_grad_norm(monkeypatch, max_grad_norm):
+    """Each step's gradient buffer holds exactly the gradient that a fresh
+    loss_and_grad gives for that batch and dropout draw (so it was zeroed,
+    and no workspace array leaked between steps), and the record's grad_norm
+    is its L2 norm before clipping. With clipping, AdamW gets a gradient of
+    norm at most max_grad_norm; an unclipped step's gradient is untouched."""
+    import copy
+
+    spec, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.1)
+    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=2, seed=5, max_grad_norm=max_grad_norm)
+    fresh = []
+    original = training.loss_and_grad
+
+    def recording(params, batch, loss, dropout_rng=None, grads=None, workspace=None):
+        _, want = original(params, batch, loss, dropout_rng=copy.deepcopy(dropout_rng))
+        fresh.append(np.concatenate([want[name].ravel() for name in params.tensors]))  # layout order
+        return original(params, batch, loss, dropout_rng=dropout_rng, grads=grads, workspace=workspace)
+
+    monkeypatch.setattr(training, "loss_and_grad", recording)
+    calls = _record_steps(monkeypatch)
+    result = run_injection(corpus, vocab, config, model_config, render_max_len=32)
+    assert len(calls) == len(fresh) == len(result.history) > 1
+    clipped = 0
+    for rec, want, (grad, params, *_) in zip(result.history, fresh, calls):
+        assert rec["grad_norm"] == pytest.approx(_per_tensor_norm(params, want), rel=1e-12, abs=0.0)
+        if max_grad_norm is None or rec["grad_norm"] <= max_grad_norm:
+            assert np.array_equal(grad, want)
+        else:
+            clipped += 1
+            got = _per_tensor_norm(params, grad)
+            assert got <= max_grad_norm * (1.0 + 1e-12)
+            assert got == pytest.approx(max_grad_norm, rel=1e-12, abs=0.0)
+    assert clipped == 0 if max_grad_norm is None else 0 < clipped < len(calls)
+
+
+def test_training_keeps_every_tensor_a_view_of_its_buffer(monkeypatch, tmp_path):
+    """After several steps of both losses, with dropout, every parameter and
+    gradient (the 0-d span-head biases included) still views its flat buffer,
+    the gradient and moment buffers are the ones the run started with, and a
+    checkpoint body is the parameter buffer's bytes."""
+    from kiqa.encoder import save_checkpoint
+
+    spec, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
+    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=2, seed=5)
+    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6)
+    grads_seen = []
+    original = training.loss_and_grad
+
+    def recording(params, batch, loss, dropout_rng=None, grads=None, workspace=None):
+        grads_seen.append(grads)
+        return original(params, batch, loss, dropout_rng=dropout_rng, grads=grads, workspace=workspace)
+
+    monkeypatch.setattr(training, "loss_and_grad", recording)
+    calls = _record_steps(monkeypatch)
+    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32)
+    n_inject = len(injected.history)
+    tuned = run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune)
+    assert n_inject > 2 and len(tuned.history) > 2
+    for run, result in ((slice(0, n_inject), injected), (slice(n_inject, None), tuned)):
+        steps = list(zip(grads_seen[run], calls[run]))
+        _, params, grad0, state0 = steps[0][1]
+        assert params is result.params
+        for grads, (_, p, grad, state) in steps:
+            assert p is params and grad is grad0 and state is state0
+            assert grads is grads_seen[run][0] and grads.keys() == params.tensors.keys()
+            assert state.m.shape == state.v.shape == params.flat.shape
+        assert not np.shares_memory(grad0, params.flat) and not np.shares_memory(state0.m, state0.v)
+        for name, tensor in params.tensors.items():
+            assert np.shares_memory(tensor, params.flat), name
+            assert np.shares_memory(grads_seen[run][0][name], grad0), name
+        assert params.tensors["qa_bs"].ndim == params.tensors["qa_be"].ndim == 0
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, params)
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        assert body == params.flat.astype("<f8").tobytes()
+
+
+def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch):
+    """With every batch of one shape, the first step fills the run's
+    workspace and later steps reuse it: the memory a step adds at its peak
+    (numpy reports its data buffers to tracemalloc) stays far below one
+    (B * L, d_ff) FFN array, of which a step without a workspace makes
+    several per layer."""
+    import tracemalloc
+
+    kb, vocab = _memorization_kb()
+    corpus = build_corpus(kb, {"syn0"}, 25, (1, 0, 0), seed=1)  # 50 samples
+    lengths = {len(render(s, vocab, 16).input_ids) for s in corpus}
+    assert len(lengths) == 1
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=32, d_ff=1024, max_len=16,
+                               dropout=0.1)
+    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=25, epochs=3, seed=0)
+    growth, window = [], {}
+
+    def collate(samples):  # a step starts here
+        if "start" in window:
+            growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+        batch = collate_mlm(samples)
+        tracemalloc.reset_peak()
+        window["start"] = tracemalloc.get_traced_memory()[0]
+        return batch
+
+    monkeypatch.setattr(training, "collate_mlm", collate)
+    tracemalloc.start()
+    try:
+        result = run_injection(corpus, vocab, config, model_config, render_max_len=16)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
+    one_ffn = config.batch_size * lengths.pop() * model_config.d_ff * 8
+    assert growth[0] > one_ffn  # the first step fills the workspace
+    assert max(growth[1:]) < one_ffn / 8, (growth, one_ffn)
