@@ -26,16 +26,15 @@ buffer, ``EncoderParams.flat``, packed end to end in sorted-name order
 body is that buffer's bytes. A training run keeps its gradients and AdamW
 moments in buffers of the same layout (``param_views``).
 
-Workspace rule: a training step takes every array whose size grows with the
-batch from the ``Workspace`` its training loop keeps for the whole run. Those
-are the (B, L, d) activations and their gradients, the (N, d_ff) FFN arrays,
-the (B, heads, L, L) scores, the (M, vocab) MLM logits, the dropout draws,
-the scatter target of the last layer's backward and the weight-gradient
-products. Each is written with ``out=`` in the operation order of the plain
-expression, so its values are bitwise those of a freshly allocated array,
-and a step after the first few maps no new memory. Inference (``forward``
-without a workspace, as ``evaluation.predict_spans`` calls it) allocates its
-arrays per call, so batches running side by side share nothing.
+Workspace rule: every forward takes a ``Workspace``, and from it every array
+whose size grows with the batch: (B, L, d) activations and their gradients,
+(N, d_ff) FFN arrays, (B, heads, L, L) scores, MLM and span logits, dropout
+draws, the last layer's scatter target and the weight-gradient products. A
+training run keeps one workspace; inference keeps one per thread that runs
+batches, for one ``predict_spans`` call. Each array is written with ``out=``
+in the plain expression's operation order, so its values are bitwise those
+of a fresh array, and a call after the first few maps no new memory. Keys
+name their layer only when the forward keeps a cache for a backward.
 """
 
 from __future__ import annotations
@@ -167,13 +166,17 @@ def init_params(config: ModelConfig, seed: int) -> EncoderParams:
 
 
 class Workspace:
-    """Float64 arrays that a training run reuses from step to step, by key.
+    """The encoder's one allocator: float64 arrays reused from call to call,
+    by key. One per training run, one per inference thread and
+    ``predict_spans`` call; never shared between threads.
 
     ``take(key, shape)`` returns the first prod(shape) elements of the key's
     buffer, which is replaced by a larger one when a batch first needs more.
-    A step takes a key at most once while its array is still read, and the
-    next step writes over it. The forward's keys name their layer, since the
-    backward reads every layer's cache. The backward's keys (``b.`` prefix)
+    A call takes a key at most once while its array is still read, and the
+    next call writes over it, results included. The forward's keys name their
+    layer only when it keeps a cache for the backward; without one the layers
+    share keys, as a layer reads the layer below's output (in Q/K/V and the
+    first residual) before it writes its own. The backward's keys (``b.``)
     serve every layer: a layer reads the gradient it gets from the layer
     above before it writes any of them."""
 
@@ -188,17 +191,6 @@ class Workspace:
         return buf[:n].reshape(shape)
 
 
-class _PerCall:
-    """The allocator of a step without a workspace: a new array per request."""
-
-    @staticmethod
-    def take(key: str, shape: tuple[int, ...]) -> np.ndarray:
-        return np.empty(shape)
-
-
-_PER_CALL = _PerCall()
-
-
 # ---------------------------------------------------------------- primitives
 
 _LN_EPS = 1e-5
@@ -206,15 +198,15 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _affine(x, t, p, n, ws):
-    """x @ t[p w<n>] + t[p b<n>], with the bias added into the product, in ws[p n]."""
+def _affine(x, t, p, n, ws, key):
+    """x @ t[p w<n>] + t[p b<n>], with the bias added into the product, in ws[key n]."""
     w = t[p + "w" + n]
-    y = np.matmul(x, w, out=ws.take(p + n, x.shape[:-1] + w.shape[1:]))
+    y = np.matmul(x, w, out=ws.take(key + n, x.shape[:-1] + w.shape[1:]))
     y += t[p + "b" + n]
     return y
 
 
-def _layer_norm(x, g, b, ws=_PER_CALL, key="ln"):
+def _layer_norm(x, g, b, ws, key):
     mu = x.mean(-1, keepdims=True)
     xhat = np.subtract(x, mu, out=ws.take(key + ".xhat", x.shape))  # centred here, scaled to xhat below
     out = np.multiply(xhat, xhat, out=ws.take(key + ".out", x.shape))
@@ -226,7 +218,7 @@ def _layer_norm(x, g, b, ws=_PER_CALL, key="ln"):
     return out, (xhat, inv)
 
 
-def _layer_norm_backward(dy, t, grads, name, cache, ws=_PER_CALL, key="b.ln"):
+def _layer_norm_backward(dy, t, grads, name, cache, ws, key):
     """dx of _layer_norm with gain t[name_g] and bias t[name_b]; adds their grads."""
     xhat, inv = cache
     tmp = np.multiply(dy, xhat, out=ws.take(key + ".tmp", dy.shape))
@@ -243,7 +235,7 @@ def _layer_norm_backward(dy, t, grads, name, cache, ws=_PER_CALL, key="b.ln"):
     return dx
 
 
-def _linear_backward(t, grads, p, n, x, dy, ws=_PER_CALL):
+def _linear_backward(t, grads, p, n, x, dy, ws):
     """dx of y = x @ t[p w<n>] + t[p b<n>]; adds the weight and bias grads."""
     w = p + "w" + n
     shape = t[w].shape
@@ -252,7 +244,7 @@ def _linear_backward(t, grads, p, n, x, dy, ws=_PER_CALL):
     return np.matmul(dy, t[w].T, out=ws.take("b.dx" + n, dy.shape[:-1] + shape[:1]))
 
 
-def _gelu(x, ws=_PER_CALL, key="gelu"):
+def _gelu(x, ws, key):
     """GELU(x) = x * phi and phi = Phi(x), the standard normal CDF, which
     _gelu_grad reuses."""
     phi = np.divide(x, _SQRT2, out=ws.take(key + ".phi", x.shape))
@@ -262,7 +254,7 @@ def _gelu(x, ws=_PER_CALL, key="gelu"):
     return np.multiply(x, phi, out=ws.take(key + ".y", x.shape)), phi
 
 
-def _gelu_grad(dy, x, phi, ws=_PER_CALL, key="b.gelu"):
+def _gelu_grad(dy, x, phi, ws, key):
     """dy * GELU'(x), given phi = Phi(x) from _gelu."""
     out = np.multiply(-0.5, x, out=ws.take(key, x.shape))
     out *= x
@@ -350,8 +342,8 @@ def _check_inputs(params: EncoderParams, input_ids, segment_ids, attention_mask,
     return ids, segs, mask, (rows, cols)
 
 
-def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, positions=None,
-            workspace: Workspace | None = None):
+def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, positions=None, *,
+            workspace: Workspace):
     """Hidden states (batch, len, d_model). PAD positions are excluded from
     attention via the mask; pass a dropout_rng only during training.
 
@@ -364,15 +356,15 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     within one row, so a row gets the same value as in the whole-layer
     formula. Dropout draws each mask at the whole (B, L, d) shape and
     gathers the rows, so the RNG stream is that of a whole-layer forward.
-    A training step passes its run's ``workspace``, which then holds every
-    batch-sized array, the returned ones included, until its next step;
-    without one, each array is allocated for this call.
+    Every batch-sized array, the returned ones included, is taken from
+    ``workspace`` (see ``Workspace`` for its keys) and lives there until the
+    workspace's next call.
 
     The batch runs whole, with a (B, heads, L, L) score tensor per layer:
     the caller sizes it, as ``evaluation.predict_spans`` does by a token
     budget."""
     ids, segs, mask, positions = _check_inputs(params, input_ids, segment_ids, attention_mask, positions)
-    ws = _PER_CALL if workspace is None else workspace
+    ws = workspace
     cfg = params.config
     t = params.tensors
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
@@ -391,44 +383,37 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     h = x
     for i in range(cfg.n_layers):
         p = f"l{i}."
-        qh, kh, vh = (_split_heads(_affine(h, t, p, n, ws), cfg.n_heads) for n in "qkv")
-        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=ws.take(p + "probs", qh.shape[:3] + (L,)))
+        k = "l." if positions is None else p  # no cache: every layer takes one layer's keys
+        qh, kh, vh = (_split_heads(_affine(h, t, p, n, ws, k), cfg.n_heads) for n in "qkv")
+        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=ws.take(k + "probs", qh.shape[:3] + (L,)))
         scores *= scale
         scores += key_bias
         probs = _softmax_last(scores)
-        ctx = _merge_heads(np.matmul(probs, vh, out=ws.take(p + "pv", vh.shape)), ws.take(p + "ctx", shape))
+        ctx = _merge_heads(np.matmul(probs, vh, out=ws.take(k + "pv", vh.shape)), ws.take(k + "ctx", shape))
         h_in = h
         at = at_rows if i == cfg.n_layers - 1 else None
         if at is not None:
-            ctx, h = _gather(ctx, at, ws, p + "ctx.at"), _gather(h, at, ws, p + "h.at")
-        r1, drop_a = _dropout(_affine(ctx, t, p, "o", ws), cfg.dropout, dropout_rng, shape, ws, p + "drop_a", at)
+            ctx, h = _gather(ctx, at, ws, k + "ctx.at"), _gather(h, at, ws, k + "h.at")
+        r1, drop_a = _dropout(_affine(ctx, t, p, "o", ws, k), cfg.dropout, dropout_rng, shape, ws, k + "drop_a", at)
         r1 += h
-        n1, ln1_cache = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], ws, p + "ln1")
-        f1 = _affine(n1, t, p, "1", ws)
-        g1, phi = _gelu(f1, ws, p + "gelu")
-        r2, drop_f = _dropout(_affine(g1, t, p, "2", ws), cfg.dropout, dropout_rng, shape, ws, p + "drop_f", at)
+        n1, ln1_cache = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], ws, k + "ln1")
+        f1 = _affine(n1, t, p, "1", ws, k)
+        g1, phi = _gelu(f1, ws, k + "gelu")
+        r2, drop_f = _dropout(_affine(g1, t, p, "2", ws, k), cfg.dropout, dropout_rng, shape, ws, k + "drop_f", at)
         r2 += n1
-        out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], ws, p + "ln2")
+        out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], ws, k + "ln2")
         if positions is not None:
-            layers.append(
-                {
-                    "h_in": h_in, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
-                    "drop_a": drop_a, "ln1": ln1_cache, "n1": n1, "f1": f1, "phi": phi, "g1": g1,
-                    "drop_f": drop_f, "ln2": ln2_cache,
-                }
-            )
+            layers.append({"h_in": h_in, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx, "drop_a": drop_a,
+                           "ln1": ln1_cache, "n1": n1, "f1": f1, "phi": phi, "g1": g1, "drop_f": drop_f,
+                           "ln2": ln2_cache})
         h = out
 
     if positions is None:
         return h
-    cache = {
-        "ids": ids, "segs": segs, "mask": mask, "drop0": drop0, "layers": layers, "scale": scale,
-        "at_rows": at_rows,
-    }
-    return h, cache
+    return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows}
 
 
-def _backward_to_params(params: EncoderParams, cache, dh, grads, ws=_PER_CALL):
+def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     """Backprop dh, the gradient wrt the last layer's output at the cache's
     positions, through the stack into grads. The last layer's row gradients
     are scattered, with add, into whole (B, L, d) tensors before its
@@ -442,7 +427,7 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws=_PER_CALL):
         c = cache["layers"][i]
         dr2 = _layer_norm_backward(dh, t, grads, p + "ln2", c["ln2"], ws, "b.ln2")
         dg1 = _linear_backward(t, grads, p, "2", c["g1"], _dropout_backward(dr2, c["drop_f"], ws, "b.drop_f"), ws)
-        df1 = _gelu_grad(dg1, c["f1"], c["phi"], ws)
+        df1 = _gelu_grad(dg1, c["f1"], c["phi"], ws, "b.gelu")
         dn1 = _linear_backward(t, grads, p, "1", c["n1"], df1, ws)
         dn1 += dr2
         dr1 = _layer_norm_backward(dn1, t, grads, p + "ln1", c["ln1"], ws, "b.ln1")
@@ -485,8 +470,8 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws=_PER_CALL):
 # ---------------------------------------------------------------- loss heads
 
 
-def mlm_logits(params: EncoderParams, sel, ws=_PER_CALL):
-    """Tied-embedding logits for gathered hidden rows ``sel`` of shape (M, d_model)."""
+def mlm_logits(params: EncoderParams, sel, ws):
+    """Tied-embedding logits for gathered hidden rows ``sel`` of shape (M, d_model), in ws."""
     tok_emb = params.tensors["tok_emb"]
     logits = np.matmul(sel, tok_emb.T, out=ws.take("mlm.logits", (len(sel), len(tok_emb))))
     logits += params.tensors["mlm_bias"]
@@ -494,22 +479,22 @@ def mlm_logits(params: EncoderParams, sel, ws=_PER_CALL):
 
 
 def qa_logits(params: EncoderParams, hidden):
-    """Per-position start/end logits from the linear span head."""
+    """Per-position start/end logits from the linear span head, as new arrays."""
     t = params.tensors
     start = hidden @ t["qa_ws"] + t["qa_bs"]
     end = hidden @ t["qa_we"] + t["qa_be"]
     return start, end
 
 
-def cross_entropy(logits, targets, ws=_PER_CALL):
+def cross_entropy(logits, targets, ws, key):
     """Per-row negative log-likelihood of ``targets`` under softmax(logits),
     and its gradient with respect to the logits (softmax minus one-hot).
 
     Classes excluded from a row carry -inf logits: they get probability 0 and
-    gradient 0.
+    gradient 0. The gradient is written in ws under ``key``.
     """
-    logp = np.subtract(logits, logits.max(-1, keepdims=True), out=ws.take("ce.logp", logits.shape))  # z, then logp
-    dlogits = np.exp(logp, out=ws.take("ce.dlogits", logits.shape))
+    logp = np.subtract(logits, logits.max(-1, keepdims=True), out=ws.take(key + ".logp", logits.shape))  # z, then logp
+    dlogits = np.exp(logp, out=ws.take(key + ".dlogits", logits.shape))
     logp -= np.log(dlogits.sum(-1, keepdims=True))
     rows = np.arange(len(targets))
     np.exp(logp, out=dlogits)
@@ -537,8 +522,8 @@ class QABatch:
     valid_mask: np.ndarray      # (B, L) bool, True where a span may start/end
 
 
-def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, grads=None,
-                  workspace: Workspace | None = None):
+def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, *, grads: dict[str, np.ndarray],
+                  workspace: Workspace):
     """Scalar loss and its exact gradient for every parameter.
 
     loss="mlm" averages cross-entropy over the batch's masked positions
@@ -554,9 +539,9 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, gra
     over fewer rows, so they round differently.
 
     The gradient is added into ``grads``, name -> views of a zeroed buffer
-    laid out as ``params.flat`` (see ``param_views``), which is returned; a
-    zeroed set is made when it is None. A training loop passes the same
-    buffer and ``workspace`` at every step (see the module docstring).
+    laid out as ``params.flat`` (see ``param_views``), which is returned.
+    Batch-sized arrays come from ``workspace``. A training loop passes the
+    same buffer and workspace at every step (see the module docstring).
     """
     ids = np.asarray(batch.input_ids)
     if loss == "mlm":
@@ -586,22 +571,21 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, gra
         params, ids, batch.segment_ids, batch.attention_mask, dropout_rng=dropout_rng, positions=positions,
         workspace=workspace,
     )
-    ws = _PER_CALL if workspace is None else workspace
-    if grads is None:
-        grads = param_views(params.config, np.zeros_like(params.flat))
+    ws = workspace
     t = params.tensors
     if loss == "mlm":
-        nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws)
+        nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws, "ce")
         value = nll.mean()
         dlogits /= M
         grads["mlm_bias"] += dlogits.sum(0)
         grads["tok_emb"] += np.matmul(dlogits.T, sel, out=ws.take("mlm.gw", t["tok_emb"].shape))
         dsel = np.matmul(dlogits, t["tok_emb"], out=ws.take("mlm.dsel", sel.shape))
     else:
-        start_logits, end_logits = np.full(valid.shape, -np.inf), np.full(valid.shape, -np.inf)
+        start_logits, end_logits = logits = ws.take("qa.logits", (2,) + valid.shape)
+        logits.fill(-np.inf)
         start_logits[positions], end_logits[positions] = qa_logits(params, sel)
-        nll_s, dstart = cross_entropy(start_logits, gold_s)
-        nll_e, dend = cross_entropy(end_logits, gold_e)
+        nll_s, dstart = cross_entropy(start_logits, gold_s, ws, "ce.s")  # both gradients are live at once
+        nll_e, dend = cross_entropy(end_logits, gold_e, ws, "ce.e")
         value = (nll_s.sum() + nll_e.sum()) / (2.0 * B)
         dstart, dend = dstart[positions], dend[positions]
         for n, d in (("s", dstart), ("e", dend)):

@@ -6,10 +6,11 @@ and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 length, each batch capped by ``batch_size`` rows and ``_BATCH_TOKENS``
 padded tokens. A pool of threads, by default one per CPU the process may
 use (``usable_cpus``) and never more than there are batches, runs the
-encoder on the planned batches side by side; numpy and BLAS release the
-interpreter lock inside their loops. The calling thread takes the logits
-in plan order and decodes them. A batch's logits depend on its rows alone,
-so every worker count gives bitwise the same predictions and reports.
+encoder on the planned batches side by side, each thread in its own
+``encoder.Workspace``; numpy and BLAS release the interpreter lock inside
+their loops. The calling thread takes the logits in plan order and decodes
+them. A batch's logits depend on its rows alone, so every worker count
+gives bitwise the same predictions and reports.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import unicodedata
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, forward, qa_logits
+from .encoder import EncoderParams, Workspace, forward, qa_logits
 from .errors import ConfigError, KBParseError, NonFiniteError
 from .fileio import read_utf8
 from .textmodel import Vocab, pack_qa, pad_batch, tokenize
@@ -195,12 +197,11 @@ def format_report(report: EvalReport) -> str:
 # Tokens per inference batch: its rows times its pad width L. At d_ff = 256 and
 # 4 heads a batch holds a 0.5 MB FFN intermediate and an (8 KB * L) score
 # tensor, 1 MB at L = 128; a row longer than the budget goes alone (4.7 MB of
-# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread) with two
-# batches in flight, a process peaked at 76 MB with this cap, 85-86 MB at 512
-# tokens and 332-335 MB uncapped (71, 75 and 206-208 MB with one), and passes
-# took the same time at every cap. Capped passes take 4-6x the minor page
-# faults of uncapped ones (94k-123k against 21k-27k per pass) but are not
-# slower for it.
+# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread, 2 CPUs)
+# with two worker threads, each with its own workspace, a process peaked at
+# 81 MB with this cap, 95 MB at 512 tokens and 350 MB uncapped (74, 82 and
+# 224 MB with one worker). A capped pass took 0.5k-2.4k minor page faults,
+# against 4k-17k uncapped, and 0.85x the time of an uncapped pass.
 _BATCH_TOKENS = 256
 
 
@@ -248,12 +249,14 @@ def predict_spans(
 
     Up to ``workers`` threads (default ``usable_cpus()``, capped at the number
     of batches) run ``forward`` and ``qa_logits`` on the planned batches; one
-    worker runs them in the calling thread. A pool is shut down before the
-    call returns or raises. The calling thread takes the logits in plan
-    order, checks them and decodes, so the first batch in plan order whose
-    span logits are not all finite raises NonFiniteError. A batch's logits
-    depend on its rows alone, so predictions are bitwise the same for every
-    worker count.
+    worker runs them in the calling thread. Each of those threads gives
+    ``forward`` its own ``Workspace`` for this call; ``qa_logits`` returns new
+    arrays, which a thread's next batch does not overwrite. A pool is shut
+    down before the call returns or raises. The calling thread takes the
+    logits in plan order, checks them and decodes, so the first batch in plan
+    order whose span logits are not all finite raises NonFiniteError. A
+    batch's logits depend on its rows alone, so predictions are bitwise the
+    same for every worker count.
     """
     check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
@@ -268,10 +271,13 @@ def predict_spans(
         plan.append(order[lo:hi])
         lo = hi
     predictions = [""] * len(packed)
+    local = threading.local()  # each thread's Workspace, for this call only
 
     def span_logits(chunk: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        if not hasattr(local, "workspace"):
+            local.workspace = Workspace()
         ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
-        return qa_logits(params, forward(params, ids, segs, mask))
+        return qa_logits(params, forward(params, ids, segs, mask, workspace=local.workspace))
 
     threads = min(usable_cpus() if workers is None else workers, len(plan))
     # One thread runs in the caller: no hand-off per batch, and no second malloc arena.

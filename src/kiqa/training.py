@@ -19,8 +19,10 @@ moments and scratch (``AdamWState``); and one ``encoder.Workspace``, from
 which the step's forward, backward and loss head take every array whose
 size grows with the batch. The global gradient norm is one dot product over
 the gradient buffer, optional clipping scales that buffer in place, and
-``adamw_step`` is one chunked pass over the flat buffers. Inference does not
-use the workspace; it allocates per call.
+``adamw_step`` is one chunked pass over the flat buffers. Every forward
+takes a workspace: one per training run, one per inference thread and
+``evaluation.predict_spans`` call. Its keys name a layer only when the
+forward keeps a cache for a backward, as a training step's does.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from kiqa.encoder import param_views
 from kiqa.kb import load_kb
 
 
@@ -11,6 +13,12 @@ def ce_oracle(logits, target):
     mx = max(logits)
     denom = sum(math.exp(x - mx) for x in logits)
     return -(logits[target] - mx - math.log(denom))
+
+
+def zeroed_grads(params):
+    """Gradient views of a new zeroed buffer laid out as ``params.flat``, for
+    ``loss_and_grad(..., grads=...)``."""
+    return param_views(params.config, np.zeros_like(params.flat))
 
 
 def write_jsonl(path, records):

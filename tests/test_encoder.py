@@ -12,6 +12,7 @@ from kiqa.encoder import (
     MLMBatch,
     ModelConfig,
     QABatch,
+    Workspace,
     _gelu,
     _gelu_grad,
     _layer_norm,
@@ -30,7 +31,7 @@ from kiqa.encoder import (
 )
 from kiqa.errors import ArtifactMismatchError, GoldPositionMaskedError, NoMaskedPositionsError
 
-from conftest import ce_oracle
+from conftest import ce_oracle, zeroed_grads
 
 TINY = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=16, dropout=0.0)
 
@@ -112,7 +113,7 @@ def oracle_forward(params, ids_row, segs_row):
 def test_forward_matches_oracle():
     params = scaled_params(TINY, seed=1)
     ids, segs, mask = make_inputs(TINY, seed=2, B=1, L=5)
-    got = forward(params, ids, segs, mask)[0]
+    got = forward(params, ids, segs, mask, workspace=Workspace())[0]
     want = oracle_forward(params, ids[0], segs[0])
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -121,7 +122,7 @@ def test_forward_single_token():
     params = scaled_params(TINY, seed=4)
     ids = np.array([[7]])
     segs = np.array([[1]])
-    got = forward(params, ids, segs, np.ones((1, 1)))[0]
+    got = forward(params, ids, segs, np.ones((1, 1)), workspace=Workspace())[0]
     want = oracle_forward(params, [7], [1])
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -129,7 +130,7 @@ def test_forward_single_token():
 def test_attention_rows_sum_to_one():
     params = scaled_params(TINY, seed=1)
     ids, segs, mask = make_inputs(TINY, seed=3, B=2, L=7, pad_from=5)
-    _, cache = forward(params, ids, segs, mask, positions=np.nonzero(mask))
+    _, cache = forward(params, ids, segs, mask, positions=np.nonzero(mask), workspace=Workspace())
     probs = cache["layers"][0]["probs"]  # (B, heads, L, L)
     sums = probs.sum(-1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -140,27 +141,28 @@ def test_attention_rows_sum_to_one():
 def test_pad_positions_do_not_affect_real_tokens():
     params = scaled_params(TINY, seed=1)
     ids, segs, mask = make_inputs(TINY, seed=5, B=1, L=7, pad_from=5)
-    base = forward(params, ids, segs, mask)
+    base = forward(params, ids, segs, mask, workspace=Workspace())
     ids2 = ids.copy()
     ids2[0, 5], ids2[0, 6] = ids2[0, 6], ids2[0, 5]  # permute PAD slot contents
     ids2[0, 5] = 3
-    perturbed = forward(params, ids2, segs, mask)
+    perturbed = forward(params, ids2, segs, mask, workspace=Workspace())
     np.testing.assert_array_equal(base[0, :5], perturbed[0, :5])
 
 
 def test_forward_deterministic_without_dropout():
     params = scaled_params(TINY, seed=6)
     ids, segs, mask = make_inputs(TINY, seed=7)
-    np.testing.assert_array_equal(forward(params, ids, segs, mask), forward(params, ids, segs, mask))
+    np.testing.assert_array_equal(forward(params, ids, segs, mask, workspace=Workspace()),
+                                  forward(params, ids, segs, mask, workspace=Workspace()))
 
 
 def test_dropout_reproducible_with_seeded_rng():
     cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=16, dropout=0.3)
     params = scaled_params(cfg, seed=6)
     ids, segs, mask = make_inputs(cfg, seed=7)
-    a = forward(params, ids, segs, mask, dropout_rng=np.random.default_rng(11))
-    b = forward(params, ids, segs, mask, dropout_rng=np.random.default_rng(11))
-    c = forward(params, ids, segs, mask, dropout_rng=np.random.default_rng(12))
+    a = forward(params, ids, segs, mask, dropout_rng=np.random.default_rng(11), workspace=Workspace())
+    b = forward(params, ids, segs, mask, dropout_rng=np.random.default_rng(11), workspace=Workspace())
+    c = forward(params, ids, segs, mask, dropout_rng=np.random.default_rng(12), workspace=Workspace())
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -171,19 +173,21 @@ def test_permutation_equivariance_without_positions():
     params.tensors["seg_emb"][:] = 0.0
     ids, segs, mask = make_inputs(TINY, seed=9, B=1, L=6)
     perm = np.array([3, 1, 5, 0, 4, 2])
-    base = forward(params, ids, segs, mask)
-    permuted = forward(params, ids[:, perm], segs[:, perm], mask)
+    base = forward(params, ids, segs, mask, workspace=Workspace())
+    permuted = forward(params, ids[:, perm], segs[:, perm], mask, workspace=Workspace())
     np.testing.assert_allclose(base[0, perm], permuted[0], rtol=1e-12, atol=1e-14)
 
 
 def test_forward_input_validation():
     params = scaled_params(TINY, seed=1)
     with pytest.raises(ValueError):
-        forward(params, np.array([[99]]), np.array([[0]]), np.ones((1, 1)))  # id out of range
+        forward(params, np.array([[99]]), np.array([[0]]), np.ones((1, 1)), workspace=Workspace())  # id out of range
     with pytest.raises(ValueError):
-        forward(params, np.zeros((1, 20), dtype=int), np.zeros((1, 20), dtype=int), np.ones((1, 20)))
+        forward(params, np.zeros((1, 20), dtype=int), np.zeros((1, 20), dtype=int), np.ones((1, 20)),
+                workspace=Workspace())
     with pytest.raises(ValueError):
-        forward(params, np.zeros((1, 4), dtype=int), np.zeros((1, 3), dtype=int), np.ones((1, 4)))
+        forward(params, np.zeros((1, 4), dtype=int), np.zeros((1, 3), dtype=int), np.ones((1, 4)),
+                workspace=Workspace())
 
 
 # ------------------------------------------------------ bitwise kernel oracles
@@ -251,10 +255,11 @@ def test_gelu_kernels_match_plain_expressions(seed):
     x = awkward(rng, (3, 7, 32))
     dy = awkward(rng, x.shape)
     x0, dy0 = x.copy(), dy.copy()
-    y, phi = _gelu(x)
+    ws = Workspace()
+    y, phi = _gelu(x, ws, "gelu")
     assert_bitwise(y, gelu_oracle(x0))
     assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
-    assert_bitwise(_gelu_grad(dy, x, phi), gelu_grad_oracle(dy0, x0))
+    assert_bitwise(_gelu_grad(dy, x, phi, ws, "b.gelu"), gelu_grad_oracle(dy0, x0))
     assert_bitwise(x, x0)
     assert_bitwise(dy, dy0)
 
@@ -264,7 +269,8 @@ def test_layer_norm_kernels_match_plain_expressions(seed):
     rng = np.random.default_rng(seed)
     x = awkward(rng, (3, 7, 16))
     g, b = awkward(rng, (16,), scale=1.0), rng.normal(size=16)
-    out, (xhat, inv) = _layer_norm(x, g, b)
+    ws = Workspace()
+    out, (xhat, inv) = _layer_norm(x, g, b, ws, "ln")
     want_out, want_xhat, want_inv = layer_norm_oracle(x, g, b)
     assert_bitwise(out, want_out)
     assert_bitwise(xhat, want_xhat)
@@ -274,7 +280,7 @@ def test_layer_norm_kernels_match_plain_expressions(seed):
     dy0 = dy.copy()
     t = {"ln_g": g, "ln_b": b}
     grads = {"ln_g": np.zeros(16), "ln_b": np.zeros(16)}
-    dx = _layer_norm_backward(dy, t, grads, "ln", (xhat, inv))
+    dx = _layer_norm_backward(dy, t, grads, "ln", (xhat, inv), ws, "b.ln")
     want_dx, want_dg, want_db = layer_norm_backward_oracle(dy0, g, want_xhat, want_inv)
     assert_bitwise(dx, want_dx)
     assert_bitwise(grads["ln_g"], 0.0 + want_dg)
@@ -453,10 +459,10 @@ def test_forward_matches_plain_expressions_bitwise(dropout):
     ids, segs, mask = make_inputs(cfg, seed=4, B=3, L=7, pad_from=5)
     rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
     want = plain_forward(params, ids, segs, mask, rng())
-    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng()), want)
+    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), workspace=Workspace()), want)
     at = (np.array([2, 0, 1, 0, 2]), np.array([6, 3, 0, 3, 1]))  # a repeat and a padded position
     want_at = plain_forward(params, ids, segs, mask, rng(), positions=at)
-    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), positions=at)[0], want_at)
+    assert_bitwise(forward(params, ids, segs, mask, dropout_rng=rng(), positions=at, workspace=Workspace())[0], want_at)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
@@ -468,7 +474,8 @@ def test_loss_and_grad_matches_plain_backward_bitwise(dropout, kind):
     params = scaled_params(cfg, seed=5)
     batch = make_mlm_batch(cfg, seed=4) if kind == "mlm" else make_qa_batch(cfg, seed=4)
     rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
-    value, grads = loss_and_grad(params, batch, kind, dropout_rng=rng())
+    value, grads = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
+                                 workspace=Workspace())
     want_value, want_grads = plain_backward(params, batch, kind, rng())
     assert value == want_value
     assert grads.keys() == want_grads.keys()
@@ -487,7 +494,8 @@ def test_loss_and_grad_matches_whole_last_layer(kind, dropout, n_layers):
     params = scaled_params(cfg, seed=5)
     batch = make_mlm_batch(cfg, seed=4) if kind == "mlm" else make_qa_batch(cfg, seed=4)
     rng = (lambda: np.random.default_rng(9)) if dropout else (lambda: None)
-    value, grads = loss_and_grad(params, batch, kind, dropout_rng=rng())
+    value, grads = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
+                                 workspace=Workspace())
     want_value, want_grads = plain_backward(params, batch, kind, rng(), whole_last_layer=True)
     assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     for name, grad in grads.items():
@@ -512,9 +520,9 @@ def sized_batch(config, kind, seed, B, L):
 @pytest.mark.parametrize("kind", ["mlm", "span"])
 def test_workspace_steps_match_fresh_arrays_bitwise(dropout, kind):
     """Steps that share one workspace and one gradient buffer, over batches
-    that grow and shrink, give the loss and gradients of steps that allocate
-    every array afresh, bit for bit: no step reads another's leftovers and no
-    two live arrays share a workspace slot."""
+    that grow and shrink, give the loss and gradients of steps on a fresh
+    workspace, bit for bit: no step reads another's leftovers. (That no two
+    live arrays share a workspace slot, the plain-expression oracles pin.)"""
     cfg = bitwise_config(dropout)
     params = scaled_params(cfg, seed=5)
     workspace = encoder.Workspace()
@@ -523,12 +531,32 @@ def test_workspace_steps_match_fresh_arrays_bitwise(dropout, kind):
     for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
         batch = sized_batch(cfg, kind, seed, B, L)
         rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
-        want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng())
+        want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(),
+                                               grads=zeroed_grads(params), workspace=Workspace())
         grad.fill(0.0)
         value, got = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
         assert got is grads and value == want_value
         for name, tensor in want_grads.items():
             assert_bitwise(grads[name], tensor)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_cacheless_forwards_share_one_workspace_bitwise(dropout, n_layers):
+    """One workspace drives forwards without a cache, whose layers all take
+    one layer's keys, over batches whose widths grow and shrink. Each result
+    equals, bit for bit, that of a fresh workspace and the plain expressions:
+    a layer reads the layer below's output before it writes its own."""
+    cfg = ModelConfig(vocab_size=16, n_layers=n_layers, n_heads=2, d_model=12, d_ff=16, max_len=16, dropout=dropout)
+    params = scaled_params(cfg, seed=5)
+    workspace = Workspace()
+    for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
+        batch = sized_batch(cfg, "mlm", seed, B, L)
+        inputs = (params, batch.input_ids, batch.segment_ids, batch.attention_mask)
+        rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+        got = forward(*inputs, dropout_rng=rng(), workspace=workspace)
+        assert_bitwise(got, forward(*inputs, dropout_rng=rng(), workspace=Workspace()))
+        assert_bitwise(got, plain_forward(*inputs, rng()))
 
 
 # ---------------------------------------------------------------- no aliasing
@@ -551,10 +579,14 @@ def test_step_leaves_inputs_unchanged_and_repeats_bitwise(dropout, kind):
     def rng():
         return np.random.default_rng(7) if dropout else None
 
-    h1 = forward(params, batch.input_ids, batch.segment_ids, batch.attention_mask, dropout_rng=rng())
-    value1, grads1 = loss_and_grad(params, batch, kind, dropout_rng=rng())
-    value2, grads2 = loss_and_grad(params, batch, kind, dropout_rng=rng())
-    h2 = forward(params, batch.input_ids, batch.segment_ids, batch.attention_mask, dropout_rng=rng())
+    h1 = forward(params, batch.input_ids, batch.segment_ids, batch.attention_mask, dropout_rng=rng(),
+                 workspace=Workspace())
+    value1, grads1 = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
+                                   workspace=Workspace())
+    value2, grads2 = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
+                                   workspace=Workspace())
+    h2 = forward(params, batch.input_ids, batch.segment_ids, batch.attention_mask, dropout_rng=rng(),
+                 workspace=Workspace())
     assert value1 == value2
     assert_bitwise(h1, h2)
     for name in grads1:
@@ -573,7 +605,7 @@ def test_mlm_logits_zero_hidden_equals_bias():
     params = scaled_params(TINY, seed=1)
     params.tensors["mlm_bias"][:] = np.linspace(-1.0, 1.0, 16)  # init leaves it at zero
     hidden = np.zeros((5, TINY.d_model))
-    logits = mlm_logits(params, hidden[[0, 3]])
+    logits = mlm_logits(params, hidden[[0, 3]], Workspace())
     np.testing.assert_allclose(logits, np.broadcast_to(params.tensors["mlm_bias"], (2, 16)))
 
 
@@ -585,14 +617,14 @@ def test_mlm_logits_orthonormal_rows_argmax():
     params.tensors["mlm_bias"][:] = 0.0
     v = 5
     hidden = params.tensors["tok_emb"][v][None, :]
-    logits = mlm_logits(params, hidden)
+    logits = mlm_logits(params, hidden, Workspace())
     assert logits.argmax() == v
 
 
 def test_mlm_logits_shape():
     params = scaled_params(TINY, seed=1)
     hidden = np.zeros((4, TINY.d_model))
-    assert mlm_logits(params, hidden[[0, 1]]).shape == (2, 16)
+    assert mlm_logits(params, hidden[[0, 1]], Workspace()).shape == (2, 16)
 
 
 def test_qa_logits_matches_oracle():
@@ -654,7 +686,8 @@ def gradcheck(params, batch, loss_kind, h=1e-4, tol=1e-5, dropout_seed=None):
 
     def loss():
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-        return loss_and_grad(params, batch, loss_kind, dropout_rng=rng)
+        return loss_and_grad(params, batch, loss_kind, dropout_rng=rng, grads=zeroed_grads(params),
+                             workspace=Workspace())
 
     _, grads = loss()
     worst = 0.0
@@ -690,15 +723,18 @@ def test_gradcheck_with_dropout_mask_fixed():
     cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=16, dropout=0.2)
     params = scaled_params(cfg, seed=2)
     batch = make_mlm_batch(cfg, seed=1)
-    _, grads = loss_and_grad(params, batch, "mlm", dropout_rng=np.random.default_rng(5))
+    _, grads = loss_and_grad(params, batch, "mlm", dropout_rng=np.random.default_rng(5), grads=zeroed_grads(params),
+                             workspace=Workspace())
     h = 1e-4
     name, idx = "l0.wq", (0, 0)
     tensor = params.tensors[name]
     orig = tensor[idx]
     tensor[idx] = orig + h
-    lp, _ = loss_and_grad(params, batch, "mlm", dropout_rng=np.random.default_rng(5))
+    lp, _ = loss_and_grad(params, batch, "mlm", dropout_rng=np.random.default_rng(5), grads=zeroed_grads(params),
+                          workspace=Workspace())
     tensor[idx] = orig - h
-    lm, _ = loss_and_grad(params, batch, "mlm", dropout_rng=np.random.default_rng(5))
+    lm, _ = loss_and_grad(params, batch, "mlm", dropout_rng=np.random.default_rng(5), grads=zeroed_grads(params),
+                          workspace=Workspace())
     tensor[idx] = orig
     fd = (lp - lm) / (2 * h)
     assert abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-6) < 1e-4
@@ -747,7 +783,7 @@ def test_read_positions_are_checked():
     ids, segs, mask = make_inputs(TINY, seed=3, B=2, L=7)
     for rows, cols in (([0, 2], [1, 1]), ([0, 1], [7, 0]), ([-1], [0]), ([0, 1], [1]), ([[0]], [[1]])):
         with pytest.raises(ValueError):
-            forward(params, ids, segs, mask, positions=(np.array(rows), np.array(cols)))
+            forward(params, ids, segs, mask, positions=(np.array(rows), np.array(cols)), workspace=Workspace())
 
 
 def test_loss_value_matches_oracle():
@@ -755,24 +791,24 @@ def test_loss_value_matches_oracle():
     end cross-entropies over each row's valid positions, averaged over rows."""
     params = scaled_params(TINY, seed=4)
     mlm = make_mlm_batch(TINY, seed=5)
-    hidden = forward(params, mlm.input_ids, mlm.segment_ids, mlm.attention_mask)
+    hidden = forward(params, mlm.input_ids, mlm.segment_ids, mlm.attention_mask, workspace=Workspace())
     nll = [
         ce_oracle(list(hidden[r, c] @ params.tensors["tok_emb"].T + params.tensors["mlm_bias"]), t)
         for r, c, t in zip(mlm.mask_rows, mlm.mask_cols, mlm.target_ids)
     ]
-    value, _ = loss_and_grad(params, mlm, "mlm")
+    value, _ = loss_and_grad(params, mlm, "mlm", grads=zeroed_grads(params), workspace=Workspace())
     assert abs(value - sum(nll) / len(nll)) <= 1e-10
 
     qa = make_qa_batch(TINY, seed=5)
     qa.valid_mask[1, 3:8] = True  # rows differ in their valid positions
-    hidden = forward(params, qa.input_ids, qa.segment_ids, qa.attention_mask)
+    hidden = forward(params, qa.input_ids, qa.segment_ids, qa.attention_mask, workspace=Workspace())
     start, end = qa_logits(params, hidden)
     total = 0.0
     for b in range(len(qa.input_ids)):
         ctx = list(np.flatnonzero(qa.valid_mask[b]))
         total += ce_oracle([start[b, p] for p in ctx], ctx.index(qa.start_gold[b]))
         total += ce_oracle([end[b, p] for p in ctx], ctx.index(qa.end_gold[b]))
-    value, _ = loss_and_grad(params, qa, "span")
+    value, _ = loss_and_grad(params, qa, "span", grads=zeroed_grads(params), workspace=Workspace())
     assert abs(value - total / (2 * len(qa.input_ids))) <= 1e-10
 
 
@@ -792,8 +828,8 @@ def test_loss_identical_samples_equals_single():
         attention_mask=single.attention_mask[:1], start_gold=single.start_gold[:1],
         end_gold=single.end_gold[:1], valid_mask=single.valid_mask[:1],
     )
-    l2, _ = loss_and_grad(params, double, "span")
-    l1, _ = loss_and_grad(params, one, "span")
+    l2, _ = loss_and_grad(params, double, "span", grads=zeroed_grads(params), workspace=Workspace())
+    l1, _ = loss_and_grad(params, one, "span", grads=zeroed_grads(params), workspace=Workspace())
     assert abs(l2 - l1) < 1e-12
 
 
@@ -804,27 +840,27 @@ def test_loss_errors(monkeypatch):
     empty = MLMBatch(batch.input_ids, batch.segment_ids, batch.attention_mask,
                      np.array([], dtype=int), np.array([], dtype=int), np.array([], dtype=int))
     with pytest.raises(NoMaskedPositionsError):
-        loss_and_grad(params, empty, "mlm")
+        loss_and_grad(params, empty, "mlm", grads=zeroed_grads(params), workspace=Workspace())
     qa = make_qa_batch(TINY, seed=0)
     qa.start_gold = np.array([0, 5])  # position 0 is outside the valid mask
     with pytest.raises(GoldPositionMaskedError):
-        loss_and_grad(params, qa, "span")
+        loss_and_grad(params, qa, "span", grads=zeroed_grads(params), workspace=Workspace())
     short = make_mlm_batch(TINY, seed=0)
     short.target_ids = short.target_ids[:2]
     with pytest.raises(ValueError):
-        loss_and_grad(params, short, "mlm")
+        loss_and_grad(params, short, "mlm", grads=zeroed_grads(params), workspace=Workspace())
     narrow = make_qa_batch(TINY, seed=0)
     narrow.valid_mask = narrow.valid_mask[:, :5]
     with pytest.raises(ValueError):
-        loss_and_grad(params, narrow, "span")
+        loss_and_grad(params, narrow, "span", grads=zeroed_grads(params), workspace=Workspace())
 
 
 def test_weight_tying_is_object_identity():
     params = scaled_params(TINY, seed=1)
     hidden = np.ones((3, TINY.d_model))
-    before = mlm_logits(params, hidden[[0]]).copy()
+    before = mlm_logits(params, hidden[[0]], Workspace()).copy()
     params.tensors["tok_emb"] += 1.0  # mutate the shared matrix
-    after = mlm_logits(params, hidden[[0]])
+    after = mlm_logits(params, hidden[[0]], Workspace())
     assert not np.allclose(before, after)  # no stale copy anywhere
 
 

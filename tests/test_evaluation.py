@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -392,9 +393,9 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
 
     widths, forward = [], evaluation.forward
 
-    def recording_forward(params, ids, segs, mask):
+    def recording_forward(params, ids, segs, mask, *, workspace):
         widths.append(ids.shape[1])
-        return forward(params, ids, segs, mask)
+        return forward(params, ids, segs, mask, workspace=workspace)
 
     monkeypatch.setattr(evaluation, "forward", recording_forward)
     lengths = sorted(len(pack_qa(ex.question, ex.context, vocab, config.max_len).input_ids) for ex in examples)
@@ -467,9 +468,9 @@ def test_non_finite_checkpoint_raises_under_several_workers_and_leaves_no_thread
     params, vocab, examples = _batched_inputs()
     threads, forward = set(), evaluation.forward
 
-    def recording_forward(params, ids, segs, mask):
+    def recording_forward(params, ids, segs, mask, *, workspace):
         threads.add(threading.current_thread())
-        return forward(params, ids, segs, mask)
+        return forward(params, ids, segs, mask, workspace=workspace)
 
     monkeypatch.setattr(evaluation, "forward", recording_forward)
     count = threading.active_count()
@@ -482,6 +483,86 @@ def test_non_finite_checkpoint_raises_under_several_workers_and_leaves_no_thread
         evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=3)
     assert threads and threading.current_thread() not in threads
     assert not any(thread.is_alive() for thread in threads) and threading.active_count() == count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_batch_thread_keeps_its_own_workspace_and_decodes_new_logits(monkeypatch, workers):
+    """Each thread that runs batches passes ``forward`` the same workspace on
+    every batch of the call, no two threads pass the same one, and the logits
+    the calling thread decodes share no memory with any array a workspace
+    handed out, so no batch can overwrite another's logits."""
+    params, vocab, examples = _batched_inputs()
+    passed, taken, decoded = defaultdict(list), [], []
+    forward, decode_span = evaluation.forward, evaluation.decode_span
+    meet = threading.Barrier(workers, timeout=30)
+
+    class RecordingWorkspace(evaluation.Workspace):
+        def take(self, key, shape):
+            array = super().take(key, shape)
+            taken.append(array)
+            return array
+
+    def recording_forward(params, ids, segs, mask, *, workspace):
+        thread = threading.current_thread()
+        if thread not in passed:
+            meet.wait()  # each thread's first batch waits for the others': every thread runs a batch
+        passed[thread].append(workspace)
+        return forward(params, ids, segs, mask, workspace=workspace)
+
+    def recording_decode(start_logits, end_logits, max_answer_len):
+        decoded.extend((start_logits, end_logits))
+        return decode_span(start_logits, end_logits, max_answer_len)
+
+    monkeypatch.setattr(evaluation, "Workspace", RecordingWorkspace)
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    monkeypatch.setattr(evaluation, "decode_span", recording_decode)
+    predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=workers)
+    assert len(passed) == workers
+    assert (threading.current_thread() in passed) == (workers == 1)
+    for seen in passed.values():
+        assert isinstance(seen[0], RecordingWorkspace) and all(ws is seen[0] for ws in seen)
+    assert len({id(seen[0]) for seen in passed.values()}) == workers
+    assert sum(map(len, passed.values())) > workers and decoded and taken
+    assert not any(np.shares_memory(logits, array) for logits in decoded for array in taken)
+
+
+def test_predict_spans_batches_after_the_first_allocate_no_per_token_arrays(monkeypatch):
+    """With every batch of one shape and one worker, the first batch fills
+    the thread's workspace and later batches reuse it: the memory a batch
+    adds at its peak (numpy reports its data buffers to tracemalloc) stays
+    far below one (B * L, d_ff) FFN array, of which a forward that allocates
+    per call makes several per layer."""
+    words = "alpha beta gamma delta epsilon zeta eta theta question"
+    vocab = build_vocab([words], max_size=64)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=32, d_ff=1024, max_len=64,
+                         dropout=0.0)
+    params = init_params(config, seed=0)
+    context = " ".join(words.split()[:8] * 2)
+    examples = [QAExample(str(i), "question", context, (("alpha", 0),), "en", "en") for i in range(40)]
+    (width,) = {len(pack_qa(ex.question, ex.context, vocab, config.max_len).input_ids) for ex in examples}
+    batch_size = 8
+    assert batch_size * width <= evaluation._BATCH_TOKENS  # every batch has batch_size rows
+    growth, window, forward = [], {}, evaluation.forward
+
+    def measured_forward(*args, **kwargs):  # a batch starts here
+        if "start" in window:
+            growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+        tracemalloc.reset_peak()
+        window["start"] = tracemalloc.get_traced_memory()[0]
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward", measured_forward)
+    tracemalloc.start()
+    try:
+        predictions = predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size, workers=1)
+        growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+    finally:
+        tracemalloc.stop()
+    assert all(pred in context for pred in predictions)
+    assert len(growth) == len(examples) // batch_size == 5
+    one_ffn = batch_size * width * config.d_ff * 8
+    assert growth[0] > one_ffn  # the first batch fills the workspace
+    assert max(growth[1:]) < one_ffn / 8, (growth, one_ffn)
 
 
 def test_predict_spans_peak_memory_is_bounded_by_the_token_budget():

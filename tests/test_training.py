@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kiqa import training
 from kiqa.assembler import build_corpus
-from kiqa.encoder import EncoderParams, ModelConfig, cross_entropy, init_params, param_views
+from kiqa.encoder import EncoderParams, ModelConfig, Workspace, cross_entropy, init_params, param_views
 from kiqa.errors import ConfigError, NonFiniteError
 from kiqa.evaluation import QAExample
 from kiqa.synthlang import SynthSpec, gen_kb
@@ -25,7 +25,7 @@ from kiqa.training import (
     run_injection,
 )
 
-from conftest import ce_oracle
+from conftest import ce_oracle, zeroed_grads
 
 
 # ---------------------------------------------------------------- the losses
@@ -34,14 +34,14 @@ from conftest import ce_oracle
 
 
 def test_mlm_loss_uniform():
-    nll, _ = cross_entropy(np.zeros((1, 4)), [2])
+    nll, _ = cross_entropy(np.zeros((1, 4)), [2], Workspace(), "ce")
     assert nll[0] == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_mlm_loss_hand_value():
     logits = np.array([[2.0, 0.0, 0.0, 0.0]])
     want = math.log(1 + 3 * math.exp(-2))  # = 0.34075...
-    nll, _ = cross_entropy(logits, [0])
+    nll, _ = cross_entropy(logits, [0], Workspace(), "ce")
     assert nll[0] == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(0.3408, abs=1e-4)
 
@@ -53,7 +53,7 @@ def test_loss_oracle_random_instances():
         v = rng.integers(2, 12)
         logits = rng.normal(scale=3.0, size=(n, v))
         targets = rng.integers(0, v, size=n)
-        nll, grad = cross_entropy(logits, targets)
+        nll, grad = cross_entropy(logits, targets, Workspace(), "ce")
         for i in range(n):
             assert abs(nll[i] - ce_oracle(logits[i], targets[i])) <= 1e-10
         assert np.abs(grad.sum(-1)).max() <= 1e-12  # softmax minus one-hot
@@ -62,7 +62,7 @@ def test_loss_oracle_random_instances():
 def test_span_loss_uniform():
     logits = np.full((2, 8), -np.inf)
     logits[:, 2:7] = 0.0  # 5 valid positions
-    nll, grad = cross_entropy(logits, [3, 4])
+    nll, grad = cross_entropy(logits, [3, 4], Workspace(), "ce")
     np.testing.assert_allclose(nll, math.log(5), atol=1e-12)
     assert (grad[:, :2] == 0.0).all() and (grad[:, 7:] == 0.0).all()
 
@@ -77,7 +77,7 @@ def test_span_loss_restricted_oracle():
         start = rng.normal(scale=2.0, size=L)
         end = rng.normal(scale=2.0, size=L)
         gs, ge = rng.choice(ctx), rng.choice(ctx)
-        nll, grad = cross_entropy(np.where(valid, np.stack([start, end]), -np.inf), [gs, ge])
+        nll, grad = cross_entropy(np.where(valid, np.stack([start, end]), -np.inf), [gs, ge], Workspace(), "ce")
         assert abs(nll[0] - ce_oracle([start[p] for p in ctx], ctx.index(gs))) <= 1e-10
         assert abs(nll[1] - ce_oracle([end[p] for p in ctx], ctx.index(ge))) <= 1e-10
         assert (grad[:, ~valid] == 0.0).all()
@@ -563,8 +563,9 @@ def test_step_records_carry_the_global_grad_norm(monkeypatch, max_grad_norm):
     fresh = []
     original = training.loss_and_grad
 
-    def recording(params, batch, loss, dropout_rng=None, grads=None, workspace=None):
-        _, want = original(params, batch, loss, dropout_rng=copy.deepcopy(dropout_rng))
+    def recording(params, batch, loss, dropout_rng=None, *, grads, workspace):
+        _, want = original(params, batch, loss, dropout_rng=copy.deepcopy(dropout_rng), grads=zeroed_grads(params),
+                           workspace=Workspace())
         fresh.append(np.concatenate([want[name].ravel() for name in params.tensors]))  # layout order
         return original(params, batch, loss, dropout_rng=dropout_rng, grads=grads, workspace=workspace)
 
@@ -600,7 +601,7 @@ def test_training_keeps_every_tensor_a_view_of_its_buffer(monkeypatch, tmp_path)
     grads_seen = []
     original = training.loss_and_grad
 
-    def recording(params, batch, loss, dropout_rng=None, grads=None, workspace=None):
+    def recording(params, batch, loss, dropout_rng=None, *, grads, workspace):
         grads_seen.append(grads)
         return original(params, batch, loss, dropout_rng=dropout_rng, grads=grads, workspace=workspace)
 
