@@ -17,7 +17,7 @@ row.
 
 ``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
 most ``min(arms, cpus)`` at a time, so it runs on POSIX only; each arm
-evaluates on its share of the CPUs. Rows are
+trains and evaluates on its share of the CPUs. Rows are
 submitted in table order; each arm's output and the first failing arm's
 error come back in table order. A failing arm does not stop the others,
 which may still write their artifacts.
@@ -356,13 +356,14 @@ def _save_phase(config: PipelineConfig, run_dir: Path, arm: Arm, phase: str, ckp
           f"{result.dropped} {dropped} -> {ckpt}")
 
 
-def _run_injection(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
+def _run_injection(config: PipelineConfig, run_dir: Path, arm: Arm, workers: int | None = None) -> None:
     corpus = assembler.load_corpus(_own_artifact(config, arm.path(run_dir, "corpus.jsonl")))
     vocab = _load_vocab(config, run_dir)
     result = training.run_injection(
         corpus, vocab, config.train_config("inject"),
         ModelConfig(vocab_size=len(vocab), **config.section("model")),
         render_max_len=config["assembler.render_max_len"],
+        workers=workers,
     )
     _save_phase(config, run_dir, arm, "inject", "ckpt-inject.bin", result, "overflowed")
 
@@ -372,11 +373,11 @@ def cmd_inject(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "inject", config, {"seed": config["inject.seed"]})
 
 
-def _run_finetune(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
+def _run_finetune(config: PipelineConfig, run_dir: Path, arm: Arm, workers: int | None = None) -> None:
     params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-inject.bin"))
     vocab = _load_vocab(config, run_dir)
     dataset = evaluation.load_qa_dataset(_own_artifact(config, run_dir / "data" / "qa" / "train.json"))
-    result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"))
+    result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"), workers=workers)
     _save_phase(config, run_dir, arm, "finetune", "ckpt-final.bin", result, "dropped")
 
 
@@ -437,24 +438,26 @@ def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "evaluate", config)
 
 
-def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, eval_workers: int) -> tuple[float, str, float]:
+def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, threads: int) -> tuple[float, str, float]:
     """Assemble the arm's own corpus if it has one, then inject, finetune and
-    evaluate on ``eval_workers`` threads. Returns the cross-pair F1, the arm's
-    printed lines and its wall seconds."""
+    evaluate, each on ``threads`` threads. Returns the cross-pair F1, the
+    arm's printed lines and its wall seconds."""
     start = time.perf_counter()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if arm.kind_weights is not None:
             _assemble_into(config, run_dir, arm, _load_kb(config, run_dir))
-        _run_injection(config, run_dir, arm)
-        _run_finetune(config, run_dir, arm)
-        report = _evaluate_checkpoint(config, run_dir, arm, eval_workers)
+        _run_injection(config, run_dir, arm, threads)
+        _run_finetune(config, run_dir, arm, threads)
+        report = _evaluate_checkpoint(config, run_dir, arm, threads)
     return report.cross_pair_f1(), out.getvalue(), time.perf_counter() - start
 
 
 def _cpu_budget(arms: int, cpus: int) -> tuple[int, int]:
-    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the eval threads
-    each arm runs: ``min(arms, cpus)`` and ``max(1, cpus // workers)``."""
+    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the threads each
+    arm trains and evaluates on: ``min(arms, cpus)`` and
+    ``max(1, cpus // workers)``. An arm with 2 or more threads trains with a
+    helper thread and evaluates on that many."""
     workers = min(arms, cpus)
     return workers, max(1, cpus // workers)
 
@@ -465,9 +468,11 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
 
     The rows go, in table order, to at most ``min(arms, cpus)`` forked
     workers, where cpus is ``evaluation.usable_cpus()``; one CPU still runs
-    them through the pool, one after the other. Each arm evaluates on
-    ``max(1, cpus // workers)`` threads, so the arms in flight share the
-    process's CPUs: two arms on 2 CPUs get one thread each, on 4 CPUs two.
+    them through the pool, one after the other. Each arm trains and evaluates
+    on ``max(1, cpus // workers)`` threads (``_cpu_budget``), so the arms in
+    flight share the process's CPUs: two arms on 2 CPUs get one thread each
+    and train inline, on 4 CPUs two each, and train with a helper thread.
+    Each arm's manifest entry records its ``threads``.
     Each arm's output is printed, and the first failing arm's error raised,
     in table order, so stdout matches a serial run. A failing arm does not
     stop the others, which may still write their artifacts. A last line per
@@ -479,14 +484,14 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
 
     cmd_synth_gen(config, run_dir)
     cmd_assemble(config, run_dir)
-    workers, eval_workers = _cpu_budget(len(_ARMS), evaluation.usable_cpus())
+    workers, threads = _cpu_budget(len(_ARMS), evaluation.usable_cpus())
     arms = []
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_arm, config, run_dir, arm, eval_workers) for arm in _ARMS]
+        futures = [pool.submit(_run_arm, config, run_dir, arm, threads) for arm in _ARMS]
         for arm, future in zip(_ARMS, futures):
             f1, printed, wall_s = future.result()
             sys.stdout.write(printed)
-            arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s})
+            arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s, "threads": threads})
 
     first = arms[0]
     for other in arms[1:]:

@@ -35,13 +35,27 @@ batches, for one ``predict_spans`` call. Each array is written with ``out=``
 in the plain expression's operation order, so its values are bitwise those
 of a fresh array, and a call after the first few maps no new memory. Keys
 name their layer only when the forward keeps a cache for a backward.
+
+Thread rule: a training run on two or more CPUs keeps one ``Helper``
+thread, which its workspace carries; inference has none. Only the thread
+that made a workspace calls ``take``; it hands the helper the arrays a task
+reads and writes. The helper forms the weight, bias, layer-norm and MLM-head
+parameter gradients, each added to its tensor in the one-thread order, and
+the ``tok_emb`` scatter, while the calling thread forms the input gradients;
+and it runs the second half of GELU's rows. No reduction changes its extent
+and split elementwise work writes disjoint rows, so every value is bitwise
+that of one thread. The calling thread waits for the helper before it
+rewrites a buffer a task reads, before ``loss_and_grad`` returns, and after
+each split; a task's exception is raised on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import queue
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -165,6 +179,53 @@ def init_params(config: ModelConfig, seed: int) -> EncoderParams:
     return params
 
 
+class Helper:
+    """One thread beside the calling thread, for one training run. ``submit``
+    queues a task, ``wait`` returns once every task queued before it has run
+    and raises the first exception any of them raised; the tasks after a
+    failed one, up to that ``wait``, are skipped. A task reads and writes only
+    the arrays it is handed, takes nothing from a ``Workspace`` and calls no
+    public kiqa function. Use it as a context manager: the thread ends,
+    after the tasks already queued, however the block is left."""
+
+    _FENCE = object()
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name="kiqa-helper", daemon=True)
+
+    def __enter__(self) -> "Helper":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._tasks.put(None)
+        self._thread.join()
+
+    def submit(self, fn, *args) -> None:
+        self._tasks.put((fn, args))
+
+    def wait(self) -> None:
+        self._tasks.put(self._FENCE)
+        error = self._done.get()
+        if error is not None:
+            raise error
+
+    def _run(self) -> None:
+        error = None
+        while (task := self._tasks.get()) is not None:
+            if task is self._FENCE:
+                self._done.put(error)
+                error = None
+            elif error is None:
+                fn, args = task
+                try:
+                    fn(*args)
+                except BaseException as exc:  # raised on the calling thread by its next wait
+                    error = exc
+
+
 class Workspace:
     """The encoder's one allocator: float64 arrays reused from call to call,
     by key. One per training run, one per inference thread and
@@ -178,10 +239,17 @@ class Workspace:
     share keys, as a layer reads the layer below's output (in Q/K/V and the
     first residual) before it writes its own. The backward's keys (``b.``)
     serve every layer: a layer reads the gradient it gets from the layer
-    above before it writes any of them."""
+    above before it writes any of them, and with a helper the calling thread
+    waits for it before rewriting a key one of its tasks reads (see
+    ``_backward_to_params``).
 
-    def __init__(self):
+    A training run's workspace may carry that run's ``Helper``. Only the
+    thread that made the workspace calls ``take``; it hands the helper the
+    arrays a task needs."""
+
+    def __init__(self, helper: Helper | None = None):
         self._buffers: dict[str, np.ndarray] = {}
+        self.helper = helper
 
     def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         n = math.prod(shape)
@@ -189,6 +257,35 @@ class Workspace:
         if buf is None or buf.size < n:
             buf = self._buffers[key] = np.empty(n)
         return buf[:n].reshape(shape)
+
+
+def _hand_off(ws, fn, *args):
+    """fn(*args) on the workspace's helper, or here when it has none."""
+    if ws.helper is None:
+        fn(*args)
+    else:
+        ws.helper.submit(fn, *args)
+
+
+def _join(ws):
+    """Wait until the workspace's helper has run every task handed to it."""
+    if ws.helper is not None:
+        ws.helper.wait()
+
+
+def _split_rows(ws, fn, *arrays):
+    """fn(*arrays) for an elementwise fn over arrays of one shape. With a
+    helper, it runs fn on the second half of the rows while this thread runs
+    the first half, and both are done on return; each writes its own rows,
+    so the values are bitwise those of one call."""
+    if ws.helper is None or arrays[0].size < 2 * arrays[0].shape[-1]:
+        fn(*arrays)
+        return
+    rows = [np.reshape(a, (-1, a.shape[-1]), copy=False) for a in arrays]
+    half = len(rows[0]) // 2
+    ws.helper.submit(fn, *(r[half:] for r in rows))
+    fn(*(r[:half] for r in rows))
+    ws.helper.wait()
 
 
 # ---------------------------------------------------------------- primitives
@@ -219,14 +316,13 @@ def _layer_norm(x, g, b, ws, key):
 
 
 def _layer_norm_backward(dy, t, grads, name, cache, ws, key):
-    """dx of _layer_norm with gain t[name_g] and bias t[name_b]; adds their grads."""
+    """dx of _layer_norm with gain t[name_g] and bias t[name_b]; hands off their grads."""
     xhat, inv = cache
-    tmp = np.multiply(dy, xhat, out=ws.take(key + ".tmp", dy.shape))
-    grads[name + "_g"] += tmp.sum(axis=tuple(range(dy.ndim - 1)))
-    grads[name + "_b"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    _hand_off(ws, _layer_norm_param_grads, dy, xhat, ws.take(key + ".gtmp", dy.shape), grads[name + "_g"],
+              grads[name + "_b"])
     dx = np.multiply(dy, t[name + "_g"], out=ws.take(key + ".dx", dy.shape))
     m1 = dx.mean(-1, keepdims=True)
-    np.multiply(dx, xhat, out=tmp)
+    tmp = np.multiply(dx, xhat, out=ws.take(key + ".tmp", dy.shape))
     m2 = tmp.mean(-1, keepdims=True)
     dx -= m1
     np.multiply(xhat, m2, out=tmp)
@@ -235,23 +331,41 @@ def _layer_norm_backward(dy, t, grads, name, cache, ws, key):
     return dx
 
 
+def _layer_norm_param_grads(dy, xhat, tmp, grad_g, grad_b):
+    """Adds the layer norm's gain and bias grads, forming dy * xhat in tmp."""
+    np.multiply(dy, xhat, out=tmp)
+    grad_g += tmp.sum(axis=tuple(range(dy.ndim - 1)))
+    grad_b += dy.sum(axis=tuple(range(dy.ndim - 1)))
+
+
 def _linear_backward(t, grads, p, n, x, dy, ws):
-    """dx of y = x @ t[p w<n>] + t[p b<n>]; adds the weight and bias grads."""
+    """dx of y = x @ t[p w<n>] + t[p b<n>]; hands off the weight and bias grads."""
     w = p + "w" + n
     shape = t[w].shape
-    grads[w] += np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=ws.take("b.gw" + n, shape))
-    grads[p + "b" + n] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    _hand_off(ws, _linear_param_grads, x, dy, ws.take("b.gw" + n, shape), grads[w], grads[p + "b" + n])
     return np.matmul(dy, t[w].T, out=ws.take("b.dx" + n, dy.shape[:-1] + shape[:1]))
+
+
+def _linear_param_grads(x, dy, gw, grad_w, grad_b):
+    """Adds x.T @ dy, formed in gw, to grad_w and dy's row sum to grad_b."""
+    grad_w += np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=gw)
+    grad_b += dy.sum(axis=tuple(range(dy.ndim - 1)))
 
 
 def _gelu(x, ws, key):
     """GELU(x) = x * phi and phi = Phi(x), the standard normal CDF, which
     _gelu_grad reuses."""
-    phi = np.divide(x, _SQRT2, out=ws.take(key + ".phi", x.shape))
+    phi, y = ws.take(key + ".phi", x.shape), ws.take(key + ".y", x.shape)
+    _split_rows(ws, _gelu_rows, x, phi, y)
+    return y, phi
+
+
+def _gelu_rows(x, phi, y):
+    np.divide(x, _SQRT2, out=phi)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    return np.multiply(x, phi, out=ws.take(key + ".y", x.shape)), phi
+    np.multiply(x, phi, out=y)
 
 
 def _gelu_grad(dy, x, phi, ws, key):
@@ -417,7 +531,15 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     """Backprop dh, the gradient wrt the last layer's output at the cache's
     positions, through the stack into grads. The last layer's row gradients
     are scattered, with add, into whole (B, L, d) tensors before its
-    attention backward; the layers below run at every position."""
+    attention backward; the layers below run at every position.
+
+    This thread forms the input gradients, the critical path. The weight,
+    bias and layer-norm parameter grads and the ``tok_emb`` scatter are
+    handed off (see ``_hand_off``), so each gradient tensor still gets its
+    additions in order on one thread. With a helper, this thread waits for it
+    before it rewrites a ``b.`` key a task reads: before a layer below starts,
+    before a layer below the top rewrites ``b.dxq`` (its LN2 task reads the
+    gradient the layer above left there), and before returning."""
     t = params.tensors
     nh = params.config.n_heads
     shape = cache["ids"].shape + (params.config.d_model,)
@@ -449,6 +571,8 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
         dkh = np.matmul(dscores.transpose(0, 1, 3, 2), c["qh"], out=ws.take("b.dkh", dctx.shape))
         dkh *= cache["scale"]
         dvh = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=ws.take("b.dvh", dctx.shape))
+        if i < params.config.n_layers - 1:
+            _join(ws)  # this layer's LN2 task reads dh, the layer above's b.dxq, which the Q backward rewrites
         dh, dxk, dxv = (
             _linear_backward(t, grads, p, n, c["h_in"], _merge_heads(d, ws.take("b.merged" + n, shape)), ws)
             for n, d in zip("qkv", (dqh, dkh, dvh))
@@ -460,11 +584,14 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
         else:
             np.add.at(dh.reshape(-1, shape[2]), at, dr1)
             at = None  # the layers below ran at every position
+        if i > 0:
+            _join(ws)  # before the layer below writes the b. keys this layer's tasks read
 
     dh = _dropout_backward(dh, cache["drop0"], ws, "b.drop0")
-    np.add.at(grads["tok_emb"], cache["ids"], dh)
+    _hand_off(ws, np.add.at, grads["tok_emb"], cache["ids"], dh)  # after the MLM head's product, on one thread
     grads["pos_emb"][: dh.shape[1]] += dh.sum(0)
     np.add.at(grads["seg_emb"], cache["segs"], dh)
+    _join(ws)
 
 
 # ---------------------------------------------------------------- loss heads
@@ -476,6 +603,12 @@ def mlm_logits(params: EncoderParams, sel, ws):
     logits = np.matmul(sel, tok_emb.T, out=ws.take("mlm.logits", (len(sel), len(tok_emb))))
     logits += params.tensors["mlm_bias"]
     return logits
+
+
+def _mlm_param_grads(dlogits, sel, gw, grad_bias, grad_emb):
+    """Adds the MLM head's bias grad and its tied-embedding product, formed in gw."""
+    grad_bias += dlogits.sum(0)
+    grad_emb += np.matmul(dlogits.T, sel, out=gw)
 
 
 def qa_logits(params: EncoderParams, hidden):
@@ -577,8 +710,8 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, *, 
         nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws, "ce")
         value = nll.mean()
         dlogits /= M
-        grads["mlm_bias"] += dlogits.sum(0)
-        grads["tok_emb"] += np.matmul(dlogits.T, sel, out=ws.take("mlm.gw", t["tok_emb"].shape))
+        _hand_off(ws, _mlm_param_grads, dlogits, sel, ws.take("mlm.gw", t["tok_emb"].shape), grads["mlm_bias"],
+                  grads["tok_emb"])
         dsel = np.matmul(dlogits, t["tok_emb"], out=ws.take("mlm.dsel", sel.shape))
     else:
         start_logits, end_logits = logits = ws.take("qa.logits", (2,) + valid.shape)

@@ -1,11 +1,22 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from kiqa.encoder import param_views
 from kiqa.kb import load_kb
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fails a test that leaves a thread it started alive, such as a
+    ``predict_spans`` pool thread or a training run's ``Helper``."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left alive: {left}"
 
 
 def ce_oracle(logits, target):

@@ -288,7 +288,36 @@ def test_pipeline_summary_compares_the_first_arm_with_each_other(tmp_path, capsy
 
 @pytest.mark.parametrize("arms,cpus,budget", [(2, 1, (1, 1)), (2, 2, (2, 1)), (2, 4, (2, 2))])
 def test_pipeline_cpu_budget_splits_the_cpus_between_arms(arms, cpus, budget):
-    assert cli._cpu_budget(arms, cpus) == budget  # (forked workers, eval threads per arm)
+    assert cli._cpu_budget(arms, cpus) == budget  # (forked workers, threads per arm)
+
+
+@pytest.mark.parametrize("cpus,threads", [(2, 1), (4, 2)])
+def test_pipeline_arms_train_and_evaluate_on_their_cpu_share(tmp_path, monkeypatch, cpus, threads):
+    """Each arm passes its _cpu_budget share as ``workers`` to run_injection,
+    run_finetune and evaluate, and its manifest entry records it: on 2 CPUs
+    each arm trains inline, on 4 with a helper thread."""
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, workers, **kwargs):
+            with open(calls / name, "a", encoding="utf-8") as fh:  # appended to from each forked worker
+                fh.write(f"{workers}\n")
+            return original(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)  # the forked workers inherit it
+
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+    for module, name in ((training, "run_injection"), (training, "run_finetune"), (evaluation, "evaluate")):
+        recording(module, name)
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 0
+    for name in ("run_injection", "run_finetune", "evaluate"):
+        assert (calls / name).read_text().split() == [str(threads)] * len(cli._ARMS), name
+    manifest = json.loads((run_dir / "manifest-pipeline.json").read_text())
+    assert [arm["threads"] for arm in manifest["arms"]] == [threads] * len(cli._ARMS)
 
 
 def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys, monkeypatch):

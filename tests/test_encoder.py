@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from kiqa import encoder
 from kiqa.encoder import (
     _NEG,
     EncoderParams,
+    Helper,
     MLMBatch,
     ModelConfig,
     QABatch,
@@ -538,6 +542,114 @@ def test_workspace_steps_match_fresh_arrays_bitwise(dropout, kind):
         assert got is grads and value == want_value
         for name, tensor in want_grads.items():
             assert_bitwise(grads[name], tensor)
+
+
+class SlowHelper(Helper):
+    """A helper that sleeps before each task, so the calling thread runs
+    ahead to its next wait: a task that reads a buffer the caller rewrites
+    before that wait reads the new values."""
+
+    def submit(self, fn, *args):
+        def late(*args):
+            time.sleep(0.002)
+            fn(*args)
+
+        super().submit(late, *args)
+
+
+@pytest.mark.parametrize("helper_kind", [Helper, SlowHelper])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["mlm", "span"])
+def test_steps_with_a_helper_match_one_thread_bitwise(dropout, kind, helper_kind):
+    """Steps on one workspace that carries a helper, over batches that grow
+    and shrink, give the loss and gradients of one thread on a fresh
+    workspace and of the plain expressions, bit for bit: the helper's
+    parameter-gradient tasks and the split GELU change no value, and no task
+    reads a key that this thread has rewritten."""
+    cfg = bitwise_config(dropout)
+    params = scaled_params(cfg, seed=5)
+    grad = np.zeros_like(params.flat)
+    grads = param_views(cfg, grad)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
+    try:
+        with helper_kind() as helper:
+            workspace = Workspace(helper)
+            for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
+                batch = sized_batch(cfg, kind, seed, B, L)
+                rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+                want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(),
+                                                       grads=zeroed_grads(params), workspace=Workspace())
+                grad.fill(0.0)
+                value, _ = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
+                plain_value, plain_grads = plain_backward(params, batch, kind, rng())
+                assert value == want_value == plain_value
+                for name, tensor in want_grads.items():
+                    assert_bitwise(grads[name], tensor)
+                    assert_bitwise(grads[name], plain_grads[name])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 32), (2, 1, 32), (1, 1, 32), (4, 16)])
+def test_gelu_split_between_two_threads_matches_one_thread_bitwise(monkeypatch, shape):
+    """With a helper, _gelu runs the first half of the rows on this thread
+    and the rest on the helper (an odd row count, two rows; a lone row stays
+    here); its output and Phi equal one thread's."""
+    rng = np.random.default_rng(6)
+    x = awkward(rng, shape)
+    want_y, want_phi = (a.copy() for a in _gelu(x, Workspace(), "gelu"))
+    calls, gelu_rows = [], encoder._gelu_rows
+
+    def recording(x, phi, y):
+        calls.append((threading.current_thread(), len(x)))
+        gelu_rows(x, phi, y)
+
+    monkeypatch.setattr(encoder, "_gelu_rows", recording)
+    with Helper() as helper:
+        y, phi = _gelu(x, Workspace(helper), "gelu")
+    assert_bitwise(y, want_y)
+    assert_bitwise(phi, want_phi)
+    rows = math.prod(shape[:-1])
+    caller = threading.current_thread()
+    if rows == 1:
+        assert calls == [(caller, 1)]
+    else:
+        assert calls[0] == (caller, rows // 2) and calls[1][0] is not caller and calls[1][1] == rows - rows // 2
+
+
+def test_helper_raises_a_task_error_at_the_next_wait_and_skips_the_tasks_behind_it():
+    """A failed task's exception is raised by the next wait, once; the tasks
+    queued after it up to that wait are skipped, later ones run, in order,
+    on the helper's own thread, which ends when the block is left."""
+    ran = []
+
+    def fail():
+        raise KeyError("task failed")
+
+    with Helper() as helper:
+        helper.submit(ran.append, 1)
+        helper.submit(fail)
+        helper.submit(ran.append, 2)
+        with pytest.raises(KeyError, match="task failed"):
+            helper.wait()
+        helper.submit(ran.append, 3)
+        helper.submit(lambda: ran.append(threading.current_thread()))
+        helper.wait()
+        helper.wait()
+    assert ran[:2] == [1, 3]
+    thread = ran[2]
+    assert thread is not threading.current_thread() and not thread.is_alive()
+
+
+def test_helper_runs_queued_tasks_and_ends_when_its_block_raises():
+    ran = []
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with Helper() as helper:
+            helper.submit(ran.append, threading.current_thread)
+            helper.submit(lambda: ran.append(threading.current_thread()))
+            raise RuntimeError("caller failed")
+    assert len(ran) == 2 and not ran[1].is_alive()
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])

@@ -1,13 +1,14 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa import training
+from kiqa import encoder, training
 from kiqa.assembler import build_corpus
-from kiqa.encoder import EncoderParams, ModelConfig, Workspace, cross_entropy, init_params, param_views
+from kiqa.encoder import EncoderParams, Helper, ModelConfig, Workspace, cross_entropy, init_params, param_views
 from kiqa.errors import ConfigError, NonFiniteError
 from kiqa.evaluation import QAExample
 from kiqa.synthlang import SynthSpec, gen_kb
@@ -228,23 +229,26 @@ def test_adamw_non_finite_grad():
 
 
 def test_adamw_non_finite_last_grad_writes_nothing():
-    """A NaN in the last tensor raises before any tensor or moment changes."""
+    """A NaN in the last tensor raises before any tensor or moment changes,
+    on one thread and with the helper that updates the upper half."""
     cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
-    params = init_params(cfg, seed=0)
-    rng = np.random.default_rng(3)
-    state = AdamWState.zeros_like(params)
-    adamw_step(params, rng.normal(size=params.flat.shape), state, lr=1e-2)
-    before = params.copy().tensors, param_views(cfg, state.m.copy()), param_views(cfg, state.v.copy())
-    grad, grads = _grad_buffer(params)
-    grad[...] = rng.normal(size=grad.shape)
-    last = list(params.tensors)[-1]
-    grads[last][...] = float("nan")
-    with pytest.raises(NonFiniteError, match=last):
-        adamw_step(params, grad, state, lr=1e-2)
-    assert state.step == 1
-    for got, want in zip((params.tensors, param_views(cfg, state.m), param_views(cfg, state.v)), before):
-        for name in want:
-            assert np.array_equal(got[name], want[name]), name
+    with Helper() as helper:
+        for state_helper in (None, helper):
+            params = init_params(cfg, seed=0)
+            rng = np.random.default_rng(3)
+            state = AdamWState.zeros_like(params, state_helper)
+            adamw_step(params, rng.normal(size=params.flat.shape), state, lr=1e-2)
+            before = params.copy().tensors, param_views(cfg, state.m.copy()), param_views(cfg, state.v.copy())
+            grad, grads = _grad_buffer(params)
+            grad[...] = rng.normal(size=grad.shape)
+            last = list(params.tensors)[-1]
+            grads[last][...] = float("nan")
+            with pytest.raises(NonFiniteError, match=last):
+                adamw_step(params, grad, state, lr=1e-2)
+            assert state.step == 1
+            for got, want in zip((params.tensors, param_views(cfg, state.m), param_views(cfg, state.v)), before):
+                for name in want:
+                    assert np.array_equal(got[name], want[name]), name
 
 
 # -------------------------------------------------------------- train config
@@ -519,6 +523,29 @@ def test_adamw_chunks_match_one_pass_bitwise(monkeypatch):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("chunk", [7, training._ADAM_CHUNK])
+def test_adamw_split_with_a_helper_matches_one_thread_bitwise(monkeypatch, chunk):
+    """The helper's upper half, in its own scratch rows, and this thread's
+    lower half give the parameters and moments of one thread, sign of zero
+    included; with 7-element chunks each half ends in a partial chunk."""
+    monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+    cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
+    rng = np.random.default_rng(8)
+    grads = [rng.normal(scale=3.0, size=init_params(cfg, 0).flat.shape) for _ in range(3)]
+    grads[1][::5] = -0.0
+    results = []
+    with Helper() as helper:
+        for state_helper in (None, helper):
+            params = init_params(cfg, seed=1)
+            state = AdamWState.zeros_like(params, state_helper)
+            assert state.scratch.shape[0] == (1 if state_helper is None else 2)
+            for grad in grads:
+                adamw_step(params, grad, state, lr=1e-2, weight_decay=0.01)
+            results.append((params.flat, state.m, state.v))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _tiny_qa_examples(spec, kb):
     from kiqa.synthlang import gen_qa
 
@@ -633,9 +660,9 @@ def test_training_keeps_every_tensor_a_view_of_its_buffer(monkeypatch, tmp_path)
 def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch):
     """With every batch of one shape, the first step fills the run's
     workspace and later steps reuse it: the memory a step adds at its peak
-    (numpy reports its data buffers to tracemalloc) stays far below one
-    (B * L, d_ff) FFN array, of which a step without a workspace makes
-    several per layer."""
+    (numpy reports its data buffers to tracemalloc, on every thread) stays
+    far below one (B * L, d_ff) FFN array, of which a step without a
+    workspace makes several per layer. So on one thread and with a helper."""
     import tracemalloc
 
     kb, vocab = _memorization_kb()
@@ -645,23 +672,125 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=32, d_ff=1024, max_len=16,
                                dropout=0.1)
     config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=25, epochs=3, seed=0)
-    growth, window = [], {}
-
-    def collate(samples):  # a step starts here
-        if "start" in window:
-            growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
-        batch = collate_mlm(samples)
-        tracemalloc.reset_peak()
-        window["start"] = tracemalloc.get_traced_memory()[0]
-        return batch
-
-    monkeypatch.setattr(training, "collate_mlm", collate)
-    tracemalloc.start()
-    try:
-        result = run_injection(corpus, vocab, config, model_config, render_max_len=16)
-    finally:
-        tracemalloc.stop()
-    assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
     one_ffn = config.batch_size * lengths.pop() * model_config.d_ff * 8
-    assert growth[0] > one_ffn  # the first step fills the workspace
-    assert max(growth[1:]) < one_ffn / 8, (growth, one_ffn)
+    for workers in (1, 2):
+        growth, window = [], {}
+
+        def collate(samples):  # a step starts here
+            if "start" in window:
+                growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+            batch = collate_mlm(samples)
+            tracemalloc.reset_peak()
+            window["start"] = tracemalloc.get_traced_memory()[0]
+            return batch
+
+        monkeypatch.setattr(training, "collate_mlm", collate)
+        tracemalloc.start()
+        try:
+            result = run_injection(corpus, vocab, config, model_config, render_max_len=16, workers=workers)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
+        assert growth[0] > one_ffn  # the first step fills the workspace
+        assert max(growth[1:]) < one_ffn / 8, (workers, growth, one_ffn)
+
+
+# ------------------------------------------------------------ the helper thread
+
+
+def _train_both_phases(workers, max_grad_norm, tmp_path):
+    """run_injection with dropout, then run_finetune, on ``workers``; each
+    phase's history and checkpoint bytes."""
+    from kiqa.encoder import save_checkpoint
+
+    spec, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
+    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=2, seed=5, max_grad_norm=max_grad_norm)
+    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6,
+                           max_grad_norm=max_grad_norm)
+    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=workers)
+    tuned = run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=workers)
+    out = []
+    for phase, result in (("inject", injected), ("finetune", tuned)):
+        path = tmp_path / f"{phase}-{workers}.bin"
+        save_checkpoint(path, result.params)
+        out.append((result.history, path.read_bytes()))
+    return out
+
+
+@pytest.mark.parametrize("max_grad_norm", [None, 2.05])  # unclipped norms run 1.88-2.56
+def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, max_grad_norm):
+    """Injection with dropout 0.1, then finetuning: with a helper thread
+    (workers=2) every step record (loss, grad_norm, tokens, lr) and both
+    checkpoints equal those of one thread, byte for byte, with and without
+    clipping."""
+    one, two = (_train_both_phases(workers, max_grad_norm, tmp_path) for workers in (1, 2))
+    for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
+        assert len(history_1) > 2 and history_1 == history_2
+        assert ckpt_1 == ckpt_2
+    norms = [rec["grad_norm"] for history, _ in one for rec in history]
+    if max_grad_norm is not None:  # some steps are clipped, some not
+        assert min(norms) <= max_grad_norm < max(norms)
+
+
+def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch):
+    """A weight-gradient product that raises on the helper thread surfaces,
+    as the same exception object, from run_injection on the calling thread,
+    and the helper has ended when it does."""
+
+    class ProductFailed(Exception):
+        pass
+
+    failure = ProductFailed("weight-gradient product failed")
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        raise failure
+
+    monkeypatch.setattr(encoder, "_linear_param_grads", failing)
+    spec, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.1)
+    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
+    with pytest.raises(ProductFailed) as raised:
+        run_injection(corpus, vocab, config, model_config, render_max_len=32, workers=2)
+    assert raised.value is failure
+    assert threads and threading.current_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
+    """With a helper, both phases hand it work (the weight-gradient products
+    run on another thread), yet every Workspace.take comes from the thread
+    that made the workspace."""
+    made, takers, handed = [], set(), set()
+
+    class Recording(Workspace):
+        def __init__(self, helper=None):
+            super().__init__(helper)
+            made.append(threading.current_thread())
+
+        def take(self, key, shape):
+            takers.add(threading.current_thread())
+            return super().take(key, shape)
+
+    product = encoder._linear_param_grads
+
+    def recording_product(*args):
+        handed.add(threading.current_thread())
+        product(*args)
+
+    monkeypatch.setattr(training, "Workspace", Recording)
+    monkeypatch.setattr(encoder, "_linear_param_grads", recording_product)
+    spec, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
+    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
+    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6)
+    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=2)
+    run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=2)
+    caller = threading.current_thread()
+    assert made == [caller, caller] and takers == {caller}
+    assert handed and caller not in handed
