@@ -39,18 +39,32 @@ name their layer only when the forward keeps a cache for a backward.
 Thread rule: a training run on two or more CPUs keeps one ``Helper``
 thread, which its workspace carries; inference has none. Only the thread
 that made a workspace calls ``take``; it hands the helper the arrays a task
-reads and writes. The helper forms the weight, bias, layer-norm and MLM-head
-parameter gradients, each added to its tensor in the one-thread order, and
-the ``tok_emb`` scatter, while the calling thread forms the input gradients;
-and it runs the second half of GELU's rows. No reduction changes its extent
-and split elementwise work writes disjoint rows, so every value is bitwise
-that of one thread. The calling thread waits for the helper before it
-rewrites a buffer a task reads, before ``loss_and_grad`` returns, and after
-each split; a task's exception is raised on the calling thread.
+reads and writes. Per-example segments may run on two example ranges: a
+step with at least two examples and ``_SPLIT_TOKENS`` padded tokens runs
+the embedding, every layer below the last (its forward and its whole
+input-gradient chain) and the last layer's Q/K/V, scores, softmax, PV and
+their backward as two batch halves, examples [0, B // 2) on the calling
+thread and [B // 2, B) on the helper, each writing its rows of whole arrays.
+A stacked (B, ...) matmul is one BLAS call per example, so a half gets the
+bits of the whole batch. Batch reductions and gathered rows never split: the
+weight, bias and layer-norm gradients, the embedding scatters, the loss
+heads, the dropout draws (at whole shape, in layer order) and the last
+layer's ops at the rows its loss reads. A 2-D product changes bits when its
+rows are cut: in 207 of 600 random cuts with a piece under 4 rows, and for
+dy @ W.T in 134 of 597 with both pieces of 4 rows or more (2 CPUs, OpenBLAS,
+1 thread). Each gradient tensor gets its additions on one thread, in the
+one-thread order: the helper forms them while the calling thread forms the
+input gradients, or, after a split layer's halves, both threads take that
+layer's tasks from one deque. The helper runs half of GELU's rows in a
+segment that runs whole. Every value is bitwise that of one thread. The
+calling thread waits for the helper after each split, before a layer below
+rewrites a buffer a task reads, and before ``loss_and_grad`` returns; a
+task's exception is raised on the calling thread.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import queue
@@ -238,14 +252,17 @@ class Workspace:
     layer only when it keeps a cache for the backward; without one the layers
     share keys, as a layer reads the layer below's output (in Q/K/V and the
     first residual) before it writes its own. The backward's keys (``b.``)
-    serve every layer: a layer reads the gradient it gets from the layer
-    above before it writes any of them, and with a helper the calling thread
-    waits for it before rewriting a key one of its tasks reads (see
-    ``_backward_to_params``).
+    serve every layer, but for the input gradient a layer forms, whose key
+    alternates between adjacent layers: a layer reads the gradient it gets
+    from the layer above before it writes any of them, and with a helper
+    the calling thread waits for it before rewriting a key one of its tasks
+    reads (see ``_backward_to_params``).
 
     A training run's workspace may carry that run's ``Helper``. Only the
     thread that made the workspace calls ``take``; it hands the helper the
-    arrays a task needs."""
+    arrays a task needs. A step split into batch halves (see the module
+    docstring) takes each array whole, and each half writes its own
+    examples' rows of it; the halves of one segment share no row."""
 
     def __init__(self, helper: Helper | None = None):
         self._buffers: dict[str, np.ndarray] = {}
@@ -273,19 +290,103 @@ def _join(ws):
         ws.helper.wait()
 
 
-def _split_rows(ws, fn, *arrays):
+def _split_rows(helper, fn, *arrays):
     """fn(*arrays) for an elementwise fn over arrays of one shape. With a
     helper, it runs fn on the second half of the rows while this thread runs
     the first half, and both are done on return; each writes its own rows,
     so the values are bitwise those of one call."""
-    if ws.helper is None or arrays[0].size < 2 * arrays[0].shape[-1]:
+    if helper is None or arrays[0].size < 2 * arrays[0].shape[-1]:
         fn(*arrays)
         return
     rows = [np.reshape(a, (-1, a.shape[-1]), copy=False) for a in arrays]
     half = len(rows[0]) // 2
-    ws.helper.submit(fn, *(r[half:] for r in rows))
+    helper.submit(fn, *(r[half:] for r in rows))
     fn(*(r[:half] for r in rows))
-    ws.helper.wait()
+    helper.wait()
+
+
+# Padded tokens (B * L) from which a training step with a helper and two or
+# more examples runs its per-example work as two batch halves (see
+# ``_per_example``). Median step time run whole -> split, in one process,
+# 600 steps each (d_model 64, d_ff 256, 2 layers, dropout 0.1, 2 CPUs, 1 BLAS
+# thread): entity completion at 96 tokens 1.28 -> 1.35 ms, 120 1.71 -> 1.64,
+# 216 2.56 -> 2.29, 312 3.43 -> 3.01; span at 96 tokens 1.52 -> 1.58, 128
+# 1.74 -> 1.75, 336 4.38 -> 3.79.
+_SPLIT_TOKENS = 120
+
+
+def _per_example(ws, split, B, segments, meanwhile=None):
+    """Runs fn(s, *args) for each (fn, *args) of ``segments``, in order: a
+    per-example segment, which reads and writes only examples s of its
+    batch-sized arrays. Without ``split`` they run once here over all B
+    examples; with it, over examples [B // 2, B) on the workspace's helper
+    and [0, B // 2) here, and both halves are done on return. ``meanwhile()``,
+    if given, runs here as well, on arrays no segment touches: after the
+    segments, or with ``split`` while the helper starts its half."""
+    if not split:
+        _run_segments(slice(0, B), segments)
+        if meanwhile is not None:
+            meanwhile()
+        return
+    half = B // 2
+    ws.helper.submit(_run_segments, slice(half, B), segments)
+    try:
+        if meanwhile is not None:
+            meanwhile()
+        _run_segments(slice(0, half), segments)
+    finally:
+        ws.helper.wait()
+
+
+def _run_segments(s, segments):
+    for fn, *args in segments:
+        fn(s, *args)
+
+
+def _run_chain(ws, split, B, chain, *args):
+    """Runs the input-gradient chain chain(s, *args), a generator over
+    examples s that yields each parameter-gradient task (fn, *args) once the
+    rows it reads are formed; a task reads whole arrays. Without ``split``
+    the chain runs here over all B examples and each task is handed off as
+    it comes (``_hand_off``), and the list returned is empty. With it, the
+    chain runs as two halves as in ``_per_example``, and the tasks, which
+    need both halves' rows, are returned to run after the join."""
+    if not split:
+        for task in chain(slice(0, B), *args):
+            _hand_off(ws, *task)
+        return []
+    half = B // 2
+    ws.helper.submit(_exhaust, chain(slice(half, B), *args))  # the same tasks as this thread's half
+    try:
+        tasks = list(chain(slice(0, half), *args))
+    finally:
+        ws.helper.wait()
+    return tasks
+
+
+def _exhaust(chain):
+    for _ in chain:
+        pass
+
+
+def _share(ws, tasks):
+    """Runs tasks (fn, *args) on this thread and the workspace's helper, if
+    any: each thread pops the next task from one deque, whose pops are
+    thread-safe, until none is left. Each task writes tensors no other task
+    writes, so which thread runs it changes no value. The caller joins."""
+    tasks = collections.deque(tasks)
+    if ws.helper is not None:
+        ws.helper.submit(_run_tasks, tasks)
+    _run_tasks(tasks)
+
+
+def _run_tasks(tasks):
+    while tasks:
+        try:
+            fn, *args = tasks.popleft()
+        except IndexError:  # the other thread took the last one
+            return
+        fn(*args)
 
 
 # ---------------------------------------------------------------- primitives
@@ -295,35 +396,40 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _affine(x, t, p, n, ws, key):
-    """x @ t[p w<n>] + t[p b<n>], with the bias added into the product, in ws[key n]."""
-    w = t[p + "w" + n]
-    y = np.matmul(x, w, out=ws.take(key + n, x.shape[:-1] + w.shape[1:]))
-    y += t[p + "b" + n]
+def _affine(x, w, b, out):
+    """x @ w + b, with the bias added into the product, in out."""
+    y = np.matmul(x, w, out=out)
+    y += b
     return y
 
 
-def _layer_norm(x, g, b, ws, key):
-    mu = x.mean(-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=ws.take(key + ".xhat", x.shape))  # centred here, scaled to xhat below
-    out = np.multiply(xhat, xhat, out=ws.take(key + ".out", x.shape))
-    var = out.mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+def _row_mean(x):
+    """x.mean(-1, keepdims=True), bit for bit, without numpy's Python-level
+    wrapper: the same sum, divided by the row length."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
+def _layer_norm(x, g, b, xhat, inv, out):
+    """g * xhat + b in out, keeping xhat and the inverse deviation inv, (..., 1)."""
+    mu = _row_mean(x)
+    np.subtract(x, mu, out=xhat)  # centred here, scaled to xhat below
+    np.multiply(xhat, xhat, out=out)
+    var = _row_mean(out)
+    np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv)
     xhat *= inv
     np.multiply(g, xhat, out=out)
     out += b
-    return out, (xhat, inv)
+    return out
 
 
-def _layer_norm_backward(dy, t, grads, name, cache, ws, key):
-    """dx of _layer_norm with gain t[name_g] and bias t[name_b]; hands off their grads."""
-    xhat, inv = cache
-    _hand_off(ws, _layer_norm_param_grads, dy, xhat, ws.take(key + ".gtmp", dy.shape), grads[name + "_g"],
-              grads[name + "_b"])
-    dx = np.multiply(dy, t[name + "_g"], out=ws.take(key + ".dx", dy.shape))
-    m1 = dx.mean(-1, keepdims=True)
-    tmp = np.multiply(dx, xhat, out=ws.take(key + ".tmp", dy.shape))
-    m2 = tmp.mean(-1, keepdims=True)
+def _layer_norm_backward(dy, g, xhat, inv, dx, tmp):
+    """dx of _layer_norm with gain g, in dx; tmp is scratch of dy's shape."""
+    np.multiply(dy, g, out=dx)
+    m1 = _row_mean(dx)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = _row_mean(tmp)
     dx -= m1
     np.multiply(xhat, m2, out=tmp)
     dx -= tmp
@@ -338,12 +444,9 @@ def _layer_norm_param_grads(dy, xhat, tmp, grad_g, grad_b):
     grad_b += dy.sum(axis=tuple(range(dy.ndim - 1)))
 
 
-def _linear_backward(t, grads, p, n, x, dy, ws):
-    """dx of y = x @ t[p w<n>] + t[p b<n>]; hands off the weight and bias grads."""
-    w = p + "w" + n
-    shape = t[w].shape
-    _hand_off(ws, _linear_param_grads, x, dy, ws.take("b.gw" + n, shape), grads[w], grads[p + "b" + n])
-    return np.matmul(dy, t[w].T, out=ws.take("b.dx" + n, dy.shape[:-1] + shape[:1]))
+def _linear_backward(dy, w, out):
+    """dx of y = x @ w + b, in out."""
+    return np.matmul(dy, w.T, out=out)
 
 
 def _linear_param_grads(x, dy, gw, grad_w, grad_b):
@@ -352,11 +455,10 @@ def _linear_param_grads(x, dy, gw, grad_w, grad_b):
     grad_b += dy.sum(axis=tuple(range(dy.ndim - 1)))
 
 
-def _gelu(x, ws, key):
-    """GELU(x) = x * phi and phi = Phi(x), the standard normal CDF, which
-    _gelu_grad reuses."""
-    phi, y = ws.take(key + ".phi", x.shape), ws.take(key + ".y", x.shape)
-    _split_rows(ws, _gelu_rows, x, phi, y)
+def _gelu(x, phi, y, helper=None):
+    """GELU(x) = x * phi in y, and phi = Phi(x), the standard normal CDF,
+    which _gelu_grad reuses; with a helper, half of the rows run there."""
+    _split_rows(helper, _gelu_rows, x, phi, y)
     return y, phi
 
 
@@ -368,9 +470,9 @@ def _gelu_rows(x, phi, y):
     np.multiply(x, phi, out=y)
 
 
-def _gelu_grad(dy, x, phi, ws, key):
-    """dy * GELU'(x), given phi = Phi(x) from _gelu."""
-    out = np.multiply(-0.5, x, out=ws.take(key, x.shape))
+def _gelu_grad(dy, x, phi, out):
+    """dy * GELU'(x) in out, given phi = Phi(x) from _gelu."""
+    np.multiply(-0.5, x, out=out)
     out *= x
     np.exp(out, out=out)
     out *= x
@@ -396,24 +498,32 @@ def _gather(x, rows, ws, key):
     return np.take(flat, rows, axis=0, out=ws.take(key, (len(rows), flat.shape[1])), mode="clip")
 
 
-def _dropout(x, p, rng, shape, ws, key, at=None):
-    """x with dropout applied, written over x, which the caller owns; and the
-    scaled keep mask, in ws[key]. The mask is drawn at ``shape``, the whole
-    (B, L, d) tensor's, and gathered at flat rows ``at`` when x holds only
-    those rows, so the RNG stream and every mask entry do not depend on the
-    rows computed."""
+def _dropout_draw(p, rng, shape, ws, key, at=None):
+    """Dropout's uniform draws, in ws[key], which ``_dropout`` turns into its
+    keep mask; None without an rng. They are drawn at ``shape``, the whole
+    (B, L, d) tensor's, and gathered at flat rows ``at`` when the layer
+    computes only those rows, so the RNG stream and every mask entry do not
+    depend on the rows computed."""
     if rng is None or p <= 0.0:
-        return x, None
+        return None
     draw = rng.random(out=ws.take(key if at is None else "draw", shape))
-    np.greater_equal(draw, p, out=draw)  # 1.0 where kept
-    draw /= 1.0 - p
-    keep = draw if at is None else _gather(draw, at, ws, key)
+    return draw if at is None else _gather(draw, at, ws, key)
+
+
+def _dropout(x, keep, p):
+    """x times dropout's scaled keep mask, in place; the mask is formed over
+    keep's draws: 1 / (1 - p) where a draw is at least p, else 0."""
+    np.greater_equal(keep, p, out=keep)  # 1.0 where kept
+    keep /= 1.0 - p
     x *= keep
-    return x, keep
 
 
-def _dropout_backward(dy, keep, ws, key):
-    return dy if keep is None else np.multiply(dy, keep, out=ws.take(key, dy.shape))
+def _dropout_backward(dy, keep, out, s):
+    """dy * keep at rows s, in out; without a mask, dy. Returns the whole array."""
+    if keep is None:
+        return dy
+    np.multiply(dy[s], keep[s], out=out[s])
+    return out
 
 
 def _split_heads(x, n_heads):
@@ -456,6 +566,67 @@ def _check_inputs(params: EncoderParams, input_ids, segment_ids, attention_mask,
     return ids, segs, mask, (rows, cols)
 
 
+def _attention_arrays(ws, k, shape, nh):
+    """A layer's attention arrays; "qh", "kh" and "vh" view Q, K and V by head."""
+    B, L, d = shape
+    sizes = {"q": shape, "k": shape, "v": shape, "probs": (B, nh, L, L), "pv": (B, nh, L, d // nh), "ctx": shape}
+    a = {name: ws.take(k + name, size) for name, size in sizes.items()}
+    for n in "qkv":
+        a[n + "h"] = _split_heads(a[n], nh)
+    return a
+
+
+def _post_attention_arrays(ws, k, rows, d, ff):
+    """A layer's arrays after the attention, at ``rows`` leading dims."""
+    widths = {"o": d, "ln1.xhat": d, "ln1.inv": 1, "ln1.out": d, "1": ff, "gelu.phi": ff, "gelu.y": ff, "2": d,
+              "ln2.xhat": d, "ln2.inv": 1, "ln2.out": d}
+    return {name: ws.take(k + name, rows + (n,)) for name, n in widths.items()}
+
+
+def _embed(s, t, ids, segs, keep, p_drop, x, seg_rows):
+    """Token + position + segment embeddings of examples s, with dropout, in x."""
+    xs = np.take(t["tok_emb"], ids[s], axis=0, out=x[s], mode="clip")
+    xs += t["pos_emb"][: ids.shape[1]][None, :, :]
+    xs += np.take(t["seg_emb"], segs[s], axis=0, out=seg_rows[s], mode="clip")
+    if keep is not None:
+        _dropout(xs, keep[s], p_drop)
+
+
+def _attention(s, t, p, h, key_bias, scale, a):
+    """Layer p's Q/K/V, scores, softmax and PV of examples s, into a's arrays."""
+    for n in "qkv":
+        _affine(h[s], t[p + "w" + n], t[p + "b" + n], a[n][s])
+    qh, kh, vh = a["qh"][s], a["kh"][s], a["vh"][s]
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=a["probs"][s])
+    scores *= scale
+    scores += key_bias[s]
+    probs = _softmax_last(scores)
+    _merge_heads(np.matmul(probs, vh, out=a["pv"][s]), a["ctx"][s])
+
+
+def _post_attention(s, t, p, ctx, h, keep_a, keep_f, p_drop, a, helper):
+    """Layer p after its attention, at rows s of ctx, h and a's arrays: output
+    projection, dropout, residual, LN1, FFN with GELU (half of its rows on
+    ``helper``, if given), dropout, residual and LN2, each within one row."""
+    r1 = _affine(ctx[s], t[p + "wo"], t[p + "bo"], a["o"][s])
+    if keep_a is not None:
+        _dropout(r1, keep_a[s], p_drop)
+    r1 += h[s]
+    n1 = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], a["ln1.xhat"][s], a["ln1.inv"][s], a["ln1.out"][s])
+    g1, _ = _gelu(_affine(n1, t[p + "w1"], t[p + "b1"], a["1"][s]), a["gelu.phi"][s], a["gelu.y"][s], helper)
+    r2 = _affine(g1, t[p + "w2"], t[p + "b2"], a["2"][s])
+    if keep_f is not None:
+        _dropout(r2, keep_f[s], p_drop)
+    r2 += n1
+    _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], a["ln2.xhat"][s], a["ln2.inv"][s], a["ln2.out"][s])
+
+
+def _layer(s, t, p, h, key_bias, scale, a, keep_a, keep_f, p_drop, post, helper):
+    """The whole of layer p at examples s."""
+    _attention(s, t, p, h, key_bias, scale, a)
+    _post_attention(s, t, p, a["ctx"], h, keep_a, keep_f, p_drop, post, helper)
+
+
 def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, positions=None, *,
             workspace: Workspace):
     """Hidden states (batch, len, d_model). PAD positions are excluded from
@@ -472,7 +643,9 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     gathers the rows, so the RNG stream is that of a whole-layer forward.
     Every batch-sized array, the returned ones included, is taken from
     ``workspace`` (see ``Workspace`` for its keys) and lives there until the
-    workspace's next call.
+    workspace's next call. With a helper, a step of ``_SPLIT_TOKENS`` padded
+    tokens or more runs its per-example segments as two batch halves (see
+    the module docstring).
 
     The batch runs whole, with a (B, heads, L, L) score tensor per layer:
     the caller sizes it, as ``evaluation.predict_spans`` does by a token
@@ -481,50 +654,148 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     ws = workspace
     cfg = params.config
     t = params.tensors
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    nh = cfg.n_heads
+    scale = 1.0 / math.sqrt(cfg.d_model // nh)
     B, L = ids.shape
     shape = (B, L, cfg.d_model)
+    split = positions is not None and ws.helper is not None and B >= 2 and B * L >= _SPLIT_TOKENS
+    helper = None if split else ws.helper  # a segment that runs as a batch half splits nothing further
     # Flat (B * L) row of each read position; the ids and positions are range-checked, so "clip" clips nothing.
     at_rows = None if positions is None else positions[0] * L + positions[1]
 
-    x = np.take(t["tok_emb"], ids, axis=0, out=ws.take("emb", shape), mode="clip")
-    x += t["pos_emb"][:L][None, :, :]
-    x += np.take(t["seg_emb"], segs, axis=0, out=ws.take("emb.seg", shape), mode="clip")
-    x, drop0 = _dropout(x, cfg.dropout, dropout_rng, shape, ws, "drop0")
+    def key(i):
+        return "l." if positions is None else f"l{i}."  # no cache: every layer takes one layer's keys
 
+    def draw(i):
+        """Appends layer i's dropout draws to ``drops``; the last layer's at the read rows."""
+        at = at_rows if i == cfg.n_layers - 1 else None
+        drops.append([_dropout_draw(cfg.dropout, dropout_rng, shape, ws, key(i) + n, at) for n in ("drop_a", "drop_f")])
+
+    x = ws.take("emb", shape)
+    drop0 = _dropout_draw(cfg.dropout, dropout_rng, shape, ws, "drop0")
+    drops = []
+    draw(0)
     key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,L)
+    segments = [(_embed, t, ids, segs, drop0, cfg.dropout, x, ws.take("emb.seg", shape))]  # runs with layer 0
     layers = []
     h = x
     for i in range(cfg.n_layers):
-        p = f"l{i}."
-        k = "l." if positions is None else p  # no cache: every layer takes one layer's keys
-        qh, kh, vh = (_split_heads(_affine(h, t, p, n, ws, k), cfg.n_heads) for n in "qkv")
-        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=ws.take(k + "probs", qh.shape[:3] + (L,)))
-        scores *= scale
-        scores += key_bias
-        probs = _softmax_last(scores)
-        ctx = _merge_heads(np.matmul(probs, vh, out=ws.take(k + "pv", vh.shape)), ws.take(k + "ctx", shape))
-        h_in = h
+        p, k = f"l{i}.", key(i)
         at = at_rows if i == cfg.n_layers - 1 else None
-        if at is not None:
-            ctx, h = _gather(ctx, at, ws, k + "ctx.at"), _gather(h, at, ws, k + "h.at")
-        r1, drop_a = _dropout(_affine(ctx, t, p, "o", ws, k), cfg.dropout, dropout_rng, shape, ws, k + "drop_a", at)
-        r1 += h
-        n1, ln1_cache = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], ws, k + "ln1")
-        f1 = _affine(n1, t, p, "1", ws, k)
-        g1, phi = _gelu(f1, ws, k + "gelu")
-        r2, drop_f = _dropout(_affine(g1, t, p, "2", ws, k), cfg.dropout, dropout_rng, shape, ws, k + "drop_f", at)
-        r2 += n1
-        out, ln2_cache = _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], ws, k + "ln2")
+        a = _attention_arrays(ws, k, shape, nh)
+        drop_a, drop_f = drops[i]
+        # The draws stay in layer order; the next layer's run while the helper starts this layer's half.
+        later = None if i == cfg.n_layers - 1 else (lambda: draw(i + 1))
+        if at is None:
+            post = _post_attention_arrays(ws, k, (B, L), cfg.d_model, cfg.d_ff)
+            segments.append((_layer, t, p, h, key_bias, scale, a, drop_a, drop_f, cfg.dropout, post, helper))
+            _per_example(ws, split, B, segments, later)
+            ctx = a["ctx"]
+        else:
+            segments.append((_attention, t, p, h, key_bias, scale, a))
+            _per_example(ws, split, B, segments, later)
+            ctx = _gather(a["ctx"], at, ws, k + "ctx.at")
+            post = _post_attention_arrays(ws, k, (len(at),), cfg.d_model, cfg.d_ff)
+            _post_attention(slice(None), t, p, ctx, _gather(h, at, ws, k + "h.at"), drop_a, drop_f, cfg.dropout,
+                            post, ws.helper)
         if positions is not None:
-            layers.append({"h_in": h_in, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx, "drop_a": drop_a,
-                           "ln1": ln1_cache, "n1": n1, "f1": f1, "phi": phi, "g1": g1, "drop_f": drop_f,
-                           "ln2": ln2_cache})
-        h = out
+            layers.append({"h_in": h, "qh": a["qh"], "kh": a["kh"], "vh": a["vh"], "probs": a["probs"], "ctx": ctx,
+                           "drop_a": drop_a, "ln1": (post["ln1.xhat"], post["ln1.inv"]), "n1": post["ln1.out"],
+                           "f1": post["1"], "phi": post["gelu.phi"], "g1": post["gelu.y"], "drop_f": drop_f,
+                           "ln2": (post["ln2.xhat"], post["ln2.inv"])})
+        h = post["ln2.out"]
+        segments = []
 
     if positions is None:
         return h
-    return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows}
+    return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows,
+               "split": split}
+
+
+def _post_attention_grads(ws, rows, d, ff, c):
+    """The backward's arrays for a layer's ops after the attention, at
+    ``rows`` leading dims: ``b.`` keys that every layer shares."""
+    widths = {"ln2.gtmp": d, "ln2.dx": d, "ln2.tmp": d, "dx2": ff, "gelu": ff, "dx1": d, "ln1.gtmp": d, "ln1.dx": d,
+              "ln1.tmp": d, "dxo": d}
+    b = {name: ws.take("b." + name, rows + (n,)) for name, n in widths.items()}
+    for name in ("drop_f", "drop_a"):
+        b[name] = None if c[name] is None else ws.take("b." + name, rows + (d,))
+    for n, shape in (("2", (ff, d)), ("1", (d, ff)), ("o", (d, d))):
+        b["gw" + n] = ws.take("b.gw" + n, shape)
+    return b
+
+
+def _attention_grads(ws, shape, nh, parity, scatter):
+    """The backward's arrays for a layer's attention and Q/K/V. The input
+    gradient goes to ``b.dh<parity>``: a layer's LN2 task reads the gradient
+    the layer above formed, so adjacent layers take different keys."""
+    B, L, d = shape
+    heads = (B, nh, L, d // nh)
+    sizes = {"dscores": (B, nh, L, L), "dprobs": (B, nh, L, L), "dqh": heads, "dkh": heads, "dvh": heads,
+             "mergedq": shape, "mergedk": shape, "mergedv": shape, "dxk": shape, "dxv": shape}
+    b = {name: ws.take("b." + name, size) for name, size in sizes.items()}
+    b["dh"] = ws.take(f"b.dh{parity}", shape)
+    b["scatter"] = ws.take("b.scatter", shape) if scatter else None
+    for n in "qkv":
+        b["gw" + n] = ws.take("b.gw" + n, (d, d))
+    return b
+
+
+def _post_attention_backward(s, t, grads, p, c, dy, b):
+    """Layer p's input-gradient chain from dy, the gradient of its output, to
+    ``b["dxo"]``, that of its attention output, and ``b["ln1.dx"]``, that of
+    its first residual, at rows s; yields its parameter-gradient tasks."""
+    xhat, inv = c["ln2"]
+    yield _layer_norm_param_grads, dy, xhat, b["ln2.gtmp"], grads[p + "ln2_g"], grads[p + "ln2_b"]
+    dr2 = b["ln2.dx"]
+    _layer_norm_backward(dy[s], t[p + "ln2_g"], xhat[s], inv[s], dr2[s], b["ln2.tmp"][s])
+    ddrop_f = _dropout_backward(dr2, c["drop_f"], b["drop_f"], s)
+    yield _linear_param_grads, c["g1"], ddrop_f, b["gw2"], grads[p + "w2"], grads[p + "b2"]
+    df1 = b["gelu"]
+    _gelu_grad(_linear_backward(ddrop_f[s], t[p + "w2"], b["dx2"][s]), c["f1"][s], c["phi"][s], df1[s])
+    yield _linear_param_grads, c["n1"], df1, b["gw1"], grads[p + "w1"], grads[p + "b1"]
+    dn1 = b["dx1"]
+    _linear_backward(df1[s], t[p + "w1"], dn1[s])
+    dn1[s] += dr2[s]
+    xhat, inv = c["ln1"]
+    yield _layer_norm_param_grads, dn1, xhat, b["ln1.gtmp"], grads[p + "ln1_g"], grads[p + "ln1_b"]
+    dr1 = b["ln1.dx"]
+    _layer_norm_backward(dn1[s], t[p + "ln1_g"], xhat[s], inv[s], dr1[s], b["ln1.tmp"][s])
+    dao = _dropout_backward(dr1, c["drop_a"], b["drop_a"], s)
+    yield _linear_param_grads, c["ctx"], dao, b["gwo"], grads[p + "wo"], grads[p + "bo"]
+    _linear_backward(dao[s], t[p + "wo"], b["dxo"][s])
+
+
+def _attention_backward(s, t, grads, p, c, dctx, dr1, nh, scale, b):
+    """Layer p's input-gradient chain from dctx, the gradient of its
+    attention output, to ``b["dh"]``, that of its input, at examples s, adding
+    dr1, the first residual's, unless it is None; yields the Q/K/V tasks."""
+    dctx = _split_heads(dctx[s], nh)
+    probs = c["probs"][s]
+    # dprobs, until turned into dscores in place
+    dscores = np.matmul(dctx, c["vh"][s].transpose(0, 1, 3, 2), out=b["dscores"][s])
+    dscores -= np.multiply(dscores, probs, out=b["dprobs"][s]).sum(-1, keepdims=True)
+    dscores *= probs
+    dqh = np.matmul(dscores, c["kh"][s], out=b["dqh"][s])
+    dqh *= scale
+    dkh = np.matmul(dscores.transpose(0, 1, 3, 2), c["qh"][s], out=b["dkh"][s])
+    dkh *= scale
+    dvh = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=b["dvh"][s])
+    for n, dhead, dx in zip("qkv", (dqh, dkh, dvh), (b["dh"], b["dxk"], b["dxv"])):
+        _merge_heads(dhead, b["merged" + n][s])
+        yield _linear_param_grads, c["h_in"], b["merged" + n], b["gw" + n], grads[p + "w" + n], grads[p + "b" + n]
+        _linear_backward(b["merged" + n][s], t[p + "w" + n], dx[s])
+    dh = b["dh"][s]
+    dh += b["dxk"][s]  # ((dxq + dxk) + dxv) + dr1, summed in that order
+    dh += b["dxv"][s]
+    if dr1 is not None:
+        dh += dr1[s]
+
+
+def _layer_backward(s, t, grads, p, c, dy, nh, scale, b):
+    """The whole of layer p's input-gradient chain at examples s."""
+    yield from _post_attention_backward(s, t, grads, p, c, dy, b)
+    yield from _attention_backward(s, t, grads, p, c, b["dxo"], b["ln1.dx"], nh, scale, b)
 
 
 def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
@@ -533,65 +804,67 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     are scattered, with add, into whole (B, L, d) tensors before its
     attention backward; the layers below run at every position.
 
-    This thread forms the input gradients, the critical path. The weight,
-    bias and layer-norm parameter grads and the ``tok_emb`` scatter are
-    handed off (see ``_hand_off``), so each gradient tensor still gets its
-    additions in order on one thread. With a helper, this thread waits for it
-    before it rewrites a ``b.`` key a task reads: before a layer below starts,
-    before a layer below the top rewrites ``b.dxq`` (its LN2 task reads the
-    gradient the layer above left there), and before returning."""
+    The calling thread forms the input gradients, the critical path. A step
+    the forward ran whole hands off each weight, bias and layer-norm
+    gradient task as its rows are formed (``_run_chain``), so the helper
+    forms them alongside. A step the forward split runs each layer's
+    per-example input-gradient chain as two batch halves, then shares that
+    layer's tasks, each over the whole batch, between both threads
+    (``_share``): a task cut at examples would change a sum's bits. The
+    last layer's gathered rows and their scatters, and the embedding's
+    ``tok_emb`` scatter (on the helper, after the MLM head's product),
+    ``pos_emb`` sum and ``seg_emb`` rows run whole. Each gradient tensor
+    gets its additions on one thread in the one-thread order. With a
+    helper, this thread waits for it before a layer below rewrites the
+    ``b.`` keys the tasks read, and before returning."""
     t = params.tensors
-    nh = params.config.n_heads
-    shape = cache["ids"].shape + (params.config.d_model,)
+    cfg = params.config
+    nh, d = cfg.n_heads, cfg.d_model
+    shape = cache["ids"].shape + (d,)
+    B = shape[0]
+    split = cache["split"]
     at = cache["at_rows"]
-    for i in reversed(range(params.config.n_layers)):
+    for i in reversed(range(cfg.n_layers)):
         p = f"l{i}."
         c = cache["layers"][i]
-        dr2 = _layer_norm_backward(dh, t, grads, p + "ln2", c["ln2"], ws, "b.ln2")
-        dg1 = _linear_backward(t, grads, p, "2", c["g1"], _dropout_backward(dr2, c["drop_f"], ws, "b.drop_f"), ws)
-        df1 = _gelu_grad(dg1, c["f1"], c["phi"], ws, "b.gelu")
-        dn1 = _linear_backward(t, grads, p, "1", c["n1"], df1, ws)
-        dn1 += dr2
-        dr1 = _layer_norm_backward(dn1, t, grads, p + "ln1", c["ln1"], ws, "b.ln1")
-        dao = _dropout_backward(dr1, c["drop_a"], ws, "b.drop_a")
-        dctx = _linear_backward(t, grads, p, "o", c["ctx"], dao, ws)
-        if at is not None:
-            drows = dctx
-            dctx = ws.take("b.scatter", shape)
-            dctx.fill(0.0)
-            np.add.at(dctx.reshape(-1, shape[2]), at, drows)
-        dctx = _split_heads(dctx, nh)
-        probs = c["probs"]
-        # dprobs, until turned into dscores in place
-        dscores = np.matmul(dctx, c["vh"].transpose(0, 1, 3, 2), out=ws.take("b.dscores", probs.shape))
-        dscores -= np.multiply(dscores, probs, out=ws.take("b.dprobs", probs.shape)).sum(-1, keepdims=True)
-        dscores *= probs
-        dqh = np.matmul(dscores, c["kh"], out=ws.take("b.dqh", dctx.shape))
-        dqh *= cache["scale"]
-        dkh = np.matmul(dscores.transpose(0, 1, 3, 2), c["qh"], out=ws.take("b.dkh", dctx.shape))
-        dkh *= cache["scale"]
-        dvh = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=ws.take("b.dvh", dctx.shape))
-        if i < params.config.n_layers - 1:
-            _join(ws)  # this layer's LN2 task reads dh, the layer above's b.dxq, which the Q backward rewrites
-        dh, dxk, dxv = (
-            _linear_backward(t, grads, p, n, c["h_in"], _merge_heads(d, ws.take("b.merged" + n, shape)), ws)
-            for n, d in zip("qkv", (dqh, dkh, dvh))
-        )
-        dh += dxk  # ((dxq + dxk) + dxv) + dr1, summed in that order
-        dh += dxv
+        b = _attention_grads(ws, shape, nh, i % 2, scatter=at is not None)
         if at is None:
-            dh += dr1
+            b.update(_post_attention_grads(ws, shape[:2], d, cfg.d_ff, c))
+            tasks = _run_chain(ws, split, B, _layer_backward, t, grads, p, c, dh, nh, cache["scale"], b)
         else:
-            np.add.at(dh.reshape(-1, shape[2]), at, dr1)
+            rows = _post_attention_grads(ws, (len(at),), d, cfg.d_ff, c)
+            for task in _post_attention_backward(slice(None), t, grads, p, c, dh, rows):
+                _hand_off(ws, *task)
+            b["scatter"].fill(0.0)
+            np.add.at(b["scatter"].reshape(-1, d), at, rows["dxo"])
+            tasks = _run_chain(ws, split, B, _attention_backward, t, grads, p, c, b["scatter"], None, nh,
+                               cache["scale"], b)
+        dh = b["dh"]
+        if at is not None:
+            np.add.at(dh.reshape(-1, d), at, rows["ln1.dx"])
             at = None  # the layers below ran at every position
         if i > 0:
+            if tasks:
+                _share(ws, tasks)
             _join(ws)  # before the layer below writes the b. keys this layer's tasks read
 
-    dh = _dropout_backward(dh, cache["drop0"], ws, "b.drop0")
+    if cache["drop0"] is not None:
+        dh = np.multiply(dh, cache["drop0"], out=ws.take("b.drop0", shape))
     _hand_off(ws, np.add.at, grads["tok_emb"], cache["ids"], dh)  # after the MLM head's product, on one thread
-    grads["pos_emb"][: dh.shape[1]] += dh.sum(0)
-    np.add.at(grads["seg_emb"], cache["segs"], dh)
+    _share(ws, [(_pos_grads, grads["pos_emb"], dh), (_seg_grads, grads["seg_emb"], cache["segs"], dh), *tasks])
     _join(ws)
+
+
+def _pos_grads(grad, dh):
+    grad[: dh.shape[1]] += dh.sum(0)
+
+
+def _seg_grads(grad, segs, dh):
+    """Adds dh's rows into grad's row of their segment id. The buffer is
+    zeroed each step and this is the tensor's only addition, so one reduce
+    per id over its rows in order gives the bits of np.add.at."""
+    for k, row in enumerate(grad):
+        row += np.add.reduce(dh[segs == k], axis=0)
 
 
 # ---------------------------------------------------------------- loss heads

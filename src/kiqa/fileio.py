@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,16 +17,35 @@ from typing import Iterator
 def atomic_write(path, mode: str = "w", encoding: str | None = None):
     """Yield a new temp file beside ``path``, opened with ``mode`` ("w" or
     "wb"). If the block ends normally, the temp file replaces ``path`` in one
-    rename; if it raises, the temp file is removed and ``path`` keeps what it
-    held before, if anything."""
+    rename, unless ``path`` is a regular file that already holds exactly its
+    bytes: then ``path`` is left untouched, since a rename onto an existing
+    file can cost tens of milliseconds. If the block raises, the temp file
+    is removed and ``path`` keeps what it held before, if anything."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
             yield fh
-        os.replace(tmp, path)
+        if not _holds_same_bytes(path, tmp):
+            os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _holds_same_bytes(path: Path, new: Path) -> bool:
+    """Whether ``path`` is a regular file with exactly ``new``'s bytes:
+    compared by size first, then by content."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return False
+    if not stat.S_ISREG(st.st_mode) or st.st_size != os.stat(new).st_size:
+        return False
+    with open(path, "rb") as old_fh, open(new, "rb") as new_fh:
+        while chunk := new_fh.read(1 << 20):
+            if old_fh.read(len(chunk)) != chunk:
+                return False
+    return True
 
 
 @contextmanager

@@ -27,10 +27,15 @@ forward keeps a cache for a backward, as a training step's does.
 Thread rule: with ``workers`` (default ``evaluation.usable_cpus()``) of 2 or
 more, ``_train_loop`` keeps one ``encoder.Helper`` thread for the run, never
 more, and stops it before it returns or raises. The workspace and the AdamW
-state carry it: the helper takes the parameter gradients and half of GELU
-(see ``encoder``) and the upper half of each AdamW update. Only the calling
-thread takes from the workspace, and the helper calls no public kiqa
-function. Every result is bitwise that of one thread.
+state carry it. A step of at least two examples and a measured number of
+padded tokens (see ``encoder``) runs its per-example segments (embedding,
+layers below the last, the last layer's attention) as two batch halves,
+one per thread. Batch reductions and the last layer's gathered rows never
+split, because a 2-D product whose rows are cut changes bits. In every
+step the helper also forms parameter gradients, half of GELU's rows where
+a segment runs whole, and the upper half of each AdamW update. Only the
+calling thread takes from the workspace, and the helper calls no public
+kiqa function. Every result is bitwise that of one thread.
 """
 
 from __future__ import annotations

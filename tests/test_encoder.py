@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -21,6 +22,8 @@ from kiqa.encoder import (
     _gelu_grad,
     _layer_norm,
     _layer_norm_backward,
+    _layer_norm_param_grads,
+    _seg_grads,
     _softmax_last,
     forward,
     init_params,
@@ -259,11 +262,10 @@ def test_gelu_kernels_match_plain_expressions(seed):
     x = awkward(rng, (3, 7, 32))
     dy = awkward(rng, x.shape)
     x0, dy0 = x.copy(), dy.copy()
-    ws = Workspace()
-    y, phi = _gelu(x, ws, "gelu")
+    y, phi = _gelu(x, np.empty_like(x), np.empty_like(x))
     assert_bitwise(y, gelu_oracle(x0))
     assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
-    assert_bitwise(_gelu_grad(dy, x, phi, ws, "b.gelu"), gelu_grad_oracle(dy0, x0))
+    assert_bitwise(_gelu_grad(dy, x, phi, np.empty_like(x)), gelu_grad_oracle(dy0, x0))
     assert_bitwise(x, x0)
     assert_bitwise(dy, dy0)
 
@@ -273,8 +275,8 @@ def test_layer_norm_kernels_match_plain_expressions(seed):
     rng = np.random.default_rng(seed)
     x = awkward(rng, (3, 7, 16))
     g, b = awkward(rng, (16,), scale=1.0), rng.normal(size=16)
-    ws = Workspace()
-    out, (xhat, inv) = _layer_norm(x, g, b, ws, "ln")
+    xhat, inv = np.empty_like(x), np.empty(x.shape[:-1] + (1,))
+    out = _layer_norm(x, g, b, xhat, inv, np.empty_like(x))
     want_out, want_xhat, want_inv = layer_norm_oracle(x, g, b)
     assert_bitwise(out, want_out)
     assert_bitwise(xhat, want_xhat)
@@ -282,14 +284,35 @@ def test_layer_norm_kernels_match_plain_expressions(seed):
 
     dy = awkward(rng, x.shape)
     dy0 = dy.copy()
-    t = {"ln_g": g, "ln_b": b}
     grads = {"ln_g": np.zeros(16), "ln_b": np.zeros(16)}
-    dx = _layer_norm_backward(dy, t, grads, "ln", (xhat, inv), ws, "b.ln")
+    dx = _layer_norm_backward(dy, g, xhat, inv, np.empty_like(dy), np.empty_like(dy))
+    _layer_norm_param_grads(dy, xhat, np.empty_like(dy), grads["ln_g"], grads["ln_b"])
     want_dx, want_dg, want_db = layer_norm_backward_oracle(dy0, g, want_xhat, want_inv)
     assert_bitwise(dx, want_dx)
     assert_bitwise(grads["ln_g"], 0.0 + want_dg)
     assert_bitwise(grads["ln_b"], 0.0 + want_db)
     assert_bitwise(dy, dy0)
+
+
+@pytest.mark.parametrize("seg_ids", ["mixed", "no segment 1", "only segment 1"])
+def test_segment_embedding_grads_match_add_at_bitwise(seg_ids):
+    """_seg_grads, one reduce per segment id over that id's rows, gives the
+    bits of np.add.at into a zeroed buffer: with rows and entries of -0.0,
+    zero rows, and a segment no token has."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        B, L, d = (1, 1, 8) if trial == 0 else (rng.integers(1, 7), rng.integers(1, 12), 8)  # first: one -0.0 row
+        dh = awkward(rng, (B, L, d))
+        dh[rng.random((B, L)) < 0.2] = 0.0
+        dh[rng.random((B, L, d)) < 0.2] = -0.0
+        dh[0, 0] = -0.0  # a whole row of -0.0
+        segs = {"mixed": rng.integers(0, 2, size=(B, L)), "no segment 1": np.zeros((B, L), dtype=np.int64),
+                "only segment 1": np.ones((B, L), dtype=np.int64)}[seg_ids]
+        want = np.zeros((2, d))
+        np.add.at(want, segs, dh)
+        got = np.zeros((2, d))
+        _seg_grads(got, segs, dh)
+        assert_bitwise(got, want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -560,35 +583,56 @@ class SlowHelper(Helper):
 @pytest.mark.parametrize("helper_kind", [Helper, SlowHelper])
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 @pytest.mark.parametrize("kind", ["mlm", "span"])
-def test_steps_with_a_helper_match_one_thread_bitwise(dropout, kind, helper_kind):
+def test_steps_with_a_helper_match_one_thread_bitwise(monkeypatch, dropout, kind, helper_kind):
     """Steps on one workspace that carries a helper, over batches that grow
     and shrink, give the loss and gradients of one thread on a fresh
     workspace and of the plain expressions, bit for bit: the helper's
     parameter-gradient tasks and the split GELU change no value, and no task
-    reads a key that this thread has rewritten."""
-    cfg = bitwise_config(dropout)
-    params = scaled_params(cfg, seed=5)
-    grad = np.zeros_like(params.flat)
-    grads = param_views(cfg, grad)
+    reads a key that this thread has rewritten. So with the shipped split
+    gate, under which these batches run whole, and with a gate of one token,
+    under which every batch of two or more examples (three is odd) runs its
+    per-example segments as two batch halves."""
+    shapes = [(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]
+    assert max(B * L for B, L in shapes) < encoder._SPLIT_TOKENS
+    splits, run_chain = [], encoder._run_chain
+
+    def recording(ws, split, B, *args):
+        if ws.helper is not None:
+            splits.append(split)
+        return run_chain(ws, split, B, *args)
+
+    monkeypatch.setattr(encoder, "_run_chain", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
     try:
-        with helper_kind() as helper:
-            workspace = Workspace(helper)
-            for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
-                batch = sized_batch(cfg, kind, seed, B, L)
-                rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
-                want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(),
-                                                       grads=zeroed_grads(params), workspace=Workspace())
-                grad.fill(0.0)
-                value, _ = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
-                plain_value, plain_grads = plain_backward(params, batch, kind, rng())
-                assert value == want_value == plain_value
-                for name, tensor in want_grads.items():
-                    assert_bitwise(grads[name], tensor)
-                    assert_bitwise(grads[name], plain_grads[name])
+        for n_layers in (1, 2):  # one layer: no join between the MLM head's tok_emb task and the scatter
+            cfg = dataclasses.replace(bitwise_config(dropout), n_layers=n_layers)
+            params = scaled_params(cfg, seed=5)
+            grad = np.zeros_like(params.flat)
+            grads = param_views(cfg, grad)
+            for split_tokens in (encoder._SPLIT_TOKENS, 1):
+                monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
+                splits.clear()
+                with helper_kind() as helper:
+                    _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, Workspace(helper))
+                assert splits == [split_tokens == 1 and B > 1 for B, _ in shapes for _ in range(n_layers)]
     finally:
         sys.setswitchinterval(interval)
+
+
+def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, workspace):
+    for seed, (B, L) in enumerate(shapes):
+        batch = sized_batch(cfg, kind, seed, B, L)
+        rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+        want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
+                                               workspace=Workspace())
+        grad.fill(0.0)
+        value, _ = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
+        plain_value, plain_grads = plain_backward(params, batch, kind, rng())
+        assert value == want_value == plain_value
+        for name, tensor in want_grads.items():
+            assert_bitwise(grads[name], tensor)
+            assert_bitwise(grads[name], plain_grads[name])
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 32), (2, 1, 32), (1, 1, 32), (4, 16)])
@@ -598,7 +642,7 @@ def test_gelu_split_between_two_threads_matches_one_thread_bitwise(monkeypatch, 
     here); its output and Phi equal one thread's."""
     rng = np.random.default_rng(6)
     x = awkward(rng, shape)
-    want_y, want_phi = (a.copy() for a in _gelu(x, Workspace(), "gelu"))
+    want_y, want_phi = (a.copy() for a in _gelu(x, np.empty_like(x), np.empty_like(x)))
     calls, gelu_rows = [], encoder._gelu_rows
 
     def recording(x, phi, y):
@@ -607,7 +651,7 @@ def test_gelu_split_between_two_threads_matches_one_thread_bitwise(monkeypatch, 
 
     monkeypatch.setattr(encoder, "_gelu_rows", recording)
     with Helper() as helper:
-        y, phi = _gelu(x, Workspace(helper), "gelu")
+        y, phi = _gelu(x, np.empty_like(x), np.empty_like(x), helper)
     assert_bitwise(y, want_y)
     assert_bitwise(phi, want_phi)
     rows = math.prod(shape[:-1])

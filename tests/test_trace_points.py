@@ -119,7 +119,9 @@ def test_training_step_records_one_forward_span(monkeypatch):
 def test_a_training_helper_calls_no_traced_function(monkeypatch):
     """With a helper thread, every public kiqa function the tracer wraps is
     still called on the calling thread only, so its one span stack sees no
-    span from the helper."""
+    span from the helper: with no step split, where the helper forms every
+    weight gradient, and under a split gate of one token, where it also
+    runs batch halves of the forward and backward."""
     tracing = _load_tracing()
     threads = set()
 
@@ -145,15 +147,27 @@ def test_a_training_helper_calls_no_traced_function(monkeypatch):
     cfg = encoder.ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=8, d_ff=16, max_len=32,
                               dropout=0.1)
     config = training.TrainConfig(phase="inject", learning_rate=1e-3, batch_size=4, epochs=2)
-    helpers = set()
-    original = encoder._linear_param_grads
+    helpers, halves = set(), set()
+    original, segments = encoder._linear_param_grads, encoder._run_segments
 
     def product(*args):
         helpers.add(threading.current_thread())
         original(*args)
 
+    def half(*args):
+        halves.add(threading.current_thread())
+        segments(*args)
+
     monkeypatch.setattr(encoder, "_linear_param_grads", product)
-    result = training.run_injection(corpus, vocab, config, cfg, render_max_len=32, workers=2)
-    assert len(result.history) > 2
-    assert threads == {threading.current_thread()}
-    assert helpers and threading.current_thread() not in helpers
+    monkeypatch.setattr(encoder, "_run_segments", half)
+    caller = threading.current_thread()
+    for split_tokens in (10**9, 1):
+        monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
+        threads.clear(), helpers.clear(), halves.clear()
+        result = training.run_injection(corpus, vocab, config, cfg, render_max_len=32, workers=2)
+        assert len(result.history) > 2
+        assert threads == {caller}
+        if split_tokens > 1:
+            assert helpers and caller not in helpers and halves == {caller}
+        else:  # the helper runs batch halves and shares the weight gradients
+            assert helpers - {caller} and len(halves - {caller}) == 1

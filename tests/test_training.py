@@ -662,7 +662,8 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
     workspace and later steps reuse it: the memory a step adds at its peak
     (numpy reports its data buffers to tracemalloc, on every thread) stays
     far below one (B * L, d_ff) FFN array, of which a step without a
-    workspace makes several per layer. So on one thread and with a helper."""
+    workspace makes several per layer. So on one thread, and with a helper
+    both for steps that run whole and for steps split into batch halves."""
     import tracemalloc
 
     kb, vocab = _memorization_kb()
@@ -673,7 +674,9 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
                                dropout=0.1)
     config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=25, epochs=3, seed=0)
     one_ffn = config.batch_size * lengths.pop() * model_config.d_ff * 8
-    for workers in (1, 2):
+    for workers, split_tokens in ((1, None), (2, 10**9), (2, 1)):
+        if split_tokens is not None:
+            monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
         growth, window = [], {}
 
         def collate(samples):  # a step starts here
@@ -692,7 +695,7 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
             tracemalloc.stop()
         assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
         assert growth[0] > one_ffn  # the first step fills the workspace
-        assert max(growth[1:]) < one_ffn / 8, (workers, growth, one_ffn)
+        assert max(growth[1:]) < one_ffn / 8, (workers, split_tokens, growth, one_ffn)
 
 
 # ------------------------------------------------------------ the helper thread
@@ -700,14 +703,17 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
 
 def _train_both_phases(workers, max_grad_norm, tmp_path):
     """run_injection with dropout, then run_finetune, on ``workers``; each
-    phase's history and checkpoint bytes."""
+    phase's history and checkpoint bytes. Injection takes its 20 samples,
+    4 of them K3 samples with segment-1 tokens, in batches of 7, 7 and 6;
+    finetuning its 16 examples in batches of 5, 5, 5 and 1."""
     from kiqa.encoder import save_checkpoint
 
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    assert len(corpus) == 20 and sum(1 in render(s, vocab, 32).segment_ids for s in corpus) == 4
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
-    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=2, seed=5, max_grad_norm=max_grad_norm)
-    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6,
+    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=7, epochs=2, seed=5, max_grad_norm=max_grad_norm)
+    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=5, epochs=1, seed=6,
                            max_grad_norm=max_grad_norm)
     injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=workers)
     tuned = run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=workers)
@@ -719,16 +725,33 @@ def _train_both_phases(workers, max_grad_norm, tmp_path):
     return out
 
 
-@pytest.mark.parametrize("max_grad_norm", [None, 2.05])  # unclipped norms run 1.88-2.56
-def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, max_grad_norm):
+@pytest.mark.parametrize("max_grad_norm", [None, 2.05])  # unclipped norms run 1.47-3.56
+def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, monkeypatch, max_grad_norm):
     """Injection with dropout 0.1, then finetuning: with a helper thread
     (workers=2) every step record (loss, grad_norm, tokens, lr) and both
     checkpoints equal those of one thread, byte for byte, with and without
-    clipping."""
-    one, two = (_train_both_phases(workers, max_grad_norm, tmp_path) for workers in (1, 2))
-    for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
-        assert len(history_1) > 2 and history_1 == history_2
-        assert ckpt_1 == ckpt_2
+    clipping. So under the shipped split gate, which no step here reaches,
+    and under a gate of one token, where every step of two or more examples
+    runs its per-example work as two batch halves: both losses, odd batch
+    sizes and a final one-example batch, which runs whole."""
+    splits, run_chain = [], encoder._run_chain
+
+    def recording(ws, split, B, *args):
+        splits.append((split, B))
+        return run_chain(ws, split, B, *args)
+
+    monkeypatch.setattr(encoder, "_run_chain", recording)
+    one = _train_both_phases(1, max_grad_norm, tmp_path)
+    assert not any(split for split, _ in splits)
+    for split_tokens in (encoder._SPLIT_TOKENS, 1):
+        monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
+        splits.clear()
+        two = _train_both_phases(2, max_grad_norm, tmp_path)
+        for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
+            assert len(history_1) > 2 and history_1 == history_2
+            assert ckpt_1 == ckpt_2
+        assert {(split, B) for split, B in splits} == ({(False, B) for B in (7, 6, 5, 1)} if split_tokens > 1 else
+                                                       {(True, 7), (True, 6), (True, 5), (False, 1)})
     norms = [rec["grad_norm"] for history, _ in one for rec in history]
     if max_grad_norm is not None:  # some steps are clipped, some not
         assert min(norms) <= max_grad_norm < max(norms)
@@ -761,10 +784,53 @@ def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch
     assert not any(thread.is_alive() for thread in threads)
 
 
+@pytest.mark.parametrize("where", ["helper", "caller"])
+@pytest.mark.parametrize("segment", ["_attention", "_attention_backward"])  # a forward half, a backward half
+def test_a_failing_batch_half_raises_its_own_exception_from_the_run(monkeypatch, segment, where):
+    """Under a split gate of one token, a batch half that raises, on the
+    helper or on this thread, in the forward or in the backward, surfaces as
+    the same exception object from run_injection, and no thread is left
+    alive when it does."""
+
+    class HalfFailed(Exception):
+        pass
+
+    failure = HalfFailed("batch half failed")
+    caller, original, ran = threading.current_thread(), getattr(encoder, segment), []
+
+    def fail_here():
+        thread = threading.current_thread()
+        ran.append(thread)
+        if (thread is caller) == (where == "caller"):
+            raise failure
+
+    def failing(*args):
+        fail_here()
+        return original(*args)
+
+    def failing_chain(*args):  # a backward chain is a generator: it runs where it is iterated
+        fail_here()
+        yield from original(*args)
+
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
+    monkeypatch.setattr(encoder, segment, failing_chain if segment == "_attention_backward" else failing)
+    spec, kb, vocab = _tiny_world()
+    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.1)
+    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
+    with pytest.raises(HalfFailed) as raised:
+        run_injection(corpus, vocab, config, model_config, render_max_len=32, workers=2)
+    assert raised.value is failure
+    helpers = set(ran) - {caller}
+    assert caller in ran and len(helpers) == 1 and not any(thread.is_alive() for thread in helpers)
+
+
 def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
     """With a helper, both phases hand it work (the weight-gradient products
     run on another thread), yet every Workspace.take comes from the thread
-    that made the workspace."""
+    that made the workspace: so with no step split, where the helper takes
+    every weight-gradient product, and under a split gate of one token,
+    where it also runs batch halves and shares those products."""
     made, takers, handed = [], set(), set()
 
     class Recording(Workspace):
@@ -782,15 +848,30 @@ def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
         handed.add(threading.current_thread())
         product(*args)
 
+    halves = set()
+    segments = encoder._run_segments
+
+    def recording_segments(*args):
+        halves.add(threading.current_thread())
+        segments(*args)
+
     monkeypatch.setattr(training, "Workspace", Recording)
     monkeypatch.setattr(encoder, "_linear_param_grads", recording_product)
+    monkeypatch.setattr(encoder, "_run_segments", recording_segments)
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
     inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
     finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6)
-    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=2)
-    run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=2)
     caller = threading.current_thread()
-    assert made == [caller, caller] and takers == {caller}
-    assert handed and caller not in handed
+    for split_tokens in (10**9, 1):
+        monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
+        made.clear(), takers.clear(), handed.clear(), halves.clear()
+        injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=2)
+        run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=2)
+        assert made == [caller, caller] and takers == {caller}
+        assert handed - {caller}
+        if split_tokens > 1:  # the helper takes every product and runs no half
+            assert caller not in handed and halves == {caller}
+        else:
+            assert caller in halves and halves - {caller}  # one helper per phase
