@@ -6,10 +6,10 @@ and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 length, each batch capped by ``batch_size`` rows and ``_BATCH_TOKENS``
 padded tokens. A pool of threads, by default one per CPU the process may
 use (``usable_cpus``) and never more than there are batches, runs the
-encoder on the planned batches side by side, each thread in its own
-``encoder.Workspace``; numpy and BLAS release the interpreter lock inside
-their loops. The calling thread takes the logits in plan order and decodes
-them. A batch's logits depend on its rows alone, so every worker count
+encoder on the planned batches side by side, longest first, each thread in
+its own ``encoder.Workspace``; numpy and BLAS release the interpreter lock
+inside their loops. The calling thread takes the logits in that order and
+decodes them. A batch's logits depend on its rows alone, so every worker count
 gives bitwise the same predictions and reports.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
@@ -248,15 +248,18 @@ def predict_spans(
     batching of the same examples.
 
     Up to ``workers`` threads (default ``usable_cpus()``, capped at the number
-    of batches) run ``forward`` and ``qa_logits`` on the planned batches; one
-    worker runs them in the calling thread. Each of those threads gives
-    ``forward`` its own ``Workspace`` for this call; ``qa_logits`` returns new
-    arrays, which a thread's next batch does not overwrite. A pool is shut
-    down before the call returns or raises. The calling thread takes the
-    logits in plan order, checks them and decodes, so the first batch in plan
-    order whose span logits are not all finite raises NonFiniteError. A
-    batch's logits depend on its rows alone, so predictions are bitwise the
-    same for every worker count.
+    of batches) run ``forward`` and ``qa_logits`` on the planned batches, in
+    reverse plan order, so longest first; one worker runs them in the calling
+    thread. Each of those threads gives ``forward`` its own ``Workspace`` for
+    this call, and so takes its largest arrays at its first batch rather than
+    regrowing them batch by batch; the long batches also start first, which
+    evens out the threads' last batches. ``qa_logits`` returns new arrays,
+    which a thread's next batch does not overwrite. A pool is shut down
+    before the call returns or raises. The calling thread takes the logits in
+    that run order, checks them and decodes, so the first batch run whose
+    span logits are not all finite raises NonFiniteError. A batch's logits
+    depend on its rows alone, so predictions are bitwise the same for every
+    worker count and run order.
     """
     check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
@@ -282,9 +285,10 @@ def predict_spans(
     threads = min(usable_cpus() if workers is None else workers, len(plan))
     # One thread runs in the caller: no hand-off per batch, and no second malloc arena.
     pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    runs = plan[::-1]  # longest first
     try:
-        batches = pool.map(span_logits, plan) if pool else map(span_logits, plan)
-        for chunk, (start_logits, end_logits) in zip(plan, batches):
+        batches = pool.map(span_logits, runs) if pool else map(span_logits, runs)
+        for chunk, (start_logits, end_logits) in zip(runs, batches):
             if not (np.isfinite(start_logits).all() and np.isfinite(end_logits).all()):
                 raise NonFiniteError("span logits are not finite; the checkpoint may hold NaN or inf weights")
             for b, i in enumerate(chunk):

@@ -32,10 +32,10 @@ padded tokens (see ``encoder``) runs its per-example segments (embedding,
 layers below the last, the last layer's attention) as two batch halves,
 one per thread. Batch reductions and the last layer's gathered rows never
 split, because a 2-D product whose rows are cut changes bits. In every
-step the helper also forms parameter gradients, half of GELU's rows where
-a segment runs whole, and the upper half of each AdamW update. Only the
-calling thread takes from the workspace, and the helper calls no public
-kiqa function. Every result is bitwise that of one thread.
+step the helper also forms parameter gradients and the upper half of each
+AdamW update. Only the calling thread takes from the workspace, and the
+helper calls no public kiqa function. Every result is bitwise that of one
+thread.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -262,12 +263,98 @@ def test_gelu_kernels_match_plain_expressions(seed):
     x = awkward(rng, (3, 7, 32))
     dy = awkward(rng, x.shape)
     x0, dy0 = x.copy(), dy.copy()
-    y, phi = _gelu(x, np.empty_like(x), np.empty_like(x))
+    y, phi = _gelu(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
     assert_bitwise(y, gelu_oracle(x0))
     assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
     assert_bitwise(_gelu_grad(dy, x, phi, np.empty_like(x)), gelu_grad_oracle(dy0, x0))
     assert_bitwise(x, x0)
     assert_bitwise(dy, dy0)
+
+
+# _gelu's rational gives scipy's bits only while scipy.special.erf evaluates
+# Cephes' erf for |u| <= 1 with each multiply and add rounded on its own (no
+# fused multiply-add, as scipy's x86-64 builds). A scipy that changes either
+# fails these tests rather than silently changing a checkpoint.
+
+
+def assert_gelu_matches_scipy(x):
+    """_gelu over x gives bitwise the plain expressions' Phi and GELU, leaves
+    x as it was and overwrites whatever its output and scratch arrays held."""
+    x0 = x.copy()
+    phi, y, tmp = (np.full_like(x, 7.0) for _ in range(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow in the rational at the tail stays inside the kernel
+        got_y, got_phi = _gelu(x, phi, y, tmp)
+    assert got_y is y and got_phi is phi
+    assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
+    assert_bitwise(y, gelu_oracle(x0))
+    assert_bitwise(x, x0)
+
+
+def xs_for(us):
+    """The x near us * sqrt 2 with fl(x / sqrt 2) in us: the inputs at
+    which the kernel's erf sees exactly those u (an x step moves u by about
+    1.4 ulp, so a u with no such x is one the kernel never meets)."""
+    us = np.asarray(us, dtype=np.float64)
+    x = us * math.sqrt(2.0)
+    near = [x]
+    for direction in (np.inf, -np.inf):
+        step = x
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    near = np.concatenate(near)
+    return near[np.isin(near / math.sqrt(2.0), us)]
+
+
+def test_gelu_matches_scipy_over_a_dense_sweep_of_the_rational_and_its_edges():
+    tiny = np.finfo(np.float64).tiny
+    above_one = np.nextafter(1.0, 2.0)
+    edges = np.array([0.0, 5e-324, 1e-320, np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0), 1e-300, 1e-160,
+                      1e-8, 0.5, np.nextafter(1.0, 0.0), 1.0, above_one, np.nextafter(above_one, 2.0)])
+    us = np.concatenate([edges, -edges])
+    x = xs_for(us)
+    assert np.isin(us, x / math.sqrt(2.0)).all()  # the kernel meets every edge value
+    assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()  # both signs of zero
+    sweep = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 400_001)
+    both = np.concatenate([x, sweep])
+    for arr in (x, sweep, both[: len(both) // 7 * 7].reshape(-1, 7)):
+        assert_gelu_matches_scipy(arr)
+
+
+@pytest.mark.parametrize("sigma, tail", [(0.2, (0.0, 0.0)), (0.7, (0.13, 0.18)), (1.5, (0.47, 0.53))])
+def test_gelu_matches_scipy_on_normal_inputs_with_and_without_a_tail(sigma, tail):
+    """u = x / sqrt 2 normal with sd sigma: no element, about 15 % and about
+    half of them beyond |u| = 1, where scipy's own branch runs."""
+    u = np.random.default_rng(11).normal(scale=sigma, size=(120, 256))
+    x = u * math.sqrt(2.0)
+    assert tail[0] <= np.mean(np.abs(x / math.sqrt(2.0)) > 1.0) <= tail[1]
+    assert_gelu_matches_scipy(x)
+
+
+@pytest.mark.parametrize("shape", [(0, 16), (1, 16), (1, 1), (3, 0), (2, 5, 16)])
+def test_gelu_matches_scipy_on_all_tail_no_tail_empty_and_one_row_arrays(shape):
+    rng = np.random.default_rng(12)
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    assert_gelu_matches_scipy(sign * rng.uniform(1.5, 9.0, size=shape))  # every |u| > 1
+    assert_gelu_matches_scipy(sign * rng.uniform(0.0, 1.4, size=shape))  # every |u| < 1
+    assert_gelu_matches_scipy(sign * 10.0 ** rng.uniform(1.0, 300.0, size=shape))  # u * u overflows in places
+    if math.prod(shape):
+        assert_gelu_matches_scipy(awkward(rng, shape))
+
+
+def test_gelu_of_infinities_saturates_and_nan_stays_nan_in_place():
+    x = np.array([[np.inf, -np.inf, np.nan, 0.5, -1e300], [-np.nan, 1e300, -0.3, np.inf, 3.0]])
+    phi, y, tmp = (np.empty_like(x) for _ in range(3))
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0, as in the plain expression
+        _gelu(x, phi, y, tmp)
+        want = gelu_oracle(x)
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(phi), nan)
+    assert_bitwise(phi[~nan], 0.5 * (1.0 + erf(x[~nan] / math.sqrt(2.0))))
+    assert phi[0, 0] == phi[1, 3] == phi[1, 1] == 1.0 and phi[0, 1] == phi[0, 4] == 0.0
+    assert np.array_equal(np.isnan(y), np.isnan(want)) and np.isnan(y[nan]).all()
+    assert_bitwise(y[~np.isnan(want)], want[~np.isnan(want)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -633,33 +720,6 @@ def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, wor
         for name, tensor in want_grads.items():
             assert_bitwise(grads[name], tensor)
             assert_bitwise(grads[name], plain_grads[name])
-
-
-@pytest.mark.parametrize("shape", [(3, 7, 32), (2, 1, 32), (1, 1, 32), (4, 16)])
-def test_gelu_split_between_two_threads_matches_one_thread_bitwise(monkeypatch, shape):
-    """With a helper, _gelu runs the first half of the rows on this thread
-    and the rest on the helper (an odd row count, two rows; a lone row stays
-    here); its output and Phi equal one thread's."""
-    rng = np.random.default_rng(6)
-    x = awkward(rng, shape)
-    want_y, want_phi = (a.copy() for a in _gelu(x, np.empty_like(x), np.empty_like(x)))
-    calls, gelu_rows = [], encoder._gelu_rows
-
-    def recording(x, phi, y):
-        calls.append((threading.current_thread(), len(x)))
-        gelu_rows(x, phi, y)
-
-    monkeypatch.setattr(encoder, "_gelu_rows", recording)
-    with Helper() as helper:
-        y, phi = _gelu(x, np.empty_like(x), np.empty_like(x), helper)
-    assert_bitwise(y, want_y)
-    assert_bitwise(phi, want_phi)
-    rows = math.prod(shape[:-1])
-    caller = threading.current_thread()
-    if rows == 1:
-        assert calls == [(caller, 1)]
-    else:
-        assert calls[0] == (caller, rows // 2) and calls[1][0] is not caller and calls[1][1] == rows - rows // 2
 
 
 def test_helper_raises_a_task_error_at_the_next_wait_and_skips_the_tasks_behind_it():

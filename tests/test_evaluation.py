@@ -405,8 +405,8 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
             widths.clear()
             assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size,
                                  workers=workers) == one_at_a_time
-            # One thread runs the batches in plan order; several may start them in any order.
-            assert (widths if workers == 1 else sorted(widths)) == planned
+            # One thread runs the batches in reverse plan order; several may start them in any order.
+            assert (widths[::-1] if workers == 1 else sorted(widths)) == planned
 
 
 def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
@@ -524,6 +524,62 @@ def test_each_batch_thread_keeps_its_own_workspace_and_decodes_new_logits(monkey
     assert len({id(seen[0]) for seen in passed.values()}) == workers
     assert sum(map(len, passed.values())) > workers and decoded and taken
     assert not any(np.shares_memory(logits, array) for logits in decoded for array in taken)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batches_run_longest_first_and_each_workspace_key_grows_once(monkeypatch, workers):
+    """predict_spans runs its planned batches longest first. Every batch's
+    hidden states, and so every prediction, are bitwise those of running the
+    planned batches one by one in plan order. Here every batch has
+    ``batch_size`` rows, so the first batch a thread runs is its largest in
+    every array, and its workspace allocates each key once."""
+    words = "alpha beta gamma delta epsilon zeta eta theta question"
+    vocab = build_vocab([words], max_size=64)
+    config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.0)
+    params = init_params(config, seed=6)
+    for tensor in params.tensors.values():
+        tensor *= 10.0
+    tokens = words.split()[:8]
+    examples = [QAExample(str(i), "question", " ".join((tokens * 4)[i % 8 : i % 8 + 2 + i % 9]),
+                          ((tokens[i % 8], 0),), "en", "en") for i in range(36)]
+    batch_size = 4
+    lengths = [len(pack_qa(ex.question, ex.context, vocab, config.max_len).input_ids) for ex in examples]
+    assert batch_size * max(lengths) <= evaluation._BATCH_TOKENS  # every batch has batch_size rows
+    order = sorted(range(len(examples)), key=lengths.__getitem__)
+    plan = [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+    planned = [lengths[chunk[-1]] for chunk in plan]
+    assert len(set(planned)) > 3
+    hidden, widths, allocations, last = {}, [], defaultdict(int), {}
+    forward = evaluation.forward
+
+    class CountingWorkspace(evaluation.Workspace):
+        def take(self, key, shape):
+            array = super().take(key, shape)
+            address = array.__array_interface__["data"][0]
+            if last.get((id(self), key)) != address:  # a new buffer, made while the old one is still held
+                allocations[(id(self), key)] += 1
+                last[(id(self), key)] = address
+            return array
+
+    def recording_forward(params, ids, segs, mask, *, workspace):
+        widths.append(ids.shape[1])
+        h = forward(params, ids, segs, mask, workspace=workspace)
+        hidden.setdefault(ids.tobytes(), []).append(h.tobytes())
+        return h
+
+    monkeypatch.setattr(evaluation, "Workspace", CountingWorkspace)
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    one_by_one = {}
+    for chunk in plan:  # each planned batch alone, in plan order: the same rows and pad width
+        one_by_one.update(zip(chunk, predict_spans(params, vocab, [examples[i] for i in chunk], max_answer_len=4,
+                                                   batch_size=batch_size, workers=1)))
+    widths.clear()
+    allocations.clear()
+    predictions = predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size, workers=workers)
+    assert predictions == [one_by_one[i] for i in range(len(examples))]
+    assert len(hidden) == len(plan) and all(len(runs) == 2 and runs[0] == runs[1] for runs in hidden.values())
+    assert (widths if workers == 1 else sorted(widths, reverse=True)) == planned[::-1]
+    assert len({ws for ws, _ in allocations}) == workers and set(allocations.values()) == {1}
 
 
 def test_predict_spans_batches_after_the_first_allocate_no_per_token_arrays(monkeypatch):
