@@ -39,13 +39,14 @@ name their layer only when the forward keeps a cache for a backward.
 Thread rule: a training run on two or more CPUs keeps one ``Helper``
 thread, which its workspace carries; inference has none. Only the thread
 that made a workspace calls ``take``; it hands the helper the arrays a task
-reads and writes. Per-example segments may run on two example ranges: a
-step with at least two examples and ``_SPLIT_TOKENS`` padded tokens runs
-the embedding, every layer below the last (its forward and its whole
-input-gradient chain) and the last layer's Q/K/V, scores, softmax, PV and
-their backward as two batch halves, examples [0, B // 2) on the calling
-thread and [B // 2, B) on the helper, each writing its rows of whole arrays.
-A stacked (B, ...) matmul is one BLAS call per example, so a half gets the
+reads and writes. A training step with at least two examples and
+``_SPLIT_TOKENS`` padded tokens splits: it runs the embedding, every layer
+below the last (its forward and its whole input-gradient chain) and the
+last layer's Q/K/V, scores, softmax, PV and their backward as two batch
+halves (``_halves``), examples [0, B // 2) on the calling thread and
+[B // 2, B) on the helper, each writing its rows of whole arrays. Any other
+step runs whole on the calling thread and hands the helper nothing. A
+stacked (B, ...) matmul is one BLAS call per example, so a half gets the
 bits of the whole batch. Batch reductions and gathered rows never split: the
 weight, bias and layer-norm gradients, the embedding scatters, the loss
 heads, the dropout draws (at whole shape, in layer order) and the last
@@ -53,12 +54,14 @@ layer's ops at the rows its loss reads. A 2-D product changes bits when its
 rows are cut: in 207 of 600 random cuts with a piece under 4 rows, and for
 dy @ W.T in 134 of 597 with both pieces of 4 rows or more (2 CPUs, OpenBLAS,
 1 thread). Each gradient tensor gets its additions on one thread, in the
-one-thread order: the helper forms them while the calling thread forms the
-input gradients, or, after a split layer's halves, both threads take that
-layer's tasks from one deque. Every value is bitwise that of one thread. The
-calling thread waits for the helper after each split, before a layer below
-rewrites a buffer a task reads, and before ``loss_and_grad`` returns; a
-task's exception is raised on the calling thread.
+one-thread order: in a split step the helper forms the last layer's
+gathered-row gradients, the MLM head's product and the ``tok_emb`` scatter
+while the calling thread forms the input gradients, and after each layer's
+halves both threads take that layer's tasks from one deque. Every value is
+bitwise that of one thread. The calling thread waits for the helper after
+each pair of halves, before a layer below rewrites a buffer a task reads,
+and before ``loss_and_grad`` returns; a task's exception is raised on the
+calling thread.
 
 GELU kernel rule: Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) is bitwise that of
 ``scipy.special.erf``. Where |x / sqrt 2| <= 1, erf is Cephes' rational,
@@ -266,11 +269,12 @@ class Workspace:
     the calling thread waits for it before rewriting a key one of its tasks
     reads (see ``_backward_to_params``).
 
-    A training run's workspace may carry that run's ``Helper``. Only the
+    A training run's workspace may carry that run's ``Helper``, which only a
+    step split into batch halves uses (see the module docstring). Only the
     thread that made the workspace calls ``take``; it hands the helper the
-    arrays a task needs. A step split into batch halves (see the module
-    docstring) takes each array whole, and each half writes its own
-    examples' rows of it; the halves of one segment share no row."""
+    arrays a task needs. A split step takes each array whole, and each half
+    writes its own examples' rows of it; the halves of one segment share no
+    row."""
 
     def __init__(self, helper: Helper | None = None):
         self._buffers: dict[str, np.ndarray] = {}
@@ -284,51 +288,53 @@ class Workspace:
         return buf[:n].reshape(shape)
 
 
-def _hand_off(ws, fn, *args):
-    """fn(*args) on the workspace's helper, or here when it has none."""
-    if ws.helper is None:
+def _hand_off(helper, fn, *args):
+    """fn(*args) on the step's helper, or here when it has none."""
+    if helper is None:
         fn(*args)
     else:
-        ws.helper.submit(fn, *args)
+        helper.submit(fn, *args)
 
 
-def _join(ws):
-    """Wait until the workspace's helper has run every task handed to it."""
-    if ws.helper is not None:
-        ws.helper.wait()
+def _join(helper):
+    """Wait until the step's helper, if any, has run every task handed to it."""
+    if helper is not None:
+        helper.wait()
 
 
 # Padded tokens (B * L) from which a training step with a helper and two or
 # more examples runs its per-example work as two batch halves (see
-# ``_per_example``). Median step time run whole -> split, in one process,
-# 600 steps each (d_model 64, d_ff 256, 2 layers, dropout 0.1, 2 CPUs, 1 BLAS
-# thread): entity completion at 96 tokens 1.28 -> 1.35 ms, 120 1.71 -> 1.64,
-# 216 2.56 -> 2.29, 312 3.43 -> 3.01; span at 96 tokens 1.52 -> 1.58, 128
-# 1.74 -> 1.75, 336 4.38 -> 3.79.
+# ``_halves``); a smaller step runs whole on one thread. Median
+# ``loss_and_grad`` time whole -> split, best of two runs of 600 steps each
+# in one process (d_model 64, d_ff 256, 2 layers, dropout 0.1, vocabulary
+# 500, 2 CPUs, 1 BLAS thread): entity completion at 64 tokens 1.03 -> 1.23 ms,
+# 96 1.28 -> 1.34, 120 1.65 -> 1.54, 216 2.40 -> 1.80, 312 3.17 -> 2.27;
+# span at 64 tokens 1.15 -> 1.31, 96 1.53 -> 1.55, 128 1.89 -> 1.73, 336
+# 6.01 -> 4.45.
 _SPLIT_TOKENS = 120
 
 
-def _per_example(ws, split, B, segments, meanwhile=None):
-    """Runs fn(s, *args) for each (fn, *args) of ``segments``, in order: a
-    per-example segment, which reads and writes only examples s of its
-    batch-sized arrays. Without ``split`` they run once here over all B
-    examples; with it, over examples [B // 2, B) on the workspace's helper
-    and [0, B // 2) here, and both halves are done on return. ``meanwhile()``,
-    if given, runs here as well, on arrays no segment touches: after the
-    segments, or with ``split`` while the helper starts its half."""
-    if not split:
-        _run_segments(slice(0, B), segments)
+def _halves(helper, B, fn, *args, meanwhile=None):
+    """fn(s, *args) over examples s of a batch of B, where fn reads and
+    writes only examples s of its batch-sized arrays. Without a helper it
+    runs once here over all B examples; with one, over [B // 2, B) on the
+    helper and [0, B // 2) here, and both halves are done on return.
+    ``meanwhile()``, if given, runs here as well, on arrays fn does not
+    touch: after fn, or with a helper while the helper starts its half.
+    Returns this thread's fn result."""
+    if helper is None:
+        out = fn(slice(0, B), *args)
         if meanwhile is not None:
             meanwhile()
-        return
+        return out
     half = B // 2
-    ws.helper.submit(_run_segments, slice(half, B), segments)
+    helper.submit(fn, slice(half, B), *args)
     try:
         if meanwhile is not None:
             meanwhile()
-        _run_segments(slice(0, half), segments)
+        return fn(slice(0, half), *args)
     finally:
-        ws.helper.wait()
+        helper.wait()
 
 
 def _run_segments(s, segments):
@@ -336,40 +342,22 @@ def _run_segments(s, segments):
         fn(s, *args)
 
 
-def _run_chain(ws, split, B, chain, *args):
-    """Runs the input-gradient chain chain(s, *args), a generator over
-    examples s that yields each parameter-gradient task (fn, *args) once the
-    rows it reads are formed; a task reads whole arrays. Without ``split``
-    the chain runs here over all B examples and each task is handed off as
-    it comes (``_hand_off``), and the list returned is empty. With it, the
-    chain runs as two halves as in ``_per_example``, and the tasks, which
-    need both halves' rows, are returned to run after the join."""
-    if not split:
-        for task in chain(slice(0, B), *args):
-            _hand_off(ws, *task)
-        return []
-    half = B // 2
-    ws.helper.submit(_exhaust, chain(slice(half, B), *args))  # the same tasks as this thread's half
-    try:
-        tasks = list(chain(slice(0, half), *args))
-    finally:
-        ws.helper.wait()
-    return tasks
+def _collect(s, chain, *args):
+    """The parameter-gradient tasks (fn, *args) that the input-gradient
+    chain chain(s, *args) yields, once it has run at examples s. A task
+    reads whole arrays, so it needs both halves' rows: it runs after the
+    join, and each half yields the same tasks."""
+    return list(chain(s, *args))
 
 
-def _exhaust(chain):
-    for _ in chain:
-        pass
-
-
-def _share(ws, tasks):
-    """Runs tasks (fn, *args) on this thread and the workspace's helper, if
-    any: each thread pops the next task from one deque, whose pops are
+def _share(helper, tasks):
+    """Runs tasks (fn, *args) on this thread and the step's helper, if any:
+    each thread pops the next task from one deque, whose pops are
     thread-safe, until none is left. Each task writes tensors no other task
     writes, so which thread runs it changes no value. The caller joins."""
     tasks = collections.deque(tasks)
-    if ws.helper is not None:
-        ws.helper.submit(_run_tasks, tasks)
+    if helper is not None:
+        helper.submit(_run_tasks, tasks)
     _run_tasks(tasks)
 
 
@@ -665,8 +653,10 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     gathers the rows, so the RNG stream is that of a whole-layer forward.
     Every batch-sized array, the returned ones included, is taken from
     ``workspace`` (see ``Workspace`` for its keys) and lives there until the
-    workspace's next call. With a helper, a step of ``_SPLIT_TOKENS`` padded
-    tokens or more runs its per-example segments as two batch halves (see
+    workspace's next call. With a helper, a training step of two or more
+    examples and ``_SPLIT_TOKENS`` padded tokens or more runs its
+    per-example segments as two batch halves, and its cache keeps the helper
+    for the backward; any other step runs whole on this thread alone (see
     the module docstring).
 
     The batch runs whole, with a (B, heads, L, L) score tensor per layer:
@@ -680,7 +670,8 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     scale = 1.0 / math.sqrt(cfg.d_model // nh)
     B, L = ids.shape
     shape = (B, L, cfg.d_model)
-    split = positions is not None and ws.helper is not None and B >= 2 and B * L >= _SPLIT_TOKENS
+    # The step's helper, if it splits into batch halves; a whole step runs on this thread alone.
+    helper = ws.helper if positions is not None and B >= 2 and B * L >= _SPLIT_TOKENS else None
     # Flat (B * L) row of each read position; the ids and positions are range-checked, so "clip" clips nothing.
     at_rows = None if positions is None else positions[0] * L + positions[1]
 
@@ -710,11 +701,11 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
         if at is None:
             post = _post_attention_arrays(ws, k, (B, L), cfg.d_model, cfg.d_ff)
             segments.append((_layer, t, p, h, key_bias, scale, a, drop_a, drop_f, cfg.dropout, post))
-            _per_example(ws, split, B, segments, later)
+            _halves(helper, B, _run_segments, segments, meanwhile=later)
             ctx = a["ctx"]
         else:
             segments.append((_attention, t, p, h, key_bias, scale, a))
-            _per_example(ws, split, B, segments, later)
+            _halves(helper, B, _run_segments, segments, meanwhile=later)
             ctx = _gather(a["ctx"], at, ws, k + "ctx.at")
             post = _post_attention_arrays(ws, k, (len(at),), cfg.d_model, cfg.d_ff)
             _post_attention(slice(None), t, p, ctx, _gather(h, at, ws, k + "h.at"), drop_a, drop_f, cfg.dropout, post)
@@ -729,7 +720,7 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     if positions is None:
         return h
     return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows,
-               "split": split}
+               "helper": helper}
 
 
 def _post_attention_grads(ws, rows, d, ff, c):
@@ -824,15 +815,15 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     are scattered, with add, into whole (B, L, d) tensors before its
     attention backward; the layers below run at every position.
 
-    The calling thread forms the input gradients, the critical path. A step
-    the forward ran whole hands off each weight, bias and layer-norm
-    gradient task as its rows are formed (``_run_chain``), so the helper
-    forms them alongside. A step the forward split runs each layer's
-    per-example input-gradient chain as two batch halves, then shares that
-    layer's tasks, each over the whole batch, between both threads
-    (``_share``): a task cut at examples would change a sum's bits. The
-    last layer's gathered rows and their scatters, and the embedding's
-    ``tok_emb`` scatter (on the helper, after the MLM head's product),
+    The calling thread forms the input gradients, the critical path. Each
+    layer's per-example input-gradient chain runs through ``_halves``, as
+    two batch halves if the forward split the step, and returns the
+    weight, bias and layer-norm gradient tasks it yields (``_collect``).
+    They run after it, each over the whole batch, on this thread or shared
+    with the step's helper (``_share``): a task cut at examples would change
+    a sum's bits. The last layer's gathered-row tasks and the embedding's
+    ``tok_emb`` scatter (after the MLM head's product) go to the helper, if
+    the step has one, as they form; the gathered rows' scatters and the
     ``pos_emb`` sum and ``seg_emb`` rows run whole. Each gradient tensor
     gets its additions on one thread in the one-thread order. With a
     helper, this thread waits for it before a layer below rewrites the
@@ -842,7 +833,7 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     nh, d = cfg.n_heads, cfg.d_model
     shape = cache["ids"].shape + (d,)
     B = shape[0]
-    split = cache["split"]
+    helper = cache["helper"]
     at = cache["at_rows"]
     for i in reversed(range(cfg.n_layers)):
         p = f"l{i}."
@@ -850,29 +841,28 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
         b = _attention_grads(ws, shape, nh, i % 2, scatter=at is not None)
         if at is None:
             b.update(_post_attention_grads(ws, shape[:2], d, cfg.d_ff, c))
-            tasks = _run_chain(ws, split, B, _layer_backward, t, grads, p, c, dh, nh, cache["scale"], b)
+            tasks = _halves(helper, B, _collect, _layer_backward, t, grads, p, c, dh, nh, cache["scale"], b)
         else:
             rows = _post_attention_grads(ws, (len(at),), d, cfg.d_ff, c)
             for task in _post_attention_backward(slice(None), t, grads, p, c, dh, rows):
-                _hand_off(ws, *task)
+                _hand_off(helper, *task)
             b["scatter"].fill(0.0)
             np.add.at(b["scatter"].reshape(-1, d), at, rows["dxo"])
-            tasks = _run_chain(ws, split, B, _attention_backward, t, grads, p, c, b["scatter"], None, nh,
-                               cache["scale"], b)
+            tasks = _halves(helper, B, _collect, _attention_backward, t, grads, p, c, b["scatter"], None, nh,
+                            cache["scale"], b)
         dh = b["dh"]
         if at is not None:
             np.add.at(dh.reshape(-1, d), at, rows["ln1.dx"])
             at = None  # the layers below ran at every position
         if i > 0:
-            if tasks:
-                _share(ws, tasks)
-            _join(ws)  # before the layer below writes the b. keys this layer's tasks read
+            _share(helper, tasks)
+            _join(helper)  # before the layer below writes the b. keys this layer's tasks read
 
     if cache["drop0"] is not None:
         dh = np.multiply(dh, cache["drop0"], out=ws.take("b.drop0", shape))
-    _hand_off(ws, np.add.at, grads["tok_emb"], cache["ids"], dh)  # after the MLM head's product, on one thread
-    _share(ws, [(_pos_grads, grads["pos_emb"], dh), (_seg_grads, grads["seg_emb"], cache["segs"], dh), *tasks])
-    _join(ws)
+    _hand_off(helper, np.add.at, grads["tok_emb"], cache["ids"], dh)  # after the MLM head's product, on one thread
+    _share(helper, [(_pos_grads, grads["pos_emb"], dh), (_seg_grads, grads["seg_emb"], cache["segs"], dh), *tasks])
+    _join(helper)
 
 
 def _pos_grads(grad, dh):
@@ -1003,8 +993,8 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, *, 
         nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws, "ce")
         value = nll.mean()
         dlogits /= M
-        _hand_off(ws, _mlm_param_grads, dlogits, sel, ws.take("mlm.gw", t["tok_emb"].shape), grads["mlm_bias"],
-                  grads["tok_emb"])
+        _hand_off(cache["helper"], _mlm_param_grads, dlogits, sel, ws.take("mlm.gw", t["tok_emb"].shape),
+                  grads["mlm_bias"], grads["tok_emb"])
         dsel = np.matmul(dlogits, t["tok_emb"], out=ws.take("mlm.dsel", sel.shape))
     else:
         start_logits, end_logits = logits = ws.take("qa.logits", (2,) + valid.shape)

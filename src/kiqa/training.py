@@ -30,9 +30,10 @@ more, and stops it before it returns or raises. The workspace and the AdamW
 state carry it. A step of at least two examples and a measured number of
 padded tokens (see ``encoder``) runs its per-example segments (embedding,
 layers below the last, the last layer's attention) as two batch halves,
-one per thread. Batch reductions and the last layer's gathered rows never
-split, because a 2-D product whose rows are cut changes bits. In every
-step the helper also forms parameter gradients and the upper half of each
+one per thread, and shares its parameter-gradient tasks with the helper.
+Batch reductions and the last layer's gathered rows never split, because
+a 2-D product whose rows are cut changes bits. Any other step runs whole on
+the calling thread. In every step the helper forms the upper half of the
 AdamW update. Only the calling thread takes from the workspace, and the
 helper calls no public kiqa function. Every result is bitwise that of one
 thread.
@@ -318,9 +319,10 @@ def _train_loop(
     ``encoder.Workspace`` for the step's batch-sized arrays, so a step after
     the first few maps no new memory. With ``workers`` (default
     ``usable_cpus()``) of 2 or more, the run also keeps one ``Helper`` thread,
-    which both the workspace and the AdamW state carry; it is stopped before
-    the loop returns or raises, and the results are bitwise those of one
-    thread.
+    which both the workspace and the AdamW state carry: it runs half of each
+    step that splits into batch halves and half of every AdamW update. It is
+    stopped before the loop returns or raises, and the results are bitwise
+    those of one thread.
     """
     threads = usable_cpus() if workers is None else workers
     with Helper() if threads >= 2 else contextlib.nullcontext() as helper:

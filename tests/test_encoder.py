@@ -673,22 +673,21 @@ class SlowHelper(Helper):
 def test_steps_with_a_helper_match_one_thread_bitwise(monkeypatch, dropout, kind, helper_kind):
     """Steps on one workspace that carries a helper, over batches that grow
     and shrink, give the loss and gradients of one thread on a fresh
-    workspace and of the plain expressions, bit for bit: the helper's
-    parameter-gradient tasks and the split GELU change no value, and no task
-    reads a key that this thread has rewritten. So with the shipped split
-    gate, under which these batches run whole, and with a gate of one token,
-    under which every batch of two or more examples (three is odd) runs its
-    per-example segments as two batch halves."""
+    workspace and of the plain expressions, bit for bit: the batch halves
+    and the helper's share of the parameter-gradient tasks change no value,
+    and no task reads a key that this thread has rewritten. Under a split
+    gate of one token every batch of two or more examples (three is odd)
+    runs as two batch halves; the one-example batch runs whole, and a whole
+    step hands its helper nothing."""
     shapes = [(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]
-    assert max(B * L for B, L in shapes) < encoder._SPLIT_TOKENS
-    splits, run_chain = [], encoder._run_chain
+    submitted, submit = [], Helper.submit
 
-    def recording(ws, split, B, *args):
-        if ws.helper is not None:
-            splits.append(split)
-        return run_chain(ws, split, B, *args)
+    def recording(self, fn, *args):
+        submitted.append(fn)
+        submit(self, fn, *args)
 
-    monkeypatch.setattr(encoder, "_run_chain", recording)
+    monkeypatch.setattr(Helper, "submit", recording)
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
     try:
@@ -697,29 +696,33 @@ def test_steps_with_a_helper_match_one_thread_bitwise(monkeypatch, dropout, kind
             params = scaled_params(cfg, seed=5)
             grad = np.zeros_like(params.flat)
             grads = param_views(cfg, grad)
-            for split_tokens in (encoder._SPLIT_TOKENS, 1):
-                monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
-                splits.clear()
-                with helper_kind() as helper:
-                    _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, Workspace(helper))
-                assert splits == [split_tokens == 1 and B > 1 for B, _ in shapes for _ in range(n_layers)]
+            with helper_kind() as helper:
+                handed = _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, Workspace(helper),
+                                                 submitted)
+            assert [bool(n) for n in handed] == [B > 1 for B, _ in shapes]
     finally:
         sys.setswitchinterval(interval)
 
 
-def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, workspace):
+def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, workspace, submitted):
+    """Checks each step of ``shapes`` on ``workspace``; returns the number
+    of tasks each step's loss_and_grad appended to ``submitted``."""
+    handed = []
     for seed, (B, L) in enumerate(shapes):
         batch = sized_batch(cfg, kind, seed, B, L)
         rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
         want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
                                                workspace=Workspace())
         grad.fill(0.0)
+        before = len(submitted)
         value, _ = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
+        handed.append(len(submitted) - before)
         plain_value, plain_grads = plain_backward(params, batch, kind, rng())
         assert value == want_value == plain_value
         for name, tensor in want_grads.items():
             assert_bitwise(grads[name], tensor)
             assert_bitwise(grads[name], plain_grads[name])
+    return handed
 
 
 def test_helper_raises_a_task_error_at_the_next_wait_and_skips_the_tasks_behind_it():

@@ -117,11 +117,11 @@ def test_training_step_records_one_forward_span(monkeypatch):
 
 
 def test_a_training_helper_calls_no_traced_function(monkeypatch):
-    """With a helper thread, every public kiqa function the tracer wraps is
-    still called on the calling thread only, so its one span stack sees no
-    span from the helper: with no step split, where the helper forms every
-    weight gradient, and under a split gate of one token, where it also
-    runs batch halves of the forward and backward."""
+    """With a helper thread, under a split gate of one token, where it runs
+    batch halves of the forward and backward and shares the weight
+    gradients, every public kiqa function the tracer wraps is still called
+    on the calling thread only, so its one span stack sees no span from the
+    helper."""
     tracing = _load_tracing()
     threads = set()
 
@@ -160,14 +160,9 @@ def test_a_training_helper_calls_no_traced_function(monkeypatch):
 
     monkeypatch.setattr(encoder, "_linear_param_grads", product)
     monkeypatch.setattr(encoder, "_run_segments", half)
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     caller = threading.current_thread()
-    for split_tokens in (10**9, 1):
-        monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
-        threads.clear(), helpers.clear(), halves.clear()
-        result = training.run_injection(corpus, vocab, config, cfg, render_max_len=32, workers=2)
-        assert len(result.history) > 2
-        assert threads == {caller}
-        if split_tokens > 1:
-            assert helpers and caller not in helpers and halves == {caller}
-        else:  # the helper runs batch halves and shares the weight gradients
-            assert helpers - {caller} and len(halves - {caller}) == 1
+    result = training.run_injection(corpus, vocab, config, cfg, render_max_len=32, workers=2)
+    assert len(result.history) > 2
+    assert threads == {caller}
+    assert helpers - {caller} and len(halves - {caller}) == 1

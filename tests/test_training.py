@@ -659,11 +659,17 @@ def test_training_keeps_every_tensor_a_view_of_its_buffer(monkeypatch, tmp_path)
 
 def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch):
     """With every batch of one shape, the first step fills the run's
-    workspace and later steps reuse it: the memory a step adds at its peak
-    (numpy reports its data buffers to tracemalloc, on every thread) stays
-    far below one (B * L, d_ff) FFN array, of which a step without a
-    workspace makes several per layer. So on one thread, and with a helper
-    both for steps that run whole and for steps split into batch halves."""
+    workspace and later steps reuse it. Numpy reports its data buffers to
+    tracemalloc, on every thread, so the memory a step adds at its peak
+    counts any array it makes. On one thread that peak stays far below one
+    (B * L, d_ff) FFN array, of which a step without a workspace makes
+    several per layer. With a helper, under a split gate of one token, the
+    raw peak also holds numpy's iterator buffers: every ufunc call that
+    broadcasts an operand takes one of min(n, 8192) elements, up to 64 kB,
+    and both batch halves may hold one at once. Those do not grow with the
+    batch, while a per-token array does: so at both thread counts, a later
+    step at twice the batch width adds less than an eighth of an FFN array
+    to the peak of one at the single width."""
     import tracemalloc
 
     kb, vocab = _memorization_kb()
@@ -672,30 +678,36 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
     assert len(lengths) == 1
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=32, d_ff=1024, max_len=16,
                                dropout=0.1)
-    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=25, epochs=3, seed=0)
-    one_ffn = config.batch_size * lengths.pop() * model_config.d_ff * 8
-    for workers, split_tokens in ((1, None), (2, 10**9), (2, 1)):
-        if split_tokens is not None:
-            monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
-        growth, window = [], {}
+    width = 25
+    one_ffn = width * lengths.pop() * model_config.d_ff * 8
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
+    for workers in (1, 2):
+        peaks = {}
+        for batch_size in (width, 2 * width):
+            growth, window = [], {}
 
-        def collate(samples):  # a step starts here
-            if "start" in window:
-                growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
-            batch = collate_mlm(samples)
-            tracemalloc.reset_peak()
-            window["start"] = tracemalloc.get_traced_memory()[0]
-            return batch
+            def collate(samples):  # a step starts here
+                if "start" in window:
+                    growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+                batch = collate_mlm(samples)
+                tracemalloc.reset_peak()
+                window["start"] = tracemalloc.get_traced_memory()[0]
+                return batch
 
-        monkeypatch.setattr(training, "collate_mlm", collate)
-        tracemalloc.start()
-        try:
-            result = run_injection(corpus, vocab, config, model_config, render_max_len=16, workers=workers)
-        finally:
-            tracemalloc.stop()
-        assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
-        assert growth[0] > one_ffn  # the first step fills the workspace
-        assert max(growth[1:]) < one_ffn / 8, (workers, split_tokens, growth, one_ffn)
+            monkeypatch.setattr(training, "collate_mlm", collate)
+            config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=batch_size,
+                                 epochs=3 * batch_size // width, seed=0)  # 6 steps at each width
+            tracemalloc.start()
+            try:
+                result = run_injection(corpus, vocab, config, model_config, render_max_len=16, workers=workers)
+            finally:
+                tracemalloc.stop()
+            assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
+            assert growth[0] > one_ffn * batch_size // width  # the first step fills the workspace
+            peaks[batch_size] = max(growth[1:])
+        if workers == 1:
+            assert peaks[width] < one_ffn / 8, peaks
+        assert peaks[2 * width] - peaks[width] < one_ffn / 8, (workers, peaks, one_ffn)
 
 
 # ------------------------------------------------------------ the helper thread
@@ -730,37 +742,52 @@ def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, monkeypat
     """Injection with dropout 0.1, then finetuning: with a helper thread
     (workers=2) every step record (loss, grad_norm, tokens, lr) and both
     checkpoints equal those of one thread, byte for byte, with and without
-    clipping. So under the shipped split gate, which no step here reaches,
-    and under a gate of one token, where every step of two or more examples
-    runs its per-example work as two batch halves: both losses, odd batch
-    sizes and a final one-example batch, which runs whole."""
-    splits, run_chain = [], encoder._run_chain
+    clipping. Under a split gate of one token every step of two or more
+    examples runs its per-example work as two batch halves: both losses, odd
+    batch sizes and a final one-example batch. That batch runs whole, and
+    its step hands the helper only the upper half of the AdamW update."""
+    splits, halves = [], encoder._halves
+    log, submit, step = [], Helper.submit, training.loss_and_grad
 
-    def recording(ws, split, B, *args):
-        splits.append((split, B))
-        return run_chain(ws, split, B, *args)
+    def recording_halves(helper, B, *args, **kwargs):
+        splits.append((helper is not None, B))
+        return halves(helper, B, *args, **kwargs)
 
-    monkeypatch.setattr(encoder, "_run_chain", recording)
+    def recording_submit(self, fn, *args):
+        log.append(fn)
+        submit(self, fn, *args)
+
+    def recording_step(params, batch, *args, **kwargs):
+        log.append(("step", len(batch.input_ids)))
+        out = step(params, batch, *args, **kwargs)
+        log.append("returned")
+        return out
+
+    monkeypatch.setattr(encoder, "_halves", recording_halves)
+    monkeypatch.setattr(Helper, "submit", recording_submit)
+    monkeypatch.setattr(training, "loss_and_grad", recording_step)
     one = _train_both_phases(1, max_grad_norm, tmp_path)
     assert not any(split for split, _ in splits)
-    for split_tokens in (encoder._SPLIT_TOKENS, 1):
-        monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
-        splits.clear()
-        two = _train_both_phases(2, max_grad_norm, tmp_path)
-        for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
-            assert len(history_1) > 2 and history_1 == history_2
-            assert ckpt_1 == ckpt_2
-        assert {(split, B) for split, B in splits} == ({(False, B) for B in (7, 6, 5, 1)} if split_tokens > 1 else
-                                                       {(True, 7), (True, 6), (True, 5), (False, 1)})
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
+    splits.clear(), log.clear()
+    two = _train_both_phases(2, max_grad_norm, tmp_path)
+    for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
+        assert len(history_1) > 2 and history_1 == history_2
+        assert ckpt_1 == ckpt_2
+    assert set(splits) == {(True, 7), (True, 6), (True, 5), (False, 1)}
+    starts = [i for i, entry in enumerate(log) if isinstance(entry, tuple)] + [len(log)]
+    whole = [log[i + 1 : j] for i, j in zip(starts, starts[1:]) if log[i] == ("step", 1)]
+    assert whole == [["returned", training._adamw_chunks]]
     norms = [rec["grad_norm"] for history, _ in one for rec in history]
     if max_grad_norm is not None:  # some steps are clipped, some not
         assert min(norms) <= max_grad_norm < max(norms)
 
 
 def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch):
-    """A weight-gradient product that raises on the helper thread surfaces,
-    as the same exception object, from run_injection on the calling thread,
-    and the helper has ended when it does."""
+    """Under a split gate of one token, a weight-gradient product that
+    raises on the helper thread surfaces, as the same exception object, from
+    run_injection on the calling thread, and the helper has ended when it
+    does."""
 
     class ProductFailed(Exception):
         pass
@@ -772,6 +799,7 @@ def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch
         threads.append(threading.current_thread())
         raise failure
 
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     monkeypatch.setattr(encoder, "_linear_param_grads", failing)
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
@@ -826,11 +854,9 @@ def test_a_failing_batch_half_raises_its_own_exception_from_the_run(monkeypatch,
 
 
 def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
-    """With a helper, both phases hand it work (the weight-gradient products
-    run on another thread), yet every Workspace.take comes from the thread
-    that made the workspace: so with no step split, where the helper takes
-    every weight-gradient product, and under a split gate of one token,
-    where it also runs batch halves and shares those products."""
+    """With a helper, under a split gate of one token, both phases hand it
+    batch halves and a share of the weight-gradient products, yet every
+    Workspace.take comes from the thread that made the workspace."""
     made, takers, handed = [], set(), set()
 
     class Recording(Workspace):
@@ -858,20 +884,15 @@ def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
     monkeypatch.setattr(training, "Workspace", Recording)
     monkeypatch.setattr(encoder, "_linear_param_grads", recording_product)
     monkeypatch.setattr(encoder, "_run_segments", recording_segments)
+    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
     inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
     finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6)
     caller = threading.current_thread()
-    for split_tokens in (10**9, 1):
-        monkeypatch.setattr(encoder, "_SPLIT_TOKENS", split_tokens)
-        made.clear(), takers.clear(), handed.clear(), halves.clear()
-        injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=2)
-        run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=2)
-        assert made == [caller, caller] and takers == {caller}
-        assert handed - {caller}
-        if split_tokens > 1:  # the helper takes every product and runs no half
-            assert caller not in handed and halves == {caller}
-        else:
-            assert caller in halves and halves - {caller}  # one helper per phase
+    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=2)
+    run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=2)
+    assert made == [caller, caller] and takers == {caller}
+    assert handed - {caller}
+    assert caller in halves and halves - {caller}  # one helper per phase
