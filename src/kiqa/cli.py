@@ -17,7 +17,8 @@ row.
 
 ``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
 most ``min(arms, cpus)`` at a time, so it runs on POSIX only; each arm
-trains and evaluates on its share of the CPUs. Rows are
+trains on its share of the CPUs as threads and evaluates on it as
+processes. Rows are
 submitted in table order; each arm's output and the first failing arm's
 error come back in table order. A failing arm does not stop the others,
 which may still write their artifacts.
@@ -399,8 +400,8 @@ def _test_dataset_paths(config: PipelineConfig, run_dir: Path) -> list[Path]:
 
 def _evaluate_checkpoint(config: PipelineConfig, run_dir: Path, arm: Arm,
                          workers: int | None = None) -> evaluation.EvalReport:
-    """Score the arm's final checkpoint on ``workers`` threads (default: every
-    usable CPU) and write its reports and predictions."""
+    """Score the arm's final checkpoint on ``workers`` processes (default:
+    every usable CPU) and write its reports and predictions."""
     params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-final.bin"))
     vocab = _load_vocab(config, run_dir)
     examples = []
@@ -439,8 +440,8 @@ def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
 
 
 def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, threads: int) -> tuple[float, str, float]:
-    """Assemble the arm's own corpus if it has one, then inject, finetune and
-    evaluate, each on ``threads`` threads. Returns the cross-pair F1, the
+    """Assemble the arm's own corpus if it has one, then inject and finetune
+    on ``threads`` threads and evaluate on that many processes. Returns the cross-pair F1, the
     arm's printed lines and its wall seconds."""
     start = time.perf_counter()
     out = io.StringIO()
@@ -454,10 +455,11 @@ def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, threads: int) -> t
 
 
 def _cpu_budget(arms: int, cpus: int) -> tuple[int, int]:
-    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the threads each
+    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the CPUs each
     arm trains and evaluates on: ``min(arms, cpus)`` and
-    ``max(1, cpus // workers)``. An arm with 2 or more threads trains with a
-    helper thread and evaluates on that many."""
+    ``max(1, cpus // workers)``. An arm with 2 or more CPUs trains with a
+    helper thread and evaluates on that many processes, itself and children
+    it forks; with 1 it forks none."""
     workers = min(arms, cpus)
     return workers, max(1, cpus // workers)
 
@@ -468,11 +470,13 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
 
     The rows go, in table order, to at most ``min(arms, cpus)`` forked
     workers, where cpus is ``evaluation.usable_cpus()``; one CPU still runs
-    them through the pool, one after the other. Each arm trains and evaluates
-    on ``max(1, cpus // workers)`` threads (``_cpu_budget``), so the arms in
-    flight share the process's CPUs: two arms on 2 CPUs get one thread each
-    and train inline, on 4 CPUs two each, and train with a helper thread.
-    Each arm's manifest entry records its ``threads``.
+    them through the pool, one after the other. Each arm trains on
+    ``max(1, cpus // workers)`` threads and evaluates on that many processes
+    (``_cpu_budget``), so the arms in flight share the process's CPUs: two
+    arms on 2 CPUs get one CPU each, and train and evaluate inline; on 4
+    CPUs two each, and train with a helper thread and evaluate in themselves
+    and one forked child. Each arm's manifest entry records that number as
+    its ``threads``.
     Each arm's output is printed, and the first failing arm's error raised,
     in table order, so stdout matches a serial run. A failing arm does not
     stop the others, which may still write their artifacts. A last line per

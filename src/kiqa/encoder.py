@@ -30,10 +30,11 @@ Workspace rule: every forward takes a ``Workspace``, and from it every array
 whose size grows with the batch: (B, L, d) activations and their gradients,
 (N, d_ff) FFN arrays, (B, heads, L, L) scores, MLM and span logits, dropout
 draws, the last layer's scatter target and the weight-gradient products. A
-training run keeps one workspace; inference keeps one per thread that runs
-batches, for one ``predict_spans`` call. Each array is written with ``out=``
-in the plain expression's operation order, so its values are bitwise those
-of a fresh array, and a call after the first few maps no new memory. Keys
+training run keeps one workspace; inference keeps one per process that
+runs batches, for one ``predict_spans`` call. Each array is written with
+``out=`` in the plain expression's operation order, so its values are
+bitwise those of a fresh array, and a call after the first few maps no new
+memory. Keys
 name their layer only when the forward keeps a cache for a backward.
 
 Thread rule: a training run on two or more CPUs keeps one ``Helper``
@@ -252,12 +253,13 @@ class Helper:
 
 
 class Workspace:
-    """The encoder's one allocator: float64 arrays reused from call to call,
-    by key. One per training run, one per inference thread and
-    ``predict_spans`` call; never shared between threads.
+    """The encoder's one allocator: arrays reused from call to call, by key.
+    One per training run, one per inference process and ``predict_spans``
+    call; never shared between threads.
 
-    ``take(key, shape)`` returns the first prod(shape) elements of the key's
-    buffer, which is replaced by a larger one when a batch first needs more.
+    ``take(key, shape, dtype)`` returns the first prod(shape) elements of the
+    key's buffer, which is replaced by a larger one when a batch first needs
+    more. A key is always taken with one dtype, float64 unless named.
     A call takes a key at most once while its array is still read, and the
     next call writes over it, results included. The forward's keys name their
     layer only when it keeps a cache for the backward; without one the layers
@@ -280,11 +282,11 @@ class Workspace:
         self._buffers: dict[str, np.ndarray] = {}
         self.helper = helper
 
-    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         n = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < n:
-            buf = self._buffers[key] = np.empty(n)
+            buf = self._buffers[key] = np.empty(n, dtype)
         return buf[:n].reshape(shape)
 
 
@@ -445,19 +447,27 @@ _ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.5943238297098012
           2.26290000613890934246e4, 4.92673942608635921086e4)
 
 
-def _gelu(x, phi, y, tmp):
+# Elements per block of _gelu's tail path: its index array holds at most
+# this many intp, 64 kB, which stays below glibc's default mmap threshold
+# (128 kB), so the heap serves it call after call without mapping new pages.
+_TAIL_BLOCK = 8192
+
+
+def _gelu(x, phi, y, tmp, mask):
     """GELU(x) = x * phi in y, and phi = Phi(x) = 0.5 * (1 + erf(x / sqrt 2)),
-    the standard normal CDF, which _gelu_grad reuses; tmp is scratch of x's
-    shape. Bitwise as with scipy's erf: where |u| <= 1, u = x / sqrt 2,
-    erf(u) is Cephes' rational as whole-array passes in its operation order
-    (Horner steps for T, (z + U0) * z + U1 ... for U, then (u * T) / U). Only
-    the elements beyond, Cephes' 1 - erfc branch, whose exp numpy's does not
-    match, go to scipy, gathered and scattered by flat index; fl(u * u) > 1
-    exactly when |u| > 1, and a NaN fails that test and stays NaN."""
+    the standard normal CDF, which _gelu_grad reuses; tmp is float and mask
+    bool scratch of x's shape. Bitwise as with scipy's erf: where |u| <= 1,
+    u = x / sqrt 2, erf(u) is Cephes' rational as whole-array passes in its
+    operation order (Horner steps for T, (z + U0) * z + U1 ... for U, then
+    (u * T) / U). Only the elements beyond, Cephes' 1 - erfc branch, whose
+    exp numpy's does not match, go to scipy: marked in mask, then gathered
+    into tmp and scattered back by flat index, _TAIL_BLOCK elements at a
+    time. fl(u * u) > 1 exactly when |u| > 1, and a NaN fails that test and
+    stays NaN."""
     u = np.divide(x, _SQRT2, out=tmp)
     with np.errstate(over="ignore", invalid="ignore"):  # only at the tail, whose values scipy's replace
         z = np.multiply(u, u, out=y)
-        tail = np.flatnonzero(z > 1.0) if np.fmax.reduce(z, axis=None, initial=0.0) > 1.0 else None
+        tail = np.fmax.reduce(z, axis=None, initial=0.0) > 1.0
         p = np.multiply(z, _ERF_T[0], out=phi)
         p += _ERF_T[1]
         for c in _ERF_T[2:]:
@@ -469,8 +479,16 @@ def _gelu(x, phi, y, tmp):
             q *= z
             q += c
         p /= q
-    if tail is not None:
-        np.put(phi, tail, erf(np.take(x, tail) / _SQRT2))
+    if tail:
+        marked = np.greater(z, 1.0, out=mask).reshape(-1)
+        values = tmp.reshape(-1)  # free since the division
+        for lo in range(0, marked.size, _TAIL_BLOCK):
+            at = np.flatnonzero(marked[lo : lo + _TAIL_BLOCK])
+            if at.size:
+                at += lo
+                v = np.take(x, at, out=values[: at.size], mode="clip")
+                v /= _SQRT2
+                np.put(phi, at, erf(v, out=v))
     phi += 1.0
     phi *= 0.5
     np.multiply(x, phi, out=y)
@@ -589,6 +607,7 @@ def _post_attention_arrays(ws, k, rows, d, ff):
               "ln2.xhat": d, "ln2.inv": 1, "ln2.out": d}
     a = {name: ws.take(k + name, rows + (n,)) for name, n in widths.items()}
     a["gelu.tmp"] = ws.take("gelu.tmp", rows + (ff,))  # read only inside _gelu: one key serves every layer
+    a["gelu.mask"] = ws.take("gelu.mask", rows + (ff,), bool)  # _gelu's tail marks: one key too
     return a
 
 
@@ -623,7 +642,7 @@ def _post_attention(s, t, p, ctx, h, keep_a, keep_f, p_drop, a):
     r1 += h[s]
     n1 = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], a["ln1.xhat"][s], a["ln1.inv"][s], a["ln1.out"][s])
     f1 = _affine(n1, t[p + "w1"], t[p + "b1"], a["1"][s])
-    g1, _ = _gelu(f1, a["gelu.phi"][s], a["gelu.y"][s], a["gelu.tmp"][s])
+    g1, _ = _gelu(f1, a["gelu.phi"][s], a["gelu.y"][s], a["gelu.tmp"][s], a["gelu.mask"][s])
     r2 = _affine(g1, t[p + "w2"], t[p + "b2"], a["2"][s])
     if keep_f is not None:
         _dropout(r2, keep_f[s], p_drop)

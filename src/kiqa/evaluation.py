@@ -4,13 +4,14 @@ and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 
 ``predict_spans`` plans its batches first: examples in order of packed
 length, each batch capped by ``batch_size`` rows and ``_BATCH_TOKENS``
-padded tokens. A pool of threads, by default one per CPU the process may
-use (``usable_cpus``) and never more than there are batches, runs the
-encoder on the planned batches side by side, longest first, each thread in
-its own ``encoder.Workspace``; numpy and BLAS release the interpreter lock
-inside their loops. The calling thread takes the logits in that order and
-decodes them. A batch's logits depend on its rows alone, so every worker count
-gives bitwise the same predictions and reports.
+padded tokens. The batches, longest first, are dealt by cost to as many
+processes as the process may use CPUs (``usable_cpus``), never more than
+there are batches: the calling process and children it forks for the call,
+which run no Python code in common and so do not share an interpreter lock.
+Each runs the encoder on its share in its own ``encoder.Workspace`` and
+decodes the logits; a child sends its predictions back through a pipe. A
+batch's logits depend on its rows alone, so every worker count gives bitwise
+the same predictions and reports.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
+import pickle
+import signal
 import unicodedata
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,14 +54,8 @@ def normalize_answer(text: str, lang: str) -> str:
     return joined
 
 
-def exact_match(pred: str, gold: str, lang: str) -> int:
-    return int(normalize_answer(pred, lang) == normalize_answer(gold, lang))
-
-
-def token_f1(pred: str, gold: str, lang: str) -> float:
-    """Token-level F1 with multiset overlap over normalized strings."""
-    pred_tokens = tokenize(normalize_answer(pred, lang))
-    gold_tokens = tokenize(normalize_answer(gold, lang))
+def _overlap_f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
+    """Token-level F1 with multiset overlap of two normalized answers' tokens."""
     if not pred_tokens and not gold_tokens:
         return 1.0
     if not pred_tokens or not gold_tokens:
@@ -197,10 +192,11 @@ def format_report(report: EvalReport) -> str:
 # Tokens per inference batch: its rows times its pad width L. At d_ff = 256 and
 # 4 heads a batch holds a 0.5 MB FFN intermediate and an (8 KB * L) score
 # tensor, 1 MB at L = 128; a row longer than the budget goes alone (4.7 MB of
-# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread, 2 CPUs)
-# with two worker threads, each with its own workspace, a process peaked at
-# 81 MB with this cap, 95 MB at 512 tokens and 350 MB uncapped (74, 82 and
-# 224 MB with one worker). A capped pass took 0.5k-2.4k minor page faults,
+# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread, 2 CPUs),
+# measured with two workers as threads of one process, each with its own
+# workspace, the process peaked at 81 MB with this cap, 95 MB at 512 tokens
+# and 350 MB uncapped (74, 82 and 224 MB with one worker); a worker process
+# holds one workspace. A capped pass took 0.5k-2.4k minor page faults,
 # against 4k-17k uncapped, and 0.85x the time of an uncapped pass.
 _BATCH_TOKENS = 256
 
@@ -218,6 +214,52 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
         return os.cpu_count() or 1
+
+
+def _shares(runs: list[list[int]], procs: int, widths: list[int], d_model: int) -> list[list[list[int]]]:
+    """``runs`` dealt to ``procs`` shares: each batch, in order, goes to the
+    share with the least cost so far (the first such share on a tie), at
+    B * L * (L + d_model) for B rows padded to L tokens. A share keeps the
+    order of ``runs``."""
+    shares: list[list[list[int]]] = [[] for _ in range(procs)]
+    loads = [0] * procs
+    for chunk in runs:
+        k = loads.index(min(loads))
+        shares[k].append(chunk)
+        L = widths[chunk[-1]]
+        loads[k] += len(chunk) * L * (L + d_model)
+    return shares
+
+
+def _fork(fn, *args) -> tuple[int, int]:
+    """Runs fn(*args) in a forked child; returns its pid and the read end of a
+    pipe that carries the pickled (True, result) or (False, exception). The
+    child leaves only through ``os._exit``, whatever fn raises, so it never
+    returns into its caller's frames."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = True, fn(*args)
+            except BaseException as exc:  # sent to the parent, which raises it
+                outcome = False, exc
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)  # before the next fork, so that only this child holds it
+    return pid, read_end
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def predict_spans(
@@ -247,48 +289,44 @@ def predict_spans(
     a row's span logits may differ by a few ulps from those of another
     batching of the same examples.
 
-    Up to ``workers`` threads (default ``usable_cpus()``, capped at the number
-    of batches) run ``forward`` and ``qa_logits`` on the planned batches, in
-    reverse plan order, so longest first; one worker runs them in the calling
-    thread. Each of those threads gives ``forward`` its own ``Workspace`` for
-    this call, and so takes its largest arrays at its first batch rather than
-    regrowing them batch by batch; the long batches also start first, which
-    evens out the threads' last batches. ``qa_logits`` returns new arrays,
-    which a thread's next batch does not overwrite. A pool is shut down
-    before the call returns or raises. The calling thread takes the logits in
-    that run order, checks them and decodes, so the first batch run whose
-    span logits are not all finite raises NonFiniteError. A batch's logits
-    depend on its rows alone, so predictions are bitwise the same for every
-    worker count and run order.
+    The plan runs in reverse, longest batch first, dealt by ``_shares`` to
+    up to ``workers`` processes (default ``usable_cpus()``, capped at the
+    number of batches; one where ``os.fork`` does not exist). The calling
+    process runs the first share; each other share runs in a child forked
+    for this call, which sends its (index, prediction) pairs back through a
+    pipe. Every share runs ``forward`` and ``qa_logits`` batch by batch in its
+    own ``Workspace``, and so takes its largest arrays at its first batch
+    rather than regrowing them; it checks each batch's span logits and
+    decodes them. The first batch of a share whose span logits are not all
+    finite raises NonFiniteError, and a child's exception is raised here
+    with its type and message: the calling process's own first, then the
+    children's in share order. A child that ends without a result raises
+    ChildProcessError. If the calling process's share raises, the children
+    are killed. Every child has been reaped when the call returns or raises.
+    The children are forked from the calling thread alone, so no other
+    thread of the process should hold a lock they need; kiqa runs none
+    during evaluation. A batch's logits depend on its rows alone, so
+    predictions are bitwise the same for every worker count.
     """
     check_eval_values(max_answer_len, batch_size)
     packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
-    order = sorted(range(len(packed)), key=lambda i: len(packed[i].input_ids))
-    widths = [len(packed[i].input_ids) for i in order]
+    widths = [len(p.input_ids) for p in packed]
+    order = sorted(range(len(packed)), key=widths.__getitem__)
     plan = []
     lo = 0
     while lo < len(order):
         hi = lo + 1
-        while hi < len(order) and hi - lo < batch_size and (hi - lo + 1) * widths[hi] <= _BATCH_TOKENS:
+        while hi < len(order) and hi - lo < batch_size and (hi - lo + 1) * widths[order[hi]] <= _BATCH_TOKENS:
             hi += 1
         plan.append(order[lo:hi])
         lo = hi
-    predictions = [""] * len(packed)
-    local = threading.local()  # each thread's Workspace, for this call only
 
-    def span_logits(chunk: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        if not hasattr(local, "workspace"):
-            local.workspace = Workspace()
-        ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
-        return qa_logits(params, forward(params, ids, segs, mask, workspace=local.workspace))
-
-    threads = min(usable_cpus() if workers is None else workers, len(plan))
-    # One thread runs in the caller: no hand-off per batch, and no second malloc arena.
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    runs = plan[::-1]  # longest first
-    try:
-        batches = pool.map(span_logits, runs) if pool else map(span_logits, runs)
-        for chunk, (start_logits, end_logits) in zip(runs, batches):
+    def run(share: list[list[int]]) -> list[tuple[int, str]]:
+        workspace = Workspace()
+        found = []
+        for chunk in share:
+            ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
+            start_logits, end_logits = qa_logits(params, forward(params, ids, segs, mask, workspace=workspace))
             if not (np.isfinite(start_logits).all() and np.isfinite(end_logits).all()):
                 raise NonFiniteError("span logits are not finite; the checkpoint may hold NaN or inf weights")
             for b, i in enumerate(chunk):
@@ -297,22 +335,56 @@ def predict_spans(
                     continue
                 window = slice(p.context_start, p.context_start + len(p.context_offsets))
                 s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
-                predictions[i] = examples[i].context[p.context_offsets[s][0] : p.context_offsets[e][1]]
+                found.append((i, examples[i].context[p.context_offsets[s][0] : p.context_offsets[e][1]]))
+        return found
+
+    procs = usable_cpus() if workers is None else workers
+    if not hasattr(os, "fork"):
+        procs = 1
+    shares = _shares(plan[::-1], max(1, min(procs, len(plan))), widths, params.config.d_model)
+    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
+    ended = False
+    try:
+        for share in shares[1:]:
+            children.append(_fork(run, share))
+        found = run(shares[0])
+        sent = [_read_all(fd) for _, fd in children]  # each child's write end closes when it exits
+        ended = True
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        statuses = []
+        for pid, fd in children:
+            os.close(fd)
+            if not ended:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), status, data in zip(children, statuses, sent):
+        try:
+            ok, value = pickle.loads(data)  # bytes this function's own child wrote
+        except (EOFError, pickle.UnpicklingError):  # the child died before it sent a whole outcome
+            raise ChildProcessError(f"eval worker process {pid} ended without a result "
+                                    f"(exit code {os.waitstatus_to_exitcode(status)})") from None
+        if not ok:
+            raise value
+        found += value
+    predictions = [""] * len(packed)
+    for i, prediction in found:
+        predictions[i] = prediction
     return predictions
 
 
 def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
-    """Score each example once by max-over-golds token F1 and exact match.
-    Its record goes to ``EvalReport.predictions``, in input order, and its
+    """Score each example once by max-over-golds token F1 and exact match,
+    SQuAD's metrics over ``normalize_answer``'s forms, each string normalized
+    once. Its record goes to ``EvalReport.predictions``, in input order, and its
     F1/EM to its (context, question) cell, whose means are reported x100."""
     report = EvalReport()
     sums: dict[tuple[str, str], list] = defaultdict(lambda: [0.0, 0.0, 0])
     for ex, prediction in zip(examples, predictions):
-        f1 = max(token_f1(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
-        em = max(exact_match(prediction, gold, ex.context_lang) for gold, _ in ex.answers)
+        pred = normalize_answer(prediction, ex.context_lang)
+        golds = [normalize_answer(gold, ex.context_lang) for gold, _ in ex.answers]
+        pred_tokens = tokenize(pred)
+        f1 = max(_overlap_f1(pred_tokens, tokenize(gold)) for gold in golds)
+        em = max(int(pred == gold) for gold in golds)
         report.predictions.append({"id": ex.qa_id, "context_lang": ex.context_lang, "question_lang": ex.question_lang,
                                    "prediction": prediction, "f1": 100.0 * f1, "em": 100.0 * em})
         cell = sums[(ex.context_lang, ex.question_lang)]

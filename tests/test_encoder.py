@@ -263,7 +263,7 @@ def test_gelu_kernels_match_plain_expressions(seed):
     x = awkward(rng, (3, 7, 32))
     dy = awkward(rng, x.shape)
     x0, dy0 = x.copy(), dy.copy()
-    y, phi = _gelu(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    y, phi = _gelu(x, np.empty_like(x), np.empty_like(x), np.empty_like(x), np.empty(x.shape, bool))
     assert_bitwise(y, gelu_oracle(x0))
     assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
     assert_bitwise(_gelu_grad(dy, x, phi, np.empty_like(x)), gelu_grad_oracle(dy0, x0))
@@ -284,7 +284,7 @@ def assert_gelu_matches_scipy(x):
     phi, y, tmp = (np.full_like(x, 7.0) for _ in range(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow in the rational at the tail stays inside the kernel
-        got_y, got_phi = _gelu(x, phi, y, tmp)
+        got_y, got_phi = _gelu(x, phi, y, tmp, np.ones(x.shape, bool))
     assert got_y is y and got_phi is phi
     assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
     assert_bitwise(y, gelu_oracle(x0))
@@ -347,7 +347,7 @@ def test_gelu_of_infinities_saturates_and_nan_stays_nan_in_place():
     x = np.array([[np.inf, -np.inf, np.nan, 0.5, -1e300], [-np.nan, 1e300, -0.3, np.inf, 3.0]])
     phi, y, tmp = (np.empty_like(x) for _ in range(3))
     with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0, as in the plain expression
-        _gelu(x, phi, y, tmp)
+        _gelu(x, phi, y, tmp, np.empty(x.shape, bool))
         want = gelu_oracle(x)
     nan = np.isnan(x)
     assert np.array_equal(np.isnan(phi), nan)

@@ -1,7 +1,11 @@
+import hashlib
 import json
+import os
+import signal
 import threading
+import time
 import tracemalloc
-from collections import defaultdict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,15 +21,15 @@ from kiqa.evaluation import (
     QAExample,
     decode_span,
     evaluate,
-    exact_match,
     format_report,
     load_qa_dataset,
     normalize_answer,
     predict_spans,
     score_examples,
-    token_f1,
 )
-from kiqa.textmodel import build_vocab, pack_qa
+from kiqa.textmodel import build_vocab, pack_qa, tokenize
+
+from conftest import ProcessLog, assert_no_child_process
 
 
 # ------------------------------------------------------------- decode_span
@@ -122,6 +126,31 @@ def test_normalize_answer_cjk_removes_whitespace():
 
 def test_normalize_answer_non_en_keeps_articles():
     assert normalize_answer("the haus", "de") == "the haus"
+
+
+# SQuAD's per-answer metrics, written out plainly: each normalizes both of
+# its strings. score_examples computes the same values, normalizing each
+# string once.
+
+
+def exact_match(pred, gold, lang):
+    return int(normalize_answer(pred, lang) == normalize_answer(gold, lang))
+
+
+def token_f1(pred, gold, lang):
+    """Token-level F1 with multiset overlap over normalized strings."""
+    pred_tokens = tokenize(normalize_answer(pred, lang))
+    gold_tokens = tokenize(normalize_answer(gold, lang))
+    if not pred_tokens and not gold_tokens:
+        return 1.0
+    if not pred_tokens or not gold_tokens:
+        return 0.0
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / len(pred_tokens)
+    recall = overlap / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
 
 
 def test_exact_match_cases():
@@ -270,6 +299,27 @@ def test_score_examples_cells_and_overall():
     assert set(report.to_dict()["cells"][0]) == {"context_lang", "question_lang", "f1", "em", "count"}
 
 
+@pytest.mark.parametrize("lang, prediction, golds", [
+    ("en", "The Pedigree!", ("pedigree", "a pedigree dog", "the the")),
+    ("en", "a big  Dog", ("An old dog", "big dog.", "dog big dog")),
+    ("en", "the", ("", "A", "an the")),
+    ("en", "", ("the", "x")),
+    ("zh", "篮球 运动员。", ("篮球运动员", "运动员", "篮 球")),
+    ("zh", "凯文杜兰特", ("凯文·杜兰特", "杜兰特", "the 杜兰特")),
+    ("zh", "", ("。", "篮球")),
+])
+def test_score_examples_records_are_the_per_answer_metrics_bit_for_bit(lang, prediction, golds):
+    """Each record's F1 and EM are 100 times the max over golds of
+    token_f1 and exact_match, bit for bit, with English articles and CJK
+    whitespace and punctuation dropped as normalize_answer drops them."""
+    ex = QAExample("1", "q", "context", tuple((gold, 0) for gold in golds), lang, "en")
+    (record,) = score_examples([ex], [prediction]).predictions
+    f1 = max(token_f1(prediction, gold, lang) for gold in golds)
+    em = max(exact_match(prediction, gold, lang) for gold in golds)
+    assert json.dumps(record) == json.dumps({"id": "1", "context_lang": lang, "question_lang": "en",
+                                            "prediction": prediction, "f1": 100.0 * f1, "em": 100.0 * em})
+
+
 def test_score_examples_max_over_golds():
     ex = QAExample("1", "q", "kevin durant plays", (("wrong", 0), ("durant", 6)), "en", "en")
     report = score_examples([ex], ["durant"])
@@ -363,10 +413,12 @@ def test_evaluate_exact_answer_scores_100():
     assert isinstance(packed_pred, str)
 
 
-def test_length_sorted_batches_predict_in_input_order(monkeypatch):
+def test_length_sorted_batches_predict_in_input_order(monkeypatch, tmp_path):
     """Batches are cut from the examples in order of packed length, and every
     prediction lands at its example's input index: any batch size gives the
-    strings that one example at a time gives, "" for an empty context."""
+    strings that one example at a time gives, "" for an empty context. Each
+    worker process runs a share of the planned batches, longest first, and
+    the shares together run every planned batch once."""
     words = "alpha beta gamma delta epsilon zeta eta theta question"
     vocab = build_vocab([words, "北京上海广州深圳"], max_size=64)
     config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.0)
@@ -391,10 +443,10 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
     assert one_at_a_time[3] == ""
     assert all(pred and pred in ex.context for pred, ex in zip(one_at_a_time, examples) if ex.context)
 
-    widths, forward = [], evaluation.forward
+    log, forward = ProcessLog(tmp_path / "widths"), evaluation.forward
 
     def recording_forward(params, ids, segs, mask, *, workspace):
-        widths.append(ids.shape[1])
+        log.add(ids.shape[1])
         return forward(params, ids, segs, mask, workspace=workspace)
 
     monkeypatch.setattr(evaluation, "forward", recording_forward)
@@ -402,11 +454,13 @@ def test_length_sorted_batches_predict_in_input_order(monkeypatch):
     for batch_size in (2, 3):
         planned = [lengths[min(lo + batch_size, len(lengths)) - 1] for lo in range(0, len(lengths), batch_size)]
         for workers in (1, 2):
-            widths.clear()
+            log.clear()
             assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size,
                                  workers=workers) == one_at_a_time
-            # One thread runs the batches in reverse plan order; several may start them in any order.
-            assert (widths[::-1] if workers == 1 else sorted(widths)) == planned
+            shares = {pid: [int(width) for (width,) in lines] for pid, lines in log.by_process().items()}
+            assert len(shares) == workers and os.getpid() in shares
+            assert sorted(width for share in shares.values() for width in share) == planned  # the plan, once
+            assert all(share == sorted(share, reverse=True) for share in shares.values())  # longest first
 
 
 def test_evaluate_is_unchanged_by_the_forward_block_size(monkeypatch):
@@ -462,77 +516,195 @@ def test_evaluate_is_bitwise_the_same_for_every_worker_count():
     assert reports[0].total == len(examples)
 
 
-def test_non_finite_checkpoint_raises_under_several_workers_and_leaves_no_thread(monkeypatch):
-    """Pool threads run the batches, and every one of them has ended when
-    evaluate returns or raises."""
+def test_non_finite_checkpoint_raises_under_several_workers_and_leaves_no_thread(monkeypatch, tmp_path):
+    """The calling process and two forked children run the batches. A
+    checkpoint with a NaN weight raises NonFiniteError in every share; the
+    caller raises its own. Whether evaluate returns or raises, it leaves no
+    thread and no child process behind."""
     params, vocab, examples = _batched_inputs()
-    threads, forward = set(), evaluation.forward
+    log, forward = ProcessLog(tmp_path / "batches"), evaluation.forward
 
     def recording_forward(params, ids, segs, mask, *, workspace):
-        threads.add(threading.current_thread())
+        log.add(ids.shape[1])
         return forward(params, ids, segs, mask, workspace=workspace)
 
     monkeypatch.setattr(evaluation, "forward", recording_forward)
     count = threading.active_count()
     evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=3)
-    assert threads and threading.current_thread() not in threads
-    assert not any(thread.is_alive() for thread in threads) and threading.active_count() == count
-    threads.clear()
+    assert len(log.by_process()) == 3 and os.getpid() in log.by_process()
+    assert threading.active_count() == count
+    assert_no_child_process()
+    log.clear()
     params.tensors["qa_ws"][0] = np.nan
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="span logits are not finite"):
         evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=3)
-    assert threads and threading.current_thread() not in threads
-    assert not any(thread.is_alive() for thread in threads) and threading.active_count() == count
+    assert os.getpid() in log.by_process()
+    assert threading.active_count() == count
+    assert_no_child_process()
+
+
+def test_a_childs_error_is_raised_in_the_caller_with_its_type_and_message(monkeypatch, tmp_path):
+    """Span logits that are not finite in a child's share only raise
+    NonFiniteError in the child; evaluate raises it in the caller, with its
+    message, and reaps the child."""
+    params, vocab, examples = _batched_inputs()
+    caller, qa_logits, log = os.getpid(), evaluation.qa_logits, ProcessLog(tmp_path / "batches")
+
+    def child_nan_logits(params, hidden):
+        log.add(hidden.shape[1])
+        start_logits, end_logits = qa_logits(params, hidden)
+        if os.getpid() != caller:
+            start_logits[0, 0] = np.nan
+        return start_logits, end_logits
+
+    monkeypatch.setattr(evaluation, "qa_logits", child_nan_logits)
+    with pytest.raises(NonFiniteError, match="span logits are not finite"):
+        evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=2)
+    assert len(log.by_process()) == 2
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("raised", [SystemExit(7), KeyboardInterrupt("stop")], ids=["exit", "interrupt"])
+def test_a_child_leaves_only_through_os_exit_whatever_it_raises(monkeypatch, tmp_path, raised):
+    """A BaseException in a child's share comes back to the caller, which
+    raises it. The child itself never returns into the test's frames: if it
+    did, it would go on to run the test's lines after the call."""
+    params, vocab, examples = _batched_inputs()
+    caller, forward, log = os.getpid(), evaluation.forward, ProcessLog(tmp_path / "events")
+
+    def raising_forward(params, ids, segs, mask, *, workspace):
+        log.add("forward")
+        if os.getpid() != caller:
+            raise raised
+        return forward(params, ids, segs, mask, workspace=workspace)
+
+    monkeypatch.setattr(evaluation, "forward", raising_forward)
+    with pytest.raises(type(raised)) as info:
+        predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=2)
+    log.add("after")
+    assert info.value.args == raised.args
+    processes = log.by_process()
+    assert len(processes) == 2
+    assert [pid for pid, lines in processes.items() if ["after"] in lines] == [caller]
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("how, code", [("exit", 3), ("kill", -signal.SIGKILL)])
+def test_a_child_that_ends_without_a_result_raises_child_process_error(monkeypatch, how, code):
+    """A child that exits, or is killed, before it sends its predictions
+    raises ChildProcessError, an OSError, naming its exit code."""
+    params, vocab, examples = _batched_inputs()
+    caller, forward = os.getpid(), evaluation.forward
+
+    def ending_forward(params, ids, segs, mask, *, workspace):
+        if os.getpid() != caller and how == "exit":
+            os._exit(3)
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(params, ids, segs, mask, workspace=workspace)
+
+    monkeypatch.setattr(evaluation, "forward", ending_forward)
+    with pytest.raises(ChildProcessError, match=rf"ended without a result \(exit code {code}\)"):
+        evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=2)
+    assert_no_child_process()
+
+
+def test_a_failing_caller_share_kills_and_reaps_the_children(monkeypatch):
+    """When the calling process's own share raises, evaluate kills the
+    children instead of waiting for their shares, reaps them and raises the
+    caller's error."""
+    params, vocab, examples = _batched_inputs()
+    caller, forward = os.getpid(), evaluation.forward
+
+    def forward_failing_here(params, ids, segs, mask, *, workspace):
+        if os.getpid() == caller:
+            raise ValueError("the caller's share failed")
+        time.sleep(300)  # a child's share: it ends only when killed
+        return forward(params, ids, segs, mask, workspace=workspace)
+
+    monkeypatch.setattr(evaluation, "forward", forward_failing_here)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the caller's share failed"):
+        evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=3)
+    assert time.monotonic() - start < 60
+    assert_no_child_process()
+
+
+def test_one_worker_or_no_fork_runs_every_batch_in_the_calling_process(monkeypatch, tmp_path):
+    """One worker forks no child, and neither does any worker count where
+    ``os.fork`` does not exist; the predictions are those of two workers."""
+    params, vocab, examples = _batched_inputs()
+    want = predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=2)
+    forward, log = evaluation.forward, ProcessLog(tmp_path / "batches")
+
+    def recording_forward(params, ids, segs, mask, *, workspace):
+        log.add(ids.shape[1])
+        return forward(params, ids, segs, mask, workspace=workspace)
+
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=1) == want
+    monkeypatch.delattr(os, "fork")
+    assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=2) == want
+    assert list(log.by_process()) == [os.getpid()]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_each_batch_thread_keeps_its_own_workspace_and_decodes_new_logits(monkeypatch, workers):
-    """Each thread that runs batches passes ``forward`` the same workspace on
-    every batch of the call, no two threads pass the same one, and the logits
-    the calling thread decodes share no memory with any array a workspace
-    handed out, so no batch can overwrite another's logits."""
+def test_each_batch_thread_keeps_its_own_workspace_and_decodes_new_logits(monkeypatch, tmp_path, workers):
+    """Each process that runs batches, the caller and every forked child,
+    runs them on one thread and passes ``forward`` one workspace on every
+    batch, which that process made for this call; and the logits it decodes
+    share no memory with any array a workspace handed out, so no batch can
+    overwrite another's logits."""
     params, vocab, examples = _batched_inputs()
-    passed, taken, decoded = defaultdict(list), [], []
+    log, taken = ProcessLog(tmp_path / "events"), []
     forward, decode_span = evaluation.forward, evaluation.decode_span
-    meet = threading.Barrier(workers, timeout=30)
 
     class RecordingWorkspace(evaluation.Workspace):
-        def take(self, key, shape):
-            array = super().take(key, shape)
+        def __init__(self, *args):
+            super().__init__(*args)
+            log.add("made", id(self))
+
+        def take(self, key, shape, *args):
+            array = super().take(key, shape, *args)
             taken.append(array)
             return array
 
     def recording_forward(params, ids, segs, mask, *, workspace):
-        thread = threading.current_thread()
-        if thread not in passed:
-            meet.wait()  # each thread's first batch waits for the others': every thread runs a batch
-        passed[thread].append(workspace)
+        log.add("forward", id(workspace), type(workspace).__name__, threading.get_ident())
         return forward(params, ids, segs, mask, workspace=workspace)
 
     def recording_decode(start_logits, end_logits, max_answer_len):
-        decoded.extend((start_logits, end_logits))
+        log.add("decode", any(np.shares_memory(logits, array) for logits in (start_logits, end_logits)
+                              for array in taken))
         return decode_span(start_logits, end_logits, max_answer_len)
 
     monkeypatch.setattr(evaluation, "Workspace", RecordingWorkspace)
     monkeypatch.setattr(evaluation, "forward", recording_forward)
     monkeypatch.setattr(evaluation, "decode_span", recording_decode)
     predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=workers)
-    assert len(passed) == workers
-    assert (threading.current_thread() in passed) == (workers == 1)
-    for seen in passed.values():
-        assert isinstance(seen[0], RecordingWorkspace) and all(ws is seen[0] for ws in seen)
-    assert len({id(seen[0]) for seen in passed.values()}) == workers
-    assert sum(map(len, passed.values())) > workers and decoded and taken
-    assert not any(np.shares_memory(logits, array) for logits in decoded for array in taken)
+    processes = log.by_process()
+    assert len(processes) == workers and os.getpid() in processes
+    forwards = 0
+    for lines in processes.values():
+        made = [ws for event, ws, *_ in lines if event == "made"]
+        runs = [rest for event, *rest in lines if event == "forward"]
+        decoded = [shared for event, shared in (line[:2] for line in lines) if event == "decode"]
+        assert len(made) == 1 and runs and decoded
+        assert {(ws, kind) for ws, kind, _ in runs} == {(made[0], "RecordingWorkspace")}
+        assert len({thread for *_, thread in runs}) == 1
+        assert set(decoded) == {"False"}
+        forwards += len(runs)
+    assert forwards > workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_batches_run_longest_first_and_each_workspace_key_grows_once(monkeypatch, workers):
-    """predict_spans runs its planned batches longest first. Every batch's
-    hidden states, and so every prediction, are bitwise those of running the
-    planned batches one by one in plan order. Here every batch has
-    ``batch_size`` rows, so the first batch a thread runs is its largest in
-    every array, and its workspace allocates each key once."""
+def test_batches_run_longest_first_and_each_workspace_key_grows_once(monkeypatch, tmp_path, workers):
+    """predict_spans runs its planned batches longest first within each
+    process's share. Every batch's hidden states, and so every prediction,
+    are bitwise those of running the planned batches one by one in plan
+    order. Here every batch has ``batch_size`` rows, so the first batch a
+    share runs is its largest in every array, and the share's one workspace
+    allocates each key once."""
     words = "alpha beta gamma delta epsilon zeta eta theta question"
     vocab = build_vocab([words], max_size=64)
     config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.0)
@@ -549,22 +721,25 @@ def test_batches_run_longest_first_and_each_workspace_key_grows_once(monkeypatch
     plan = [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
     planned = [lengths[chunk[-1]] for chunk in plan]
     assert len(set(planned)) > 3
-    hidden, widths, allocations, last = {}, [], defaultdict(int), {}
-    forward = evaluation.forward
+    log, forward = ProcessLog(tmp_path / "events"), evaluation.forward
 
     class CountingWorkspace(evaluation.Workspace):
-        def take(self, key, shape):
-            array = super().take(key, shape)
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.addresses = {}
+
+        def take(self, key, shape, *args):
+            array = super().take(key, shape, *args)
             address = array.__array_interface__["data"][0]
-            if last.get((id(self), key)) != address:  # a new buffer, made while the old one is still held
-                allocations[(id(self), key)] += 1
-                last[(id(self), key)] = address
+            if self.addresses.get(key) != address:  # a new buffer, made while the old one is still held
+                self.addresses[key] = address
+                log.add("new", id(self), key)
             return array
 
     def recording_forward(params, ids, segs, mask, *, workspace):
-        widths.append(ids.shape[1])
         h = forward(params, ids, segs, mask, workspace=workspace)
-        hidden.setdefault(ids.tobytes(), []).append(h.tobytes())
+        log.add("forward", ids.shape[1], hashlib.sha256(ids.tobytes()).hexdigest(),
+                hashlib.sha256(h.tobytes()).hexdigest())
         return h
 
     monkeypatch.setattr(evaluation, "Workspace", CountingWorkspace)
@@ -573,13 +748,23 @@ def test_batches_run_longest_first_and_each_workspace_key_grows_once(monkeypatch
     for chunk in plan:  # each planned batch alone, in plan order: the same rows and pad width
         one_by_one.update(zip(chunk, predict_spans(params, vocab, [examples[i] for i in chunk], max_answer_len=4,
                                                    batch_size=batch_size, workers=1)))
-    widths.clear()
-    allocations.clear()
+    alone = {line[2]: line[3] for line in log.by_process()[os.getpid()] if line[0] == "forward"}  # ids -> hidden
+    assert len(alone) == len(plan)
+    log.clear()
     predictions = predict_spans(params, vocab, examples, max_answer_len=4, batch_size=batch_size, workers=workers)
     assert predictions == [one_by_one[i] for i in range(len(examples))]
-    assert len(hidden) == len(plan) and all(len(runs) == 2 and runs[0] == runs[1] for runs in hidden.values())
-    assert (widths if workers == 1 else sorted(widths, reverse=True)) == planned[::-1]
-    assert len({ws for ws, _ in allocations}) == workers and set(allocations.values()) == {1}
+    processes = log.by_process()
+    assert len(processes) == workers and os.getpid() in processes
+    widths = []
+    for lines in processes.values():
+        runs = [rest for event, *rest in lines if event == "forward"]
+        assert all(alone[ids] == h for _, ids, h in runs)
+        share = [int(width) for width, _, _ in runs]
+        assert share == sorted(share, reverse=True)
+        widths += share
+        allocations = Counter((ws, key) for event, ws, key in (line[:3] for line in lines) if event == "new")
+        assert len({ws for ws, _ in allocations}) == 1 and set(allocations.values()) == {1}
+    assert sorted(widths) == sorted(planned)
 
 
 def test_predict_spans_batches_after_the_first_allocate_no_per_token_arrays(monkeypatch):
@@ -638,7 +823,8 @@ def test_predict_spans_peak_memory_is_bounded_by_the_token_budget():
     whole_batch_scores = len(examples) * config.n_heads * longest * longest * 8  # 38 MB
     tracemalloc.start()
     try:
-        predictions = predict_spans(params, vocab, examples, max_answer_len=30, batch_size=32)
+        # One worker: tracemalloc sees only this process, so every batch runs here.
+        predictions = predict_spans(params, vocab, examples, max_answer_len=30, batch_size=32, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

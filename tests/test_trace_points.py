@@ -62,7 +62,10 @@ def test_blocked_eval_forward_records_one_call_per_batch(monkeypatch):
     """The benchmark counts ``encoder.forward`` spans, in ``kiqa.encoder`` and
     in ``kiqa.evaluation``, as eval batches and tokens: one span per batch,
     with at most ``batch_size`` rows and, unless it is one row, at most
-    ``evaluation._BATCH_TOKENS`` padded tokens."""
+    ``evaluation._BATCH_TOKENS`` padded tokens. A tracer records only its own
+    process's spans: with one worker every batch, longest first; with two,
+    the calling process's share, a longest-first part of the plan, while a
+    forked child runs the rest."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     for module_name, attr, name, attrs, op_kind in tracing.TRACE_POINTS:
@@ -84,9 +87,12 @@ def test_blocked_eval_forward_records_one_call_per_batch(monkeypatch):
         evaluation.predict_spans(params, vocab, examples, max_answer_len=3, batch_size=4, workers=workers)
         forwards = [span[tracing.ATTRS] for span in tracer.spans if span[tracing.NAME] == "encoder.forward"]
         shapes = [(span["B"], span["L"]) for span in forwards]
-        assert sorted(shapes) == sorted(plan)
-        if workers == 1:  # threads may open their spans out of run order; one thread keeps it, longest first
+        if workers == 1:
             assert shapes == plan[::-1]
+        else:
+            rest = iter(plan[::-1])
+            assert all(shape in rest for shape in shapes)  # in run order, longest first
+            assert 0 < len(shapes) < len(plan)
         for span in forwards:
             assert span["B"] <= 4
             assert span["B"] * span["L"] <= evaluation._BATCH_TOKENS or span["B"] == 1

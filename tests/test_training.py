@@ -710,6 +710,62 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
         assert peaks[2 * width] - peaks[width] < one_ffn / 8, (workers, peaks, one_ffn)
 
 
+def test_training_steps_with_a_gelu_tail_allocate_no_per_token_arrays(monkeypatch):
+    """As above on one thread, with the FFN input weights scaled up so that
+    about a third of the GELU inputs lie beyond |x / sqrt 2| = 1, where
+    _gelu calls scipy's erf: its tail path marks them in a workspace array
+    and gathers them block by block, so a later step still adds less than an
+    eighth of an FFN array to the peak of the first."""
+    import tracemalloc
+
+    kb, vocab = _memorization_kb()
+    corpus = build_corpus(kb, {"syn0"}, 25, (1, 0, 0), seed=1)  # 50 samples
+    lengths = {len(render(s, vocab, 16).input_ids) for s in corpus}
+    assert len(lengths) == 1
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=32, d_ff=1024, max_len=16,
+                               dropout=0.1)
+    width = 25
+    one_ffn = width * lengths.pop() * model_config.d_ff * 8
+
+    def init_with_a_tail(config, seed):
+        params = init_params(config, seed)
+        for name, tensor in params.tensors.items():
+            if name.endswith("w1"):
+                tensor *= 12.0
+        return params
+
+    tails, gelu = [], encoder._gelu
+
+    def counting_gelu(x, phi, y, tmp, mask):
+        u = np.divide(x, math.sqrt(2.0), out=tmp)  # in the scratch arrays, which _gelu overwrites
+        tails.append(np.count_nonzero(np.greater(np.abs(u, out=u), 1.0, out=mask)) / mask.size)
+        return gelu(x, phi, y, tmp, mask)
+
+    growth, window = [], {}
+
+    def collate(samples):  # a step starts here
+        if "start" in window:
+            growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+        batch = collate_mlm(samples)
+        tracemalloc.reset_peak()
+        window["start"] = tracemalloc.get_traced_memory()[0]
+        return batch
+
+    monkeypatch.setattr(training, "init_params", init_with_a_tail)
+    monkeypatch.setattr(encoder, "_gelu", counting_gelu)
+    monkeypatch.setattr(training, "collate_mlm", collate)
+    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=width, epochs=3, seed=0)  # 6 steps
+    tracemalloc.start()
+    try:
+        result = run_injection(corpus, vocab, config, model_config, render_max_len=16, workers=1)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == len(result.history) - 1 == 5
+    assert len(tails) == 2 * 6 and min(tails) > 0.2, tails
+    assert growth[0] > one_ffn  # the first step fills the workspace
+    assert max(growth[1:]) < one_ffn / 8, (growth, one_ffn)
+
+
 # ------------------------------------------------------------ the helper thread
 
 
@@ -864,9 +920,9 @@ def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
             super().__init__(helper)
             made.append(threading.current_thread())
 
-        def take(self, key, shape):
+        def take(self, key, shape, *args):
             takers.add(threading.current_thread())
-            return super().take(key, shape)
+            return super().take(key, shape, *args)
 
     product = encoder._linear_param_grads
 
