@@ -4,7 +4,7 @@ and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 
 ``predict_spans`` plans its batches first: examples in order of packed
 length, each batch capped by ``batch_size`` rows and ``_BATCH_TOKENS``
-padded tokens. The batches, longest first, are dealt by cost to as many
+padded tokens. The batches, longest first, are dealt round-robin to as many
 processes as the process may use CPUs (``usable_cpus``), never more than
 there are batches: the calling process and children it forks for the call,
 which run no Python code in common and so do not share an interpreter lock.
@@ -192,12 +192,10 @@ def format_report(report: EvalReport) -> str:
 # Tokens per inference batch: its rows times its pad width L. At d_ff = 256 and
 # 4 heads a batch holds a 0.5 MB FFN intermediate and an (8 KB * L) score
 # tensor, 1 MB at L = 128; a row longer than the budget goes alone (4.7 MB of
-# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread, 2 CPUs),
-# measured with two workers as threads of one process, each with its own
-# workspace, the process peaked at 81 MB with this cap, 95 MB at 512 tokens
-# and 350 MB uncapped (74, 82 and 224 MB with one worker); a worker process
-# holds one workspace. A capped pass took 0.5k-2.4k minor page faults,
-# against 4k-17k uncapped, and 0.85x the time of an uncapped pass.
+# scores at L = 384). On the eval benchmark's inputs (1 BLAS thread), one
+# worker process peaked at 74 MB with this cap, 82 MB at 512 tokens and
+# 224 MB uncapped. A capped pass took 0.5k-2.4k minor page faults, against
+# 4k-17k uncapped, and 0.85x the time of an uncapped pass.
 _BATCH_TOKENS = 256
 
 
@@ -216,28 +214,19 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _shares(runs: list[list[int]], procs: int, widths: list[int], d_model: int) -> list[list[list[int]]]:
-    """``runs`` dealt to ``procs`` shares: each batch, in order, goes to the
-    share with the least cost so far (the first such share on a tie), at
-    B * L * (L + d_model) for B rows padded to L tokens. A share keeps the
-    order of ``runs``."""
-    shares: list[list[list[int]]] = [[] for _ in range(procs)]
-    loads = [0] * procs
-    for chunk in runs:
-        k = loads.index(min(loads))
-        shares[k].append(chunk)
-        L = widths[chunk[-1]]
-        loads[k] += len(chunk) * L * (L + d_model)
-    return shares
-
-
 def _fork(fn, *args) -> tuple[int, int]:
     """Runs fn(*args) in a forked child; returns its pid and the read end of a
-    pipe that carries the pickled (True, result) or (False, exception). The
+    pipe that carries the pickled (True, result) or (False, exception), an
+    exception that does not pickle going as a RuntimeError of its repr. The
     child leaves only through ``os._exit``, whatever fn raises, so it never
-    returns into its caller's frames."""
+    returns into its caller's frames. A failed fork leaves no pipe open."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -246,8 +235,12 @@ def _fork(fn, *args) -> tuple[int, int]:
                 outcome = True, fn(*args)
             except BaseException as exc:  # sent to the parent, which raises it
                 outcome = False, exc
+            try:
+                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # an exception that does not pickle is sent as its repr
+                data = pickle.dumps((False, RuntimeError(f"{outcome[1]!r}, which could not be sent ({exc!r})")))
             with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
@@ -289,7 +282,7 @@ def predict_spans(
     a row's span logits may differ by a few ulps from those of another
     batching of the same examples.
 
-    The plan runs in reverse, longest batch first, dealt by ``_shares`` to
+    The plan runs in reverse, longest batch first, dealt round-robin to
     up to ``workers`` processes (default ``usable_cpus()``, capped at the
     number of batches; one where ``os.fork`` does not exist). The calling
     process runs the first share; each other share runs in a child forked
@@ -300,8 +293,8 @@ def predict_spans(
     decodes them. The first batch of a share whose span logits are not all
     finite raises NonFiniteError, and a child's exception is raised here
     with its type and message: the calling process's own first, then the
-    children's in share order. A child that ends without a result raises
-    ChildProcessError. If the calling process's share raises, the children
+    children's in share order. A child that ends without a result, or sends
+    one that does not unpickle, raises ChildProcessError. If the calling process's share raises, the children
     are killed. Every child has been reaped when the call returns or raises.
     The children are forked from the calling thread alone, so no other
     thread of the process should hold a lock they need; kiqa runs none
@@ -341,7 +334,8 @@ def predict_spans(
     procs = usable_cpus() if workers is None else workers
     if not hasattr(os, "fork"):
         procs = 1
-    shares = _shares(plan[::-1], max(1, min(procs, len(plan))), widths, params.config.d_model)
+    procs = max(1, min(procs, len(plan)))
+    shares = [plan[::-1][k::procs] for k in range(procs)]  # each longest first
     children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
     ended = False
     try:
@@ -360,9 +354,10 @@ def predict_spans(
     for (pid, _), status, data in zip(children, statuses, sent):
         try:
             ok, value = pickle.loads(data)  # bytes this function's own child wrote
-        except (EOFError, pickle.UnpicklingError):  # the child died before it sent a whole outcome
-            raise ChildProcessError(f"eval worker process {pid} ended without a result "
-                                    f"(exit code {os.waitstatus_to_exitcode(status)})") from None
+        except Exception as exc:  # a child that died mid-send, or an exception that does not unpickle
+            code = os.waitstatus_to_exitcode(status)
+            reason = f"ended without a result (exit code {code})" if code else "sent a result that does not unpickle"
+            raise ChildProcessError(f"eval worker process {pid} {reason}: {exc!r}") from exc
         if not ok:
             raise value
         found += value
