@@ -191,8 +191,7 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def _write_manifest(run_dir: Path, command: str, config: PipelineConfig, extra: dict | None = None) -> None:

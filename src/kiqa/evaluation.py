@@ -2,16 +2,19 @@
 and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 ``kiqa evaluate``, ``kiqa pipeline`` and the ``eval`` benchmark all run it.
 
-``predict_spans`` plans its batches first: examples in order of packed
-length, each batch capped by ``batch_size`` rows and ``_BATCH_TOKENS``
-padded tokens. The batches, longest first, are dealt round-robin to as many
-processes as the process may use CPUs (``usable_cpus``), never more than
-there are batches: the calling process and children it forks for the call,
-which run no Python code in common and so do not share an interpreter lock.
-Each runs the encoder on its share in its own ``encoder.Workspace`` and
-decodes the logits; a child sends its predictions back through a pipe. A
-batch's logits depend on its rows alone, so every worker count gives bitwise
-the same predictions and reports.
+``predict_spans`` and ``evaluate`` share one runner. The calling process
+only counts each example's packed width (``textmodel.packed_width``) and
+plans the batches: examples in order of packed width, each batch capped by
+``batch_size`` rows and ``_BATCH_TOKENS`` padded tokens. The batches, longest
+first, are dealt round-robin to as many processes as the process may use
+CPUs (``usable_cpus``), never more than there are batches: the calling
+process and children it forks for the call, which do not share an
+interpreter lock. Each packs the batches of its share, runs the encoder on
+them in its own ``encoder.Workspace``, decodes the logits and, under
+``evaluate``, scores each example; a child sends its results back through a
+pipe. A batch's logits depend on its rows alone, and the caller puts the
+results back in input order and sums each cell in input order, so every
+worker count gives bitwise the same predictions and reports.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -33,7 +36,7 @@ import numpy as np
 from .encoder import EncoderParams, Workspace, forward, qa_logits
 from .errors import ConfigError, KBParseError, NonFiniteError
 from .fileio import read_utf8
-from .textmodel import Vocab, pack_qa, pad_batch, tokenize
+from .textmodel import Vocab, pack_qa, packed_width, pad_batch, tokenize
 
 _EN_ARTICLES = frozenset({"a", "an", "the"})
 _CJK_LANG_ROOTS = frozenset({"zh", "ja", "ko"})
@@ -71,11 +74,15 @@ def _overlap_f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
 def decode_span(start_logits: np.ndarray, end_logits: np.ndarray, max_answer_len: int) -> tuple[int, int]:
     """Best (start, end) over one context's own span logits, by summed score,
     subject to start <= end < start + max_answer_len; ties prefer the earlier
-    start, then the earlier end. The logits must be finite and non-empty."""
+    start, then the earlier end. The logits must be finite and non-empty.
+
+    Row s of the scored (n, w) window holds start s with ends s .. s + w - 1,
+    w = min(max_answer_len, n); ends past the context read -inf padding."""
     n = len(start_logits)
-    gap = np.arange(n)[None, :] - np.arange(n)[:, None]
-    scores = np.where((gap >= 0) & (gap < max_answer_len), start_logits[:, None] + end_logits[None, :], -np.inf)
-    return divmod(int(np.argmax(scores)), n)  # row-major: earlier start, then earlier end
+    w = min(max_answer_len, n)
+    ends = np.lib.stride_tricks.sliding_window_view(np.concatenate([end_logits, np.full(w - 1, -np.inf)]), w)
+    s, k = divmod(int(np.argmax(start_logits[:, None] + ends)), w)  # row-major: earlier start, then earlier end
+    return s, s + k
 
 
 # ------------------------------------------------------------------- dataset
@@ -255,56 +262,23 @@ def _read_all(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def predict_spans(
-    params: EncoderParams,
-    vocab: Vocab,
-    examples: Sequence[QAExample],
-    max_answer_len: int = 30,
-    batch_size: int = 64,
-    *,
-    workers: int | None = None,
-) -> list[str]:
-    """Extract an answer string for each example (verbatim context substring),
-    in input order.
+def _score(ex: QAExample, prediction: str) -> tuple[float, int]:
+    """One prediction's max-over-golds token F1 and exact match, SQuAD's
+    metrics over ``normalize_answer``'s forms, each string normalized once."""
+    pred = normalize_answer(prediction, ex.context_lang)
+    golds = [normalize_answer(gold, ex.context_lang) for gold, _ in ex.answers]
+    pred_tokens = tokenize(pred)
+    return max(_overlap_f1(pred_tokens, tokenize(gold)) for gold in golds), max(int(pred == gold) for gold in golds)
 
-    Each packed row's context window is ``[context_start, context_start + n)``
-    for its n context tokens (see ``pack_qa``). ``decode_span`` scores that
-    slice of the row's span logits, and the chosen (start, end) indices map
-    through ``context_offsets`` to characters. An empty context predicts "".
 
-    The batches are planned first. Examples are taken in stable order of
-    packed length, so each batch pads to its longest row, the last; each
-    prediction is written back to its example's input index. A batch grows
-    while it has fewer than ``batch_size`` rows and its rows times the next
-    row's length stay within ``_BATCH_TOKENS``; a longer row goes alone. So a
-    forward's intermediates stay a few MB whatever ``batch_size`` is. The pad
-    width of a row's batch changes the reduction order inside numpy/BLAS, so
-    a row's span logits may differ by a few ulps from those of another
-    batching of the same examples.
-
-    The plan runs in reverse, longest batch first, dealt round-robin to
-    up to ``workers`` processes (default ``usable_cpus()``, capped at the
-    number of batches; one where ``os.fork`` does not exist). The calling
-    process runs the first share; each other share runs in a child forked
-    for this call, which sends its (index, prediction) pairs back through a
-    pipe. Every share runs ``forward`` and ``qa_logits`` batch by batch in its
-    own ``Workspace``, and so takes its largest arrays at its first batch
-    rather than regrowing them; it checks each batch's span logits and
-    decodes them. The first batch of a share whose span logits are not all
-    finite raises NonFiniteError, and a child's exception is raised here
-    with its type and message: the calling process's own first, then the
-    children's in share order. A child that ends without a result, or sends
-    one that does not unpickle, raises ChildProcessError. If the calling process's share raises, the children
-    are killed. Every child has been reaped when the call returns or raises.
-    The children are forked from the calling thread alone, so no other
-    thread of the process should hold a lock they need; kiqa runs none
-    during evaluation. A batch's logits depend on its rows alone, so
-    predictions are bitwise the same for every worker count.
-    """
+def _predict(params: EncoderParams, vocab: Vocab, examples: Sequence[QAExample], max_answer_len: int,
+             batch_size: int, workers: int | None, score: bool) -> tuple[list[str], list]:
+    """``predict_spans``'s predictions and, if ``score``, each example's
+    ``_score`` (else None), both in input order."""
     check_eval_values(max_answer_len, batch_size)
-    packed = [pack_qa(ex.question, ex.context, vocab, params.config.max_len) for ex in examples]
-    widths = [len(p.input_ids) for p in packed]
-    order = sorted(range(len(packed)), key=widths.__getitem__)
+    max_len = params.config.max_len
+    widths = [packed_width(ex.question, ex.context, max_len) for ex in examples]
+    order = sorted(range(len(examples)), key=widths.__getitem__)
     plan = []
     lo = 0
     while lo < len(order):
@@ -314,22 +288,23 @@ def predict_spans(
         plan.append(order[lo:hi])
         lo = hi
 
-    def run(share: list[list[int]]) -> list[tuple[int, str]]:
+    def run(share: list[list[int]]) -> list[tuple[int, str, tuple[float, int] | None]]:
         workspace = Workspace()
-        found = []
+        done = []
         for chunk in share:
-            ids, segs, mask = pad_batch([(packed[i].input_ids, packed[i].segment_ids) for i in chunk])
+            packed = [(i, pack_qa(examples[i].question, examples[i].context, vocab, max_len)) for i in chunk]
+            ids, segs, mask = pad_batch([(p.input_ids, p.segment_ids) for _, p in packed])
             start_logits, end_logits = qa_logits(params, forward(params, ids, segs, mask, workspace=workspace))
             if not (np.isfinite(start_logits).all() and np.isfinite(end_logits).all()):
                 raise NonFiniteError("span logits are not finite; the checkpoint may hold NaN or inf weights")
-            for b, i in enumerate(chunk):
-                p = packed[i]
-                if not p.context_offsets:
-                    continue
-                window = slice(p.context_start, p.context_start + len(p.context_offsets))
-                s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
-                found.append((i, examples[i].context[p.context_offsets[s][0] : p.context_offsets[e][1]]))
-        return found
+            for b, (i, p) in enumerate(packed):
+                ex, prediction = examples[i], ""
+                if p.context_offsets:
+                    window = slice(p.context_start, p.context_start + len(p.context_offsets))
+                    s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
+                    prediction = ex.context[p.context_offsets[s][0] : p.context_offsets[e][1]]
+                done.append((i, prediction, _score(ex, prediction) if score else None))
+        return done
 
     procs = usable_cpus() if workers is None else workers
     if not hasattr(os, "fork"):
@@ -341,7 +316,7 @@ def predict_spans(
     try:
         for share in shares[1:]:
             children.append(_fork(run, share))
-        found = run(shares[0])
+        done = run(shares[0])
         sent = [_read_all(fd) for _, fd in children]  # each child's write end closes when it exits
         ended = True
     finally:
@@ -360,26 +335,71 @@ def predict_spans(
             raise ChildProcessError(f"eval worker process {pid} {reason}: {exc!r}") from exc
         if not ok:
             raise value
-        found += value
-    predictions = [""] * len(packed)
-    for i, prediction in found:
-        predictions[i] = prediction
-    return predictions
+        done += value
+    predictions, scores = [""] * len(examples), [None] * len(examples)
+    for i, prediction, scored in done:
+        predictions[i], scores[i] = prediction, scored
+    return predictions, scores
 
 
-def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
-    """Score each example once by max-over-golds token F1 and exact match,
-    SQuAD's metrics over ``normalize_answer``'s forms, each string normalized
-    once. Its record goes to ``EvalReport.predictions``, in input order, and its
-    F1/EM to its (context, question) cell, whose means are reported x100."""
+def predict_spans(
+    params: EncoderParams,
+    vocab: Vocab,
+    examples: Sequence[QAExample],
+    max_answer_len: int = 30,
+    batch_size: int = 64,
+    *,
+    workers: int | None = None,
+) -> list[str]:
+    """Extract an answer string for each example (verbatim context substring),
+    in input order.
+
+    Each packed row's context window is ``[context_start, context_start + n)``
+    for its n context tokens (see ``pack_qa``). ``decode_span`` scores that
+    slice of the row's span logits, and the chosen (start, end) indices map
+    through ``context_offsets`` to characters. An empty context predicts "".
+
+    The batches are planned first, from each example's ``packed_width``, so
+    a QuestionTooLongError is raised before any fork. Examples are taken in
+    stable order of packed length, so each batch pads to its longest row, the
+    last; each prediction is written back to its example's input index. A
+    batch grows while it has fewer than ``batch_size`` rows and its rows
+    times the next row's length stay within ``_BATCH_TOKENS``; a longer row
+    goes alone. So a forward's intermediates stay a few MB whatever
+    ``batch_size`` is. The pad width of a row's batch changes the reduction
+    order inside numpy/BLAS, so a row's span logits may differ by a few ulps
+    from those of another batching of the same examples.
+
+    The plan runs in reverse, longest batch first, dealt round-robin to
+    up to ``workers`` processes (default ``usable_cpus()``, capped at the
+    number of batches; one where ``os.fork`` does not exist). The calling
+    process runs the first share; each other share runs in a child forked
+    for this call, which sends its results back through a pipe. Every share
+    packs its batches with ``pack_qa`` and runs ``forward`` and
+    ``qa_logits`` batch by batch in its own ``Workspace``, and so takes its
+    largest arrays at its first batch rather than regrowing them; it checks
+    each batch's span logits and decodes them. The first
+    batch of a share whose span logits are not all finite raises
+    NonFiniteError, and a child's exception is raised here with its type and
+    message: the calling process's own first, then the children's in share
+    order. A child that ends without a result, or sends one that does not
+    unpickle, raises ChildProcessError. If the calling process's share
+    raises, the children are killed. Every child has been reaped, and every
+    pipe closed, when the call returns or raises. The children are forked
+    from the calling thread alone, so no other thread of the process should
+    hold a lock they need; kiqa runs none during evaluation. A batch's
+    logits depend on its rows alone, so predictions are bitwise the same for
+    every worker count.
+    """
+    return _predict(params, vocab, examples, max_answer_len, batch_size, workers, score=False)[0]
+
+
+def _report(examples: Sequence[QAExample], predictions: Sequence[str], scores) -> EvalReport:
+    """Each example's record, in input order, and its (F1, EM) summed into its
+    (context, question) cell in input order; means reported x100."""
     report = EvalReport()
     sums: dict[tuple[str, str], list] = defaultdict(lambda: [0.0, 0.0, 0])
-    for ex, prediction in zip(examples, predictions):
-        pred = normalize_answer(prediction, ex.context_lang)
-        golds = [normalize_answer(gold, ex.context_lang) for gold, _ in ex.answers]
-        pred_tokens = tokenize(pred)
-        f1 = max(_overlap_f1(pred_tokens, tokenize(gold)) for gold in golds)
-        em = max(int(pred == gold) for gold in golds)
+    for ex, prediction, (f1, em) in zip(examples, predictions, scores):
         report.predictions.append({"id": ex.qa_id, "context_lang": ex.context_lang, "question_lang": ex.question_lang,
                                    "prediction": prediction, "f1": 100.0 * f1, "em": 100.0 * em})
         cell = sums[(ex.context_lang, ex.question_lang)]
@@ -391,6 +411,14 @@ def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) ->
     return report
 
 
+def score_examples(examples: Sequence[QAExample], predictions: Sequence[str]) -> EvalReport:
+    """Score each example once by max-over-golds token F1 and exact match
+    (``_score``). Its record goes to ``EvalReport.predictions``, in input
+    order, and its F1/EM to its (context, question) cell, whose means are
+    reported x100."""
+    return _report(examples, predictions, [_score(ex, prediction) for ex, prediction in zip(examples, predictions)])
+
+
 def evaluate(
     params: EncoderParams,
     vocab: Vocab,
@@ -400,6 +428,7 @@ def evaluate(
     *,
     workers: int | None = None,
 ) -> EvalReport:
-    """``score_examples`` over ``predict_spans``; ``workers`` as there."""
-    return score_examples(examples, predict_spans(params, vocab, examples, max_answer_len, batch_size,
-                                                  workers=workers))
+    """``score_examples`` over ``predict_spans``, bit for bit, in one pass:
+    the process that decodes a batch also scores its examples. ``workers``
+    as in ``predict_spans``."""
+    return _report(examples, *_predict(params, vocab, examples, max_answer_len, batch_size, workers, score=True))

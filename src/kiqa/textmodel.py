@@ -43,7 +43,7 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
 
 
 def tokenize(text: str) -> list[str]:
-    return [tok for tok, _, _ in tokenize_with_offsets(text)]
+    return [tok.lower() for tok in _TOKEN_RE.findall(text)]
 
 
 @dataclass(frozen=True)
@@ -159,18 +159,31 @@ def pack_qa(question: str, context: str, vocab: Vocab, max_len: int) -> QAInput:
     the whole input fits in max_len tokens. Batching pads with ``pad_batch``.
     """
     q_tokens = tokenize(question)
-    if len(q_tokens) + 3 >= max_len:
-        raise QuestionTooLongError(
-            f"question has {len(q_tokens)} tokens; needs {len(q_tokens) + 3} <= {max_len - 1} slots"
-        )
-    budget = max_len - len(q_tokens) - 3
-    c_tokens = tokenize_with_offsets(context)[:budget]
+    c_tokens = tokenize_with_offsets(context)[: _context_budget(len(q_tokens), max_len)]
 
     ids = [CLS_ID] + vocab.encode(q_tokens) + [SEP_ID]
     context_start = len(ids)
     ids += [vocab.id(tok) for tok, _, _ in c_tokens] + [SEP_ID]
     segs = [0] * context_start + [1] * (len(c_tokens) + 1)
     return QAInput(ids, segs, context_start, [(start, end) for _, start, end in c_tokens])
+
+
+def _context_budget(n_question_tokens: int, max_len: int) -> int:
+    """The context tokens that fit beside a question of n tokens and its
+    [CLS] and two [SEP]s in max_len; QuestionTooLongError unless one does."""
+    if n_question_tokens + 3 >= max_len:
+        raise QuestionTooLongError(
+            f"question has {n_question_tokens} tokens; needs {n_question_tokens + 3} <= {max_len - 1} slots"
+        )
+    return max_len - n_question_tokens - 3
+
+
+def packed_width(question: str, context: str, max_len: int) -> int:
+    """``len(pack_qa(question, context, vocab, max_len).input_ids)`` for any
+    vocab, counted without lowercasing, encoding or offsets; raises as
+    ``pack_qa`` does."""
+    n_question = len(_TOKEN_RE.findall(question))
+    return n_question + 3 + min(_context_budget(n_question, max_len), len(_TOKEN_RE.findall(context)))
 
 
 def pad_batch(rows: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

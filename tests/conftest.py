@@ -22,16 +22,39 @@ def assert_no_child_process():
     raise AssertionError(f"child process {pid} ended (status {status}) but was not reaped")
 
 
+def open_pipes() -> set[str] | None:
+    """This process's descriptors open on a pipe, each as "fd -> pipe:[inode]";
+    None where /proc does not list them."""
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except FileNotFoundError:
+        return None
+    pipes = set()
+    for fd in fds:
+        try:
+            link = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:  # the listing's own descriptor, closed since
+            continue
+        if link.startswith("pipe:"):
+            pipes.add(f"{fd} -> {link}")
+    return pipes
+
+
 @pytest.fixture(autouse=True)
-def no_thread_or_child_process_left():
+def no_thread_child_process_or_pipe_left():
     """Fails a test that leaves a thread it started alive, such as a training
-    run's ``Helper``, or leaves a child process running or unreaped, such as
-    one that ``predict_spans`` forks."""
+    run's ``Helper``, leaves a child process running or unreaped, such as one
+    that ``predict_spans`` forks, or leaves a pipe descriptor open, such as
+    the read end of a child's result pipe. The pipe check needs /proc."""
     before = set(threading.enumerate())
+    pipes = open_pipes()
     yield
     left = [thread.name for thread in threading.enumerate() if thread not in before]
     assert not left, f"threads left alive: {left}"
     assert_no_child_process()
+    if pipes is not None:
+        left = sorted(open_pipes() - pipes)
+        assert not left, f"pipes left open: {left}"
 
 
 class ProcessLog:

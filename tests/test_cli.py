@@ -431,7 +431,7 @@ def _checkpoint_failing_at_last_tensor(path):
 
 
 def _json_failing_at_last_key(path):
-    _write_json(path, {"a": "y" * 100_000, "z": object()})  # sort_keys: "a" is written before "z" fails
+    _write_json(path, {"a": "y" * 100_000, "z": object()})  # "z" does not serialize
 
 
 def _corpus_failing_at_second_sample(path):
@@ -469,6 +469,18 @@ def test_failed_artifact_write_leaves_target_unchanged(tmp_path, write):
         write(target)
     assert target.read_bytes() == b"earlier run\n"
     assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
+
+
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path):
+    """One ``json.dumps`` string gives the bytes that ``json.dump`` streams
+    to the file: non-ASCII text kept, floats as repr, nested keys sorted."""
+    payload = {"zh": "凯文·杜兰特 é\u0301", "b": {"y": [1.5, 1e-300, -0.0, float("inf"), 2**70], "a": None},
+               "a": [{"z": 0.1, "k": "Ω"}], "10": True}
+    _write_json(tmp_path / "written.json", payload)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "written.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
 def test_inject_then_finetune_separately(tmp_path):

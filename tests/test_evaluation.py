@@ -81,6 +81,19 @@ def test_decode_span_tie_break_earlier():
     assert got == (0, 0)
 
 
+@pytest.mark.parametrize("start, end, max_answer_len, want", [
+    ([0.0], [0.0], 30, (0, 0)),  # n = 1, far below the cap
+    ([-3.0], [2.0], 1, (0, 0)),  # n = 1 at the cap
+    ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 5, (0, 0)),  # every span ties: earliest start, then earliest end
+    ([0.0, 1.0, 1.0], [1.0, 0.0, 1.0], 5, (1, 2)),  # (1, 2) and (2, 2) tie
+    ([1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0], 10, (0, 1)),  # (0, 1), (0, 2) and (3, 3) tie
+    ([0.0, 0.0], [0.0, 5.0], 3, (0, 1)),  # (0, 1) and (1, 1) tie at the last end
+])
+def test_decode_span_ties_below_the_answer_cap(start, end, max_answer_len, want):
+    start, end = np.array(start), np.array(end)
+    assert decode_span(start, end, max_answer_len) == brute_force_decode(start, end, max_answer_len) == want
+
+
 def test_decode_span_empty_context():
     with pytest.raises(ValueError):
         decode_span(np.zeros(0), np.zeros(0), 4)
@@ -709,6 +722,46 @@ def test_one_worker_or_no_fork_runs_every_batch_in_the_calling_process(monkeypat
     monkeypatch.delattr(os, "fork")
     assert predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=2) == want
     assert list(log.by_process()) == [os.getpid()]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_process_packs_and_scores_the_examples_of_its_own_share(monkeypatch, tmp_path, workers):
+    """The calling process only counts packed widths. Each process packs the
+    rows of its own share's batches, and ``evaluate`` scores each example in
+    the process that decoded it: every example is packed and scored once.
+    The report is ``score_examples`` over ``predict_spans``, bit for bit."""
+    params, vocab, examples = _batched_inputs()
+    want = score_examples(examples, predict_spans(params, vocab, examples, max_answer_len=4, batch_size=16, workers=1))
+    log, ids_of = ProcessLog(tmp_path / "events"), {ex.context: ex.qa_id for ex in examples}
+    pack_qa, forward, score = evaluation.pack_qa, evaluation.forward, evaluation._score
+
+    def recording_pack_qa(question, context, vocab, max_len):
+        log.add("pack", ids_of[context])
+        return pack_qa(question, context, vocab, max_len)
+
+    def recording_forward(params, ids, segs, mask, *, workspace):
+        log.add("forward", len(ids))
+        return forward(params, ids, segs, mask, workspace=workspace)
+
+    def recording_score(ex, prediction):
+        log.add("score", ex.qa_id)
+        return score(ex, prediction)
+
+    monkeypatch.setattr(evaluation, "pack_qa", recording_pack_qa)
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    monkeypatch.setattr(evaluation, "_score", recording_score)
+    report = evaluate(params, vocab, examples, max_answer_len=4, batch_size=16, workers=workers)
+    assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
+    assert json.dumps(report.predictions) == json.dumps(want.predictions)
+    processes = log.by_process()
+    assert len(processes) == workers and os.getpid() in processes
+    packed = []
+    for lines in processes.values():
+        own = [qa_id for event, qa_id in lines if event == "pack"]
+        assert sorted(own) == sorted(qa_id for event, qa_id in lines if event == "score")
+        assert len(own) == sum(int(rows) for event, rows in lines if event == "forward")
+        packed += own
+    assert sorted(packed) == sorted(ex.qa_id for ex in examples)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

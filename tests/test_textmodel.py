@@ -19,6 +19,7 @@ from kiqa.textmodel import (
     build_vocab,
     load_vocab,
     pack_qa,
+    packed_width,
     pad_batch,
     render,
     save_vocab,
@@ -127,6 +128,16 @@ def test_tokenize_matches_oracle_on_every_code_point():
     # join or drop a token next to its neighbours.
     text = "".join(map(chr, range(sys.maxunicode + 1)))
     assert tokenize_with_offsets(text) == tokenize_oracle(text)
+
+
+# CJK ideographs, hangul and kana beside _TRICKY's "_", combining marks and digits.
+_UNICODE_TEXT = st.text(alphabet=st.sampled_from(_TRICKY + "北京凯文한국かナ٣৭") | st.characters(), max_size=40)
+
+
+@settings(max_examples=300)
+@given(_UNICODE_TEXT)
+def test_tokenize_is_tokenize_with_offsets_without_the_offsets(text):
+    assert tokenize(text) == [tok for tok, _, _ in tokenize_with_offsets(text)]
 
 
 # --------------------------------------------------------------------- vocab
@@ -304,6 +315,21 @@ def test_pack_qa_segment_invariants(question, context):
     assert out.segment_ids == [0] * out.context_start + [1] * (n + 1)
     assert set(out.segment_ids) <= {0, 1}
     assert PAD_ID not in out.input_ids
+
+
+@settings(max_examples=300)
+@given(_UNICODE_TEXT, st.text(alphabet=st.sampled_from(_TRICKY + " ab北") | st.characters(), max_size=80),
+       st.integers(min_value=1, max_value=40))
+def test_packed_width_is_the_packed_length_or_the_same_error(question, context, max_len):
+    vocab = build_vocab([question, context], max_size=16)
+    try:
+        width = len(pack_qa(question, context, vocab, max_len).input_ids)
+    except QuestionTooLongError as exc:
+        with pytest.raises(QuestionTooLongError) as info:
+            packed_width(question, context, max_len)
+        assert str(info.value) == str(exc)
+    else:
+        assert packed_width(question, context, max_len) == width
 
 
 def test_pad_batch_layout():
