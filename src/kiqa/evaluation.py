@@ -10,11 +10,11 @@ first, are dealt round-robin to as many processes as the process may use
 CPUs (``usable_cpus``), never more than there are batches: the calling
 process and children it forks for the call, which do not share an
 interpreter lock. Each packs the batches of its share, runs the encoder on
-them in its own ``encoder.Workspace``, decodes the logits and, under
-``evaluate``, scores each example; a child sends its results back through a
-pipe. A batch's logits depend on its rows alone, and the caller puts the
-results back in input order and sums each cell in input order, so every
-worker count gives bitwise the same predictions and reports.
+them in its own ``encoder.Workspace``, decodes the logits and scores each
+example; a child sends its results back through a pipe. A batch's logits
+depend on its rows alone, and the caller puts the results back in input
+order and sums each cell in input order, so every worker count gives bitwise
+the same predictions and reports.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -272,9 +272,9 @@ def _score(ex: QAExample, prediction: str) -> tuple[float, int]:
 
 
 def _predict(params: EncoderParams, vocab: Vocab, examples: Sequence[QAExample], max_answer_len: int,
-             batch_size: int, workers: int | None, score: bool) -> tuple[list[str], list]:
-    """``predict_spans``'s predictions and, if ``score``, each example's
-    ``_score`` (else None), both in input order."""
+             batch_size: int, workers: int | None) -> tuple[list[str], list[tuple[float, int]]]:
+    """``predict_spans``'s predictions and each example's ``_score``, both in
+    input order."""
     check_eval_values(max_answer_len, batch_size)
     max_len = params.config.max_len
     widths = [packed_width(ex.question, ex.context, max_len) for ex in examples]
@@ -288,7 +288,7 @@ def _predict(params: EncoderParams, vocab: Vocab, examples: Sequence[QAExample],
         plan.append(order[lo:hi])
         lo = hi
 
-    def run(share: list[list[int]]) -> list[tuple[int, str, tuple[float, int] | None]]:
+    def run(share: list[list[int]]) -> list[tuple[int, str, tuple[float, int]]]:
         workspace = Workspace()
         done = []
         for chunk in share:
@@ -303,7 +303,7 @@ def _predict(params: EncoderParams, vocab: Vocab, examples: Sequence[QAExample],
                     window = slice(p.context_start, p.context_start + len(p.context_offsets))
                     s, e = decode_span(start_logits[b, window], end_logits[b, window], max_answer_len)
                     prediction = ex.context[p.context_offsets[s][0] : p.context_offsets[e][1]]
-                done.append((i, prediction, _score(ex, prediction) if score else None))
+                done.append((i, prediction, _score(ex, prediction)))
         return done
 
     procs = usable_cpus() if workers is None else workers
@@ -336,10 +336,8 @@ def _predict(params: EncoderParams, vocab: Vocab, examples: Sequence[QAExample],
         if not ok:
             raise value
         done += value
-    predictions, scores = [""] * len(examples), [None] * len(examples)
-    for i, prediction, scored in done:
-        predictions[i], scores[i] = prediction, scored
-    return predictions, scores
+    done.sort(key=lambda record: record[0])  # input order
+    return [prediction for _, prediction, _ in done], [scored for _, _, scored in done]
 
 
 def predict_spans(
@@ -378,20 +376,21 @@ def predict_spans(
     packs its batches with ``pack_qa`` and runs ``forward`` and
     ``qa_logits`` batch by batch in its own ``Workspace``, and so takes its
     largest arrays at its first batch rather than regrowing them; it checks
-    each batch's span logits and decodes them. The first
-    batch of a share whose span logits are not all finite raises
-    NonFiniteError, and a child's exception is raised here with its type and
-    message: the calling process's own first, then the children's in share
-    order. A child that ends without a result, or sends one that does not
-    unpickle, raises ChildProcessError. If the calling process's share
-    raises, the children are killed. Every child has been reaped, and every
-    pipe closed, when the call returns or raises. The children are forked
-    from the calling thread alone, so no other thread of the process should
-    hold a lock they need; kiqa runs none during evaluation. A batch's
-    logits depend on its rows alone, so predictions are bitwise the same for
-    every worker count.
+    each batch's span logits, decodes them and scores each example as
+    ``evaluate`` reports it (this function returns only the predictions,
+    one scoring path serving both). The first batch of a share whose span
+    logits are not all finite raises NonFiniteError, and a child's exception
+    is raised here with its type and message: the calling process's own
+    first, then the children's in share order. A child that ends without a
+    result, or sends one that does not unpickle, raises ChildProcessError.
+    If the calling process's share raises, the children are killed. Every
+    child has been reaped, and every pipe closed, when the call returns or
+    raises. The children are forked from the calling thread alone, so no
+    other thread of the process should hold a lock they need; kiqa runs none
+    during evaluation. A batch's logits depend on its rows alone, so
+    predictions are bitwise the same for every worker count.
     """
-    return _predict(params, vocab, examples, max_answer_len, batch_size, workers, score=False)[0]
+    return _predict(params, vocab, examples, max_answer_len, batch_size, workers)[0]
 
 
 def _report(examples: Sequence[QAExample], predictions: Sequence[str], scores) -> EvalReport:
@@ -431,4 +430,4 @@ def evaluate(
     """``score_examples`` over ``predict_spans``, bit for bit, in one pass:
     the process that decodes a batch also scores its examples. ``workers``
     as in ``predict_spans``."""
-    return _report(examples, *_predict(params, vocab, examples, max_answer_len, batch_size, workers, score=True))
+    return _report(examples, *_predict(params, vocab, examples, max_answer_len, batch_size, workers))

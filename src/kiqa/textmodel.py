@@ -43,7 +43,7 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
 
 
 def tokenize(text: str) -> list[str]:
-    return [tok.lower() for tok in _TOKEN_RE.findall(text)]
+    return [tok for tok, _, _ in tokenize_with_offsets(text)]
 
 
 @dataclass(frozen=True)

@@ -134,12 +134,6 @@ def test_tokenize_matches_oracle_on_every_code_point():
 _UNICODE_TEXT = st.text(alphabet=st.sampled_from(_TRICKY + "北京凯文한국かナ٣৭") | st.characters(), max_size=40)
 
 
-@settings(max_examples=300)
-@given(_UNICODE_TEXT)
-def test_tokenize_is_tokenize_with_offsets_without_the_offsets(text):
-    assert tokenize(text) == [tok for tok, _, _ in tokenize_with_offsets(text)]
-
-
 # --------------------------------------------------------------------- vocab
 
 
