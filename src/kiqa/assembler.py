@@ -199,16 +199,3 @@ def load_corpus(path) -> list[MaskedSample]:
             raise KBParseError(f"{path}:{lineno}: invalid corpus record ({exc!r})") from exc
     return samples
 
-
-__all__ = [
-    "SampleKind",
-    "Piece",
-    "MaskedSample",
-    "assemble_k1",
-    "assemble_k2",
-    "assemble_k3",
-    "check_kind_weights",
-    "build_corpus",
-    "save_corpus",
-    "load_corpus",
-]

@@ -171,6 +171,7 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     # Every vocabulary holds the special tokens, so this is the smallest real vocab_size.
     ModelConfig(vocab_size=len(textmodel.SPECIAL_TOKENS), **config.section("model"))
     evaluation.check_eval_values(config["eval.max_answer_len"], config["eval.batch_size"])
+    synthlang.SynthSpec(**config.section("synth"))
     assembler.check_kind_weights(config["assembler.kind_weights"], _langs(config))
     try:
         textmodel.build_vocab((), config["assembler.vocab_max_size"])  # refuses a size below the special tokens'
@@ -263,11 +264,11 @@ def _write_train_log(path: Path, history: list[dict]) -> None:
 def cmd_synth_gen(config: PipelineConfig, run_dir: Path) -> None:
     spec = synthlang.SynthSpec(**config.section("synth"))
     kb = synthlang.gen_kb(spec)
+    train, test = synthlang.gen_qa(spec, kb)  # before any write: it refuses a KB too small for its contexts
     data = run_dir / "data"
     data.mkdir(parents=True, exist_ok=True)
     kb_paths = [data / name for name in _KB_FILES]
     kbmod.save_kb(kb, *kb_paths)
-    train, test = synthlang.gen_qa(spec, kb)
     qa_dir = data / "qa"
     qa_dir.mkdir(exist_ok=True)
     qa_files = {qa_dir / "train.json": train}

@@ -38,15 +38,14 @@ memory. Keys
 name their layer only when the forward keeps a cache for a backward.
 
 Thread rule: a training run on two or more CPUs keeps one ``Helper``
-thread, which its workspace carries; inference has none. Only the thread
-that made a workspace calls ``take``; it hands the helper the arrays a task
-reads and writes. A training step with at least two examples and
-``_SPLIT_TOKENS`` padded tokens splits: it runs the embedding, every layer
-below the last (its forward and its whole input-gradient chain) and the
-last layer's Q/K/V, scores, softmax, PV and their backward as two batch
-halves (``_halves``), examples [0, B // 2) on the calling thread and
-[B // 2, B) on the helper, each writing its rows of whole arrays. Any other
-step runs whole on the calling thread and hands the helper nothing. A
+thread, which its workspace carries and every step of the run uses;
+inference has none. Only the thread that made a workspace calls ``take``; it
+hands the helper the arrays a task reads and writes. A step of two or more
+examples runs the embedding, every layer below the last (its forward and its
+whole input-gradient chain) and the last layer's Q/K/V, scores, softmax, PV
+and their backward as two batch halves (``_halves``), examples [0, B // 2) on
+the calling thread and [B // 2, B) on the helper, each writing its rows of
+whole arrays; a one-example step runs them whole on the calling thread. A
 stacked (B, ...) matmul is one BLAS call per example, so a half gets the
 bits of the whole batch. Batch reductions and gathered rows never split: the
 weight, bias and layer-norm gradients, the embedding scatters, the loss
@@ -55,10 +54,11 @@ layer's ops at the rows its loss reads. A 2-D product changes bits when its
 rows are cut: in 207 of 600 random cuts with a piece under 4 rows, and for
 dy @ W.T in 134 of 597 with both pieces of 4 rows or more (2 CPUs, OpenBLAS,
 1 thread). Each gradient tensor gets its additions on one thread, in the
-one-thread order: in a split step the helper forms the last layer's
-gathered-row gradients, the MLM head's product and the ``tok_emb`` scatter
-while the calling thread forms the input gradients, and after each layer's
-halves both threads take that layer's tasks from one deque. Every value is
+one-thread order: the helper forms the last layer's gathered-row gradients,
+the MLM head's product and the ``tok_emb`` scatter while the calling thread
+forms the input gradients, and after each layer's input-gradient chain both
+threads take that layer's tasks from one deque. The helper also forms the
+upper half of each AdamW update (``training.adamw_step``). Every value is
 bitwise that of one thread. The calling thread waits for the helper after
 each pair of halves, before a layer below rewrites a buffer a task reads,
 and before ``loss_and_grad`` returns; a task's exception is raised on the
@@ -271,12 +271,8 @@ class Workspace:
     the calling thread waits for it before rewriting a key one of its tasks
     reads (see ``_backward_to_params``).
 
-    A training run's workspace may carry that run's ``Helper``, which only a
-    step split into batch halves uses (see the module docstring). Only the
-    thread that made the workspace calls ``take``; it hands the helper the
-    arrays a task needs. A split step takes each array whole, and each half
-    writes its own examples' rows of it; the halves of one segment share no
-    row."""
+    A training run's workspace carries that run's ``Helper``, if it has one;
+    the thread rule in the module docstring says who takes and who writes."""
 
     def __init__(self, helper: Helper | None = None):
         self._buffers: dict[str, np.ndarray] = {}
@@ -291,7 +287,7 @@ class Workspace:
 
 
 def _hand_off(helper, fn, *args):
-    """fn(*args) on the step's helper, or here when it has none."""
+    """fn(*args) on the run's helper, or here when it has none."""
     if helper is None:
         fn(*args)
     else:
@@ -299,32 +295,20 @@ def _hand_off(helper, fn, *args):
 
 
 def _join(helper):
-    """Wait until the step's helper, if any, has run every task handed to it."""
+    """Wait until the run's helper, if any, has run every task handed to it."""
     if helper is not None:
         helper.wait()
 
 
-# Padded tokens (B * L) from which a training step with a helper and two or
-# more examples runs its per-example work as two batch halves (see
-# ``_halves``); a smaller step runs whole on one thread. Median
-# ``loss_and_grad`` time whole -> split, best of two runs of 600 steps each
-# in one process (d_model 64, d_ff 256, 2 layers, dropout 0.1, vocabulary
-# 500, 2 CPUs, 1 BLAS thread): entity completion at 64 tokens 1.03 -> 1.23 ms,
-# 96 1.28 -> 1.34, 120 1.65 -> 1.54, 216 2.40 -> 1.80, 312 3.17 -> 2.27;
-# span at 64 tokens 1.15 -> 1.31, 96 1.53 -> 1.55, 128 1.89 -> 1.73, 336
-# 6.01 -> 4.45.
-_SPLIT_TOKENS = 120
-
-
 def _halves(helper, B, fn, *args, meanwhile=None):
     """fn(s, *args) over examples s of a batch of B, where fn reads and
-    writes only examples s of its batch-sized arrays. Without a helper it
-    runs once here over all B examples; with one, over [B // 2, B) on the
-    helper and [0, B // 2) here, and both halves are done on return.
-    ``meanwhile()``, if given, runs here as well, on arrays fn does not
-    touch: after fn, or with a helper while the helper starts its half.
-    Returns this thread's fn result."""
-    if helper is None:
+    writes only examples s of its batch-sized arrays. Without a helper, or
+    for one example, it runs once here over all B examples; otherwise over
+    [B // 2, B) on the helper and [0, B // 2) here, and both halves are done
+    on return. ``meanwhile()``, if given, runs here as well, on arrays fn
+    does not touch: after fn, or while the helper starts its half. Returns
+    this thread's fn result."""
+    if helper is None or B < 2:
         out = fn(slice(0, B), *args)
         if meanwhile is not None:
             meanwhile()
@@ -353,7 +337,7 @@ def _collect(s, chain, *args):
 
 
 def _share(helper, tasks):
-    """Runs tasks (fn, *args) on this thread and the step's helper, if any:
+    """Runs tasks (fn, *args) on this thread and the run's helper, if any:
     each thread pops the next task from one deque, whose pops are
     thread-safe, until none is left. Each task writes tensors no other task
     writes, so which thread runs it changes no value. The caller joins."""
@@ -672,11 +656,9 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     gathers the rows, so the RNG stream is that of a whole-layer forward.
     Every batch-sized array, the returned ones included, is taken from
     ``workspace`` (see ``Workspace`` for its keys) and lives there until the
-    workspace's next call. With a helper, a training step of two or more
-    examples and ``_SPLIT_TOKENS`` padded tokens or more runs its
-    per-example segments as two batch halves, and its cache keeps the helper
-    for the backward; any other step runs whole on this thread alone (see
-    the module docstring).
+    workspace's next call. The per-example segments run through ``_halves``
+    with the workspace's helper (see the thread rule in the module
+    docstring).
 
     The batch runs whole, with a (B, heads, L, L) score tensor per layer:
     the caller sizes it, as ``evaluation.predict_spans`` does by a token
@@ -689,8 +671,6 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     scale = 1.0 / math.sqrt(cfg.d_model // nh)
     B, L = ids.shape
     shape = (B, L, cfg.d_model)
-    # The step's helper, if it splits into batch halves; a whole step runs on this thread alone.
-    helper = ws.helper if positions is not None and B >= 2 and B * L >= _SPLIT_TOKENS else None
     # Flat (B * L) row of each read position; the ids and positions are range-checked, so "clip" clips nothing.
     at_rows = None if positions is None else positions[0] * L + positions[1]
 
@@ -720,11 +700,11 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
         if at is None:
             post = _post_attention_arrays(ws, k, (B, L), cfg.d_model, cfg.d_ff)
             segments.append((_layer, t, p, h, key_bias, scale, a, drop_a, drop_f, cfg.dropout, post))
-            _halves(helper, B, _run_segments, segments, meanwhile=later)
+            _halves(ws.helper, B, _run_segments, segments, meanwhile=later)
             ctx = a["ctx"]
         else:
             segments.append((_attention, t, p, h, key_bias, scale, a))
-            _halves(helper, B, _run_segments, segments, meanwhile=later)
+            _halves(ws.helper, B, _run_segments, segments, meanwhile=later)
             ctx = _gather(a["ctx"], at, ws, k + "ctx.at")
             post = _post_attention_arrays(ws, k, (len(at),), cfg.d_model, cfg.d_ff)
             _post_attention(slice(None), t, p, ctx, _gather(h, at, ws, k + "h.at"), drop_a, drop_f, cfg.dropout, post)
@@ -738,8 +718,7 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
 
     if positions is None:
         return h
-    return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows,
-               "helper": helper}
+    return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows}
 
 
 def _post_attention_grads(ws, rows, d, ff, c):
@@ -834,25 +813,20 @@ def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     are scattered, with add, into whole (B, L, d) tensors before its
     attention backward; the layers below run at every position.
 
-    The calling thread forms the input gradients, the critical path. Each
-    layer's per-example input-gradient chain runs through ``_halves``, as
-    two batch halves if the forward split the step, and returns the
-    weight, bias and layer-norm gradient tasks it yields (``_collect``).
-    They run after it, each over the whole batch, on this thread or shared
-    with the step's helper (``_share``): a task cut at examples would change
-    a sum's bits. The last layer's gathered-row tasks and the embedding's
-    ``tok_emb`` scatter (after the MLM head's product) go to the helper, if
-    the step has one, as they form; the gathered rows' scatters and the
-    ``pos_emb`` sum and ``seg_emb`` rows run whole. Each gradient tensor
-    gets its additions on one thread in the one-thread order. With a
-    helper, this thread waits for it before a layer below rewrites the
-    ``b.`` keys the tasks read, and before returning."""
+    Each layer's per-example input-gradient chain runs through ``_halves``
+    and returns the weight, bias and layer-norm gradient tasks it yields
+    (``_collect``). They run after it, each over the whole batch, shared
+    with the workspace's helper (``_share``): a task cut at examples would
+    change a sum's bits. The last layer's gathered-row tasks and the
+    ``tok_emb`` scatter are handed off as they form (``_hand_off``). Which
+    thread runs what, and when this thread waits, is the thread rule in the
+    module docstring."""
     t = params.tensors
     cfg = params.config
     nh, d = cfg.n_heads, cfg.d_model
     shape = cache["ids"].shape + (d,)
     B = shape[0]
-    helper = cache["helper"]
+    helper = ws.helper
     at = cache["at_rows"]
     for i in reversed(range(cfg.n_layers)):
         p = f"l{i}."
@@ -1012,7 +986,7 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, *, 
         nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws, "ce")
         value = nll.mean()
         dlogits /= M
-        _hand_off(cache["helper"], _mlm_param_grads, dlogits, sel, ws.take("mlm.gw", t["tok_emb"].shape),
+        _hand_off(ws.helper, _mlm_param_grads, dlogits, sel, ws.take("mlm.gw", t["tok_emb"].shape),
                   grads["mlm_bias"], grads["tok_emb"])
         dsel = np.matmul(dlogits, t["tok_emb"], out=ws.take("mlm.dsel", sel.shape))
     else:

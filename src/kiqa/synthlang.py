@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, InfeasibleCountError, LexiconCollisionError
-from .kb import Entity, KnowledgeBase, Relation, Triple, build_kb, surface
+from .kb import Entity, KnowledgeBase, Relation, Triple, build_kb, is_valid_lang, surface
 
 _CONSONANTS = "bcdfghjklmnpqrstvwxz"
 _VOWELS = "aeiou"
@@ -55,6 +55,13 @@ class SynthSpec:
             raise ConfigError("need at least two languages")
         if len(set(self.languages)) != len(self.languages):
             raise ConfigError("languages must be distinct")
+        for lang in self.languages:
+            if not is_valid_lang(lang):
+                raise ConfigError(f"invalid language tag {lang!r}")
+        if self.n_triples > self.n_entities * self.n_entities * self.n_relations:
+            raise InfeasibleCountError(
+                f"{self.n_triples} triples infeasible for {self.n_entities} entities x {self.n_relations} relations"
+            )
 
     @property
     def pivot(self) -> str:
@@ -109,10 +116,6 @@ def _gen_base_token(rng: random.Random, used: set[str]) -> str:
 def gen_kb(spec: SynthSpec) -> KnowledgeBase:
     """Entities with 1-2-token base names, 1-token relations, duplicate-free
     triples, and surface forms in every spec language via the lexicons."""
-    if spec.n_triples > spec.n_entities * spec.n_entities * spec.n_relations:
-        raise InfeasibleCountError(
-            f"{spec.n_triples} triples infeasible for {spec.n_entities} entities x {spec.n_relations} relations"
-        )
     rng = random.Random(f"{spec.seed}|kb")
     used: set[str] = set()
     entity_names = []
@@ -211,7 +214,14 @@ def _to_mlqa_json(examples: list[dict]) -> dict:
 
 def gen_qa(spec: SynthSpec, kb: KnowledgeBase) -> tuple[dict, dict[tuple[str, str], dict]]:
     """Template QA datasets: a pivot-only train split and one test split per
-    ordered (context_lang, question_lang) pair."""
+    ordered (context_lang, question_lang) pair. Each context states facts of
+    ``N_DISTRACTORS + 1`` distinct (head, relation) pairs, so a KB with fewer
+    raises InfeasibleCountError before any draw."""
+    pairs = len({(t.head, t.rel) for t in kb.triples})
+    if pairs < N_DISTRACTORS + 1:
+        raise InfeasibleCountError(
+            f"QA contexts need {N_DISTRACTORS + 1} distinct (head, relation) pairs, the KB has {pairs}"
+        )
     pivot = spec.pivot
     rng = random.Random(f"{spec.seed}|qa|train|{pivot}|{pivot}")
     train = _to_mlqa_json(

@@ -24,19 +24,11 @@ takes a workspace: one per training run, one per inference process and
 ``evaluation.predict_spans`` call. Its keys name a layer only when the
 forward keeps a cache for a backward, as a training step's does.
 
-Thread rule: with ``workers`` (default ``evaluation.usable_cpus()``) of 2 or
-more, ``_train_loop`` keeps one ``encoder.Helper`` thread for the run, never
-more, and stops it before it returns or raises. The workspace and the AdamW
-state carry it. A step of at least two examples and a measured number of
-padded tokens (see ``encoder``) runs its per-example segments (embedding,
-layers below the last, the last layer's attention) as two batch halves,
-one per thread, and shares its parameter-gradient tasks with the helper.
-Batch reductions and the last layer's gathered rows never split, because
-a 2-D product whose rows are cut changes bits. Any other step runs whole on
-the calling thread. In every step the helper forms the upper half of the
-AdamW update. Only the calling thread takes from the workspace, and the
-helper calls no public kiqa function. Every result is bitwise that of one
-thread.
+With ``workers`` (default ``evaluation.usable_cpus()``) of 2 or more,
+``_train_loop`` keeps one ``encoder.Helper`` thread for the run, never more,
+and stops it before it returns or raises; the workspace and the AdamW state
+carry it. What it runs is the thread rule in the ``encoder`` module
+docstring. Every result is bitwise that of one thread.
 """
 
 from __future__ import annotations
@@ -121,7 +113,7 @@ class AdamWState:
     """The step count and both moments, each moment one buffer laid out as
     ``EncoderParams.flat``; the scratch an update reuses: two chunk-sized rows
     per thread that updates, and one finiteness flag per parameter; and the
-    run's ``Helper``, if it has one, which updates the buffers' upper half."""
+    run's ``Helper``, if it has one (see the thread rule in ``encoder``)."""
 
     step: int
     m: np.ndarray
@@ -319,10 +311,8 @@ def _train_loop(
     ``encoder.Workspace`` for the step's batch-sized arrays, so a step after
     the first few maps no new memory. With ``workers`` (default
     ``usable_cpus()``) of 2 or more, the run also keeps one ``Helper`` thread,
-    which both the workspace and the AdamW state carry: it runs half of each
-    step that splits into batch halves and half of every AdamW update. It is
-    stopped before the loop returns or raises, and the results are bitwise
-    those of one thread.
+    which both the workspace and the AdamW state carry (see the thread rule
+    in ``encoder``); it is stopped before the loop returns or raises.
     """
     threads = usable_cpus() if workers is None else workers
     with Helper() if threads >= 2 else contextlib.nullcontext() as helper:
@@ -348,8 +338,6 @@ def _train_loop(
                 rng = np.random.default_rng([config.seed, step]) if use_dropout else None
                 grad.fill(0.0)
                 value, _ = loss_and_grad(params, batch, loss_kind, dropout_rng=rng, grads=grads, workspace=workspace)
-                if not math.isfinite(value):
-                    raise NonFiniteError(f"loss diverged at step {step}")
                 grad_norm = math.sqrt(np.dot(grad, grad))
                 if config.max_grad_norm is not None and grad_norm > config.max_grad_norm:
                     grad *= config.max_grad_norm / grad_norm
@@ -370,9 +358,9 @@ def run_injection(
     workers: int | None = None,
 ) -> TrainResult:
     """Train entity completion over the assembled corpus from a fresh
-    initialization seeded by ``config.seed``, on one thread or, with
-    ``workers`` (default ``usable_cpus()``) of 2 or more, with one helper
-    thread beside it (see ``_train_loop``); the result is the same."""
+    initialization seeded by ``config.seed``. ``workers`` (default
+    ``usable_cpus()``) of 2 or more adds the run's helper thread (see the
+    thread rule in ``encoder``); the result is the same."""
     if not corpus:
         raise ConfigError("injection corpus is empty")
     rendered: list[TokenizedSample] = []

@@ -349,7 +349,7 @@ def test_pipeline_with_a_language_the_kb_lacks_exits_with_one_config_record(tmp_
      "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1", "inject.learning_rate=nan",
      "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1",
      "inject.weight_decay=inf", "assembler.vocab_max_size=4", "assembler.render_max_len=0",
-     "assembler.render_max_len=4", "assembler.langs=syn0"],
+     "assembler.render_max_len=4", "assembler.langs=syn0", "synth.languages=EN,ZH", "synth.n_entities=0"],
 )
 def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
@@ -359,7 +359,15 @@ def test_out_of_range_value_exits_with_config_record(tmp_path, capsys, override)
     key = override.split("=")[0]
     if key in ("assembler.vocab_max_size", "assembler.render_max_len"):
         assert key in record["message"]
-    assert not (run_dir / "data" / "entities.jsonl").exists()  # refused by load_config, before synth-gen writes
+    assert not run_dir.exists()  # refused by load_config, before the run directory is made
+
+
+def test_synth_gen_on_too_few_head_relation_pairs_exits_before_writing(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("synth-gen", run_dir, FAST + ["synth.n_triples=4"]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "infeasible-count" and "the KB has" in record["message"]
+    assert not (run_dir / "data").exists()
 
 
 @pytest.fixture(scope="module")

@@ -675,19 +675,18 @@ def test_steps_with_a_helper_match_one_thread_bitwise(monkeypatch, dropout, kind
     and shrink, give the loss and gradients of one thread on a fresh
     workspace and of the plain expressions, bit for bit: the batch halves
     and the helper's share of the parameter-gradient tasks change no value,
-    and no task reads a key that this thread has rewritten. Under a split
-    gate of one token every batch of two or more examples (three is odd)
-    runs as two batch halves; the one-example batch runs whole, and a whole
-    step hands its helper nothing."""
+    and no task reads a key that this thread has rewritten. Every batch of
+    two or more examples (three is odd) runs as two batch halves; the
+    one-example batch runs whole and submits no half, yet hands the helper
+    its share of the parameter-gradient tasks, as every step does."""
     shapes = [(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]
     submitted, submit = [], Helper.submit
 
     def recording(self, fn, *args):
-        submitted.append(fn)
+        submitted.append(bool(args) and isinstance(args[0], slice))  # a batch half's first argument is its slice
         submit(self, fn, *args)
 
     monkeypatch.setattr(Helper, "submit", recording)
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
     try:
@@ -699,14 +698,15 @@ def test_steps_with_a_helper_match_one_thread_bitwise(monkeypatch, dropout, kind
             with helper_kind() as helper:
                 handed = _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, Workspace(helper),
                                                  submitted)
-            assert [bool(n) for n in handed] == [B > 1 for B, _ in shapes]
+            assert all(handed)
+            assert [any(halves) for halves in handed] == [B > 1 for B, _ in shapes]
     finally:
         sys.setswitchinterval(interval)
 
 
 def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, workspace, submitted):
-    """Checks each step of ``shapes`` on ``workspace``; returns the number
-    of tasks each step's loss_and_grad appended to ``submitted``."""
+    """Checks each step of ``shapes`` on ``workspace``; returns, per step,
+    the entries its loss_and_grad appended to ``submitted``."""
     handed = []
     for seed, (B, L) in enumerate(shapes):
         batch = sized_batch(cfg, kind, seed, B, L)
@@ -716,7 +716,7 @@ def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, wor
         grad.fill(0.0)
         before = len(submitted)
         value, _ = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
-        handed.append(len(submitted) - before)
+        handed.append(submitted[before:])
         plain_value, plain_grads = plain_backward(params, batch, kind, rng())
         assert value == want_value == plain_value
         for name, tensor in want_grads.items():

@@ -109,9 +109,21 @@ def test_spec_validation():
         spec(languages=("a", "a"))
     with pytest.raises(ConfigError):
         spec(n_triples=0)
+    with pytest.raises(ConfigError, match="invalid language tag 'EN'"):  # a tag the KB loader refuses
+        spec(languages=("EN", "ZH"))
 
 
 # -------------------------------------------------------------------- gen_qa
+
+
+def test_gen_qa_refuses_a_kb_with_fewer_head_relation_pairs_than_a_context_holds():
+    """A context states N_DISTRACTORS + 1 = 5 facts of distinct (head,
+    relation) pairs; 2 entities and 1 relation give only 2 such pairs."""
+    s = spec(n_entities=2, n_relations=1, n_triples=4)
+    kb = gen_kb(s)
+    assert len({(t.head, t.rel) for t in kb.triples}) == 2
+    with pytest.raises(InfeasibleCountError, match="need 5 distinct .* the KB has 2"):
+        gen_qa(s, kb)
 
 
 def test_gen_qa_shapes_and_ids():

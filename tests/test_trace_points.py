@@ -123,11 +123,10 @@ def test_training_step_records_one_forward_span(monkeypatch):
 
 
 def test_a_training_helper_calls_no_traced_function(monkeypatch):
-    """With a helper thread, under a split gate of one token, where it runs
-    batch halves of the forward and backward and shares the weight
-    gradients, every public kiqa function the tracer wraps is still called
-    on the calling thread only, so its one span stack sees no span from the
-    helper."""
+    """With a helper thread, where it runs batch halves of the forward and
+    backward and shares the weight gradients, every public kiqa function the
+    tracer wraps is still called on the calling thread only, so its one span
+    stack sees no span from the helper."""
     tracing = _load_tracing()
     threads = set()
 
@@ -166,7 +165,6 @@ def test_a_training_helper_calls_no_traced_function(monkeypatch):
 
     monkeypatch.setattr(encoder, "_linear_param_grads", product)
     monkeypatch.setattr(encoder, "_run_segments", half)
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     caller = threading.current_thread()
     result = training.run_injection(corpus, vocab, config, cfg, render_max_len=32, workers=2)
     assert len(result.history) > 2

@@ -503,6 +503,20 @@ def test_finetune_beats_uniform_floor():
     assert result.dropped == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_finetune_from_a_nan_weight_raises_non_finite_error(workers):
+    """A NaN span-head weight makes the first step's loss NaN, and
+    run_finetune raises from the loss head, on one thread and with a helper."""
+    spec, kb, vocab = _tiny_world()
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=64,
+                               dropout=0.0)
+    params = init_params(model_config, seed=0)
+    params.tensors["qa_ws"][0] = np.nan
+    config = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=1)
+    with pytest.raises(NonFiniteError, match="span loss is not finite"):
+        run_finetune(params, _tiny_qa_examples(spec, kb), vocab, config, workers=workers)
+
+
 # ------------------------------------------------------- persistent memory
 
 
@@ -663,10 +677,10 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
     tracemalloc, on every thread, so the memory a step adds at its peak
     counts any array it makes. On one thread that peak stays far below one
     (B * L, d_ff) FFN array, of which a step without a workspace makes
-    several per layer. With a helper, under a split gate of one token, the
-    raw peak also holds numpy's iterator buffers: every ufunc call that
-    broadcasts an operand takes one of min(n, 8192) elements, up to 64 kB,
-    and both batch halves may hold one at once. Those do not grow with the
+    several per layer. With a helper the raw peak also holds numpy's
+    iterator buffers: every ufunc call that broadcasts an operand takes one
+    of min(n, 8192) elements, up to 64 kB, and both batch halves may hold
+    one at once. Those do not grow with the
     batch, while a per-token array does: so at both thread counts, a later
     step at twice the batch width adds less than an eighth of an FFN array
     to the peak of one at the single width."""
@@ -680,7 +694,6 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
                                dropout=0.1)
     width = 25
     one_ffn = width * lengths.pop() * model_config.d_ff * 8
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     for workers in (1, 2):
         peaks = {}
         for batch_size in (width, 2 * width):
@@ -798,10 +811,12 @@ def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, monkeypat
     """Injection with dropout 0.1, then finetuning: with a helper thread
     (workers=2) every step record (loss, grad_norm, tokens, lr) and both
     checkpoints equal those of one thread, byte for byte, with and without
-    clipping. Under a split gate of one token every step of two or more
-    examples runs its per-example work as two batch halves: both losses, odd
-    batch sizes and a final one-example batch. That batch runs whole, and
-    its step hands the helper only the upper half of the AdamW update."""
+    clipping. Every step of two or more examples runs its per-example work
+    as two batch halves: both losses and odd batch sizes. A final
+    one-example batch runs whole and submits no batch half, but its step
+    still hands the helper the last layer's gathered-row tasks, a share of
+    the other parameter-gradient tasks, the tok_emb scatter and the upper
+    half of the AdamW update."""
     splits, halves = [], encoder._halves
     log, submit, step = [], Helper.submit, training.loss_and_grad
 
@@ -824,26 +839,27 @@ def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, monkeypat
     monkeypatch.setattr(training, "loss_and_grad", recording_step)
     one = _train_both_phases(1, max_grad_norm, tmp_path)
     assert not any(split for split, _ in splits)
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     splits.clear(), log.clear()
     two = _train_both_phases(2, max_grad_norm, tmp_path)
     for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
         assert len(history_1) > 2 and history_1 == history_2
         assert ckpt_1 == ckpt_2
-    assert set(splits) == {(True, 7), (True, 6), (True, 5), (False, 1)}
+    assert set(splits) == {(True, 7), (True, 6), (True, 5), (True, 1)}
     starts = [i for i, entry in enumerate(log) if isinstance(entry, tuple)] + [len(log)]
     whole = [log[i + 1 : j] for i, j in zip(starts, starts[1:]) if log[i] == ("step", 1)]
-    assert whole == [["returned", training._adamw_chunks]]
+    gathered_rows = [encoder._layer_norm_param_grads, encoder._linear_param_grads, encoder._linear_param_grads,
+                     encoder._layer_norm_param_grads, encoder._linear_param_grads]
+    assert whole == [[*gathered_rows, encoder._run_tasks, np.add.at, encoder._run_tasks, "returned",
+                      training._adamw_chunks]]
     norms = [rec["grad_norm"] for history, _ in one for rec in history]
     if max_grad_norm is not None:  # some steps are clipped, some not
         assert min(norms) <= max_grad_norm < max(norms)
 
 
 def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch):
-    """Under a split gate of one token, a weight-gradient product that
-    raises on the helper thread surfaces, as the same exception object, from
-    run_injection on the calling thread, and the helper has ended when it
-    does."""
+    """A weight-gradient product that raises on the helper thread surfaces,
+    as the same exception object, from run_injection on the calling thread,
+    and the helper has ended when it does."""
 
     class ProductFailed(Exception):
         pass
@@ -855,7 +871,6 @@ def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch
         threads.append(threading.current_thread())
         raise failure
 
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     monkeypatch.setattr(encoder, "_linear_param_grads", failing)
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
@@ -871,10 +886,9 @@ def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch
 @pytest.mark.parametrize("where", ["helper", "caller"])
 @pytest.mark.parametrize("segment", ["_attention", "_attention_backward"])  # a forward half, a backward half
 def test_a_failing_batch_half_raises_its_own_exception_from_the_run(monkeypatch, segment, where):
-    """Under a split gate of one token, a batch half that raises, on the
-    helper or on this thread, in the forward or in the backward, surfaces as
-    the same exception object from run_injection, and no thread is left
-    alive when it does."""
+    """A batch half that raises, on the helper or on this thread, in the
+    forward or in the backward, surfaces as the same exception object from
+    run_injection, and no thread is left alive when it does."""
 
     class HalfFailed(Exception):
         pass
@@ -896,7 +910,6 @@ def test_a_failing_batch_half_raises_its_own_exception_from_the_run(monkeypatch,
         fail_here()
         yield from original(*args)
 
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     monkeypatch.setattr(encoder, segment, failing_chain if segment == "_attention_backward" else failing)
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
@@ -910,9 +923,9 @@ def test_a_failing_batch_half_raises_its_own_exception_from_the_run(monkeypatch,
 
 
 def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
-    """With a helper, under a split gate of one token, both phases hand it
-    batch halves and a share of the weight-gradient products, yet every
-    Workspace.take comes from the thread that made the workspace."""
+    """With a helper, both phases hand it batch halves and a share of the
+    weight-gradient products, yet every Workspace.take comes from the
+    thread that made the workspace."""
     made, takers, handed = [], set(), set()
 
     class Recording(Workspace):
@@ -940,7 +953,6 @@ def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
     monkeypatch.setattr(training, "Workspace", Recording)
     monkeypatch.setattr(encoder, "_linear_param_grads", recording_product)
     monkeypatch.setattr(encoder, "_run_segments", recording_segments)
-    monkeypatch.setattr(encoder, "_SPLIT_TOKENS", 1)
     spec, kb, vocab = _tiny_world()
     corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
