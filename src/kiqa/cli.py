@@ -17,10 +17,9 @@ row.
 
 ``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
 most ``min(arms, cpus)`` at a time, so it runs on POSIX only; each arm
-trains on its share of the CPUs as threads and evaluates on it as
-processes. Rows are
-submitted in table order; each arm's output and the first failing arm's
-error come back in table order. A failing arm does not stop the others,
+trains on one thread and evaluates on its share of the CPUs as processes.
+Rows are submitted in table order; each arm's output and the first failing
+arm's error come back in table order. A failing arm does not stop the others,
 which may still write their artifacts.
 """
 
@@ -178,8 +177,8 @@ def load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     except ConfigError as exc:
         raise ConfigError(f"assembler.vocab_max_size: {exc}") from exc
     # n_triples' upper bound, the number of renderable triples, needs the KB: build_corpus checks it.
-    if config["assembler.n_triples"] < 0:
-        raise ConfigError(f"assembler.n_triples must be >= 0, got {config['assembler.n_triples']}")
+    if config["assembler.n_triples"] < 1:
+        raise ConfigError(f"assembler.n_triples must be >= 1, got {config['assembler.n_triples']}")
     if config["assembler.render_max_len"] < 5:
         raise ConfigError("assembler.render_max_len must be >= 5, the length of the shortest sample "
                           f"([CLS] head relation tail [SEP]), got {config['assembler.render_max_len']}")
@@ -357,14 +356,13 @@ def _save_phase(config: PipelineConfig, run_dir: Path, arm: Arm, phase: str, ckp
           f"{result.dropped} {dropped} -> {ckpt}")
 
 
-def _run_injection(config: PipelineConfig, run_dir: Path, arm: Arm, workers: int | None = None) -> None:
+def _run_injection(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
     corpus = assembler.load_corpus(_own_artifact(config, arm.path(run_dir, "corpus.jsonl")))
     vocab = _load_vocab(config, run_dir)
     result = training.run_injection(
         corpus, vocab, config.train_config("inject"),
         ModelConfig(vocab_size=len(vocab), **config.section("model")),
         render_max_len=config["assembler.render_max_len"],
-        workers=workers,
     )
     _save_phase(config, run_dir, arm, "inject", "ckpt-inject.bin", result, "overflowed")
 
@@ -374,11 +372,11 @@ def cmd_inject(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "inject", config, {"seed": config["inject.seed"]})
 
 
-def _run_finetune(config: PipelineConfig, run_dir: Path, arm: Arm, workers: int | None = None) -> None:
+def _run_finetune(config: PipelineConfig, run_dir: Path, arm: Arm) -> None:
     params = _load_own_checkpoint(config, arm.path(run_dir, "ckpt-inject.bin"))
     vocab = _load_vocab(config, run_dir)
     dataset = evaluation.load_qa_dataset(_own_artifact(config, run_dir / "data" / "qa" / "train.json"))
-    result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"), workers=workers)
+    result = training.run_finetune(params, dataset, vocab, config.train_config("finetune"))
     _save_phase(config, run_dir, arm, "finetune", "ckpt-final.bin", result, "dropped")
 
 
@@ -439,27 +437,26 @@ def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "evaluate", config)
 
 
-def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, threads: int) -> tuple[float, str, float]:
+def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, eval_processes: int) -> tuple[float, str, float]:
     """Assemble the arm's own corpus if it has one, then inject and finetune
-    on ``threads`` threads and evaluate on that many processes. Returns the cross-pair F1, the
-    arm's printed lines and its wall seconds."""
+    on this process's thread and evaluate on ``eval_processes`` processes.
+    Returns the cross-pair F1, the arm's printed lines and its wall seconds."""
     start = time.perf_counter()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if arm.kind_weights is not None:
             _assemble_into(config, run_dir, arm, _load_kb(config, run_dir))
-        _run_injection(config, run_dir, arm, threads)
-        _run_finetune(config, run_dir, arm, threads)
-        report = _evaluate_checkpoint(config, run_dir, arm, threads)
+        _run_injection(config, run_dir, arm)
+        _run_finetune(config, run_dir, arm)
+        report = _evaluate_checkpoint(config, run_dir, arm, eval_processes)
     return report.cross_pair_f1(), out.getvalue(), time.perf_counter() - start
 
 
 def _cpu_budget(arms: int, cpus: int) -> tuple[int, int]:
-    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the CPUs each
-    arm trains and evaluates on: ``min(arms, cpus)`` and
-    ``max(1, cpus // workers)``. An arm with 2 or more CPUs trains with a
-    helper thread and evaluates on that many processes, itself and children
-    it forks; with 1 it forks none."""
+    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the processes
+    each arm evaluates on: ``min(arms, cpus)`` and ``max(1, cpus // workers)``.
+    An arm evaluates in itself and the children it forks, none with 1; it
+    trains on its own thread whatever its share."""
     workers = min(arms, cpus)
     return workers, max(1, cpus // workers)
 
@@ -470,13 +467,12 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
 
     The rows go, in table order, to at most ``min(arms, cpus)`` forked
     workers, where cpus is ``evaluation.usable_cpus()``; one CPU still runs
-    them through the pool, one after the other. Each arm trains on
-    ``max(1, cpus // workers)`` threads and evaluates on that many processes
+    them through the pool, one after the other. Each arm trains on one
+    thread and evaluates on ``max(1, cpus // workers)`` processes
     (``_cpu_budget``), so the arms in flight share the process's CPUs: two
-    arms on 2 CPUs get one CPU each, and train and evaluate inline; on 4
-    CPUs two each, and train with a helper thread and evaluate in themselves
-    and one forked child. Each arm's manifest entry records that number as
-    its ``threads``.
+    arms on 2 CPUs evaluate inline; on 4 CPUs each evaluates in itself and
+    one forked child. Each arm's manifest entry records that number as its
+    ``eval_processes``.
     Each arm's output is printed, and the first failing arm's error raised,
     in table order, so stdout matches a serial run. A failing arm does not
     stop the others, which may still write their artifacts. A last line per
@@ -488,14 +484,15 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
 
     cmd_synth_gen(config, run_dir)
     cmd_assemble(config, run_dir)
-    workers, threads = _cpu_budget(len(_ARMS), evaluation.usable_cpus())
+    workers, eval_processes = _cpu_budget(len(_ARMS), evaluation.usable_cpus())
     arms = []
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_arm, config, run_dir, arm, threads) for arm in _ARMS]
+        futures = [pool.submit(_run_arm, config, run_dir, arm, eval_processes) for arm in _ARMS]
         for arm, future in zip(_ARMS, futures):
             f1, printed, wall_s = future.result()
             sys.stdout.write(printed)
-            arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s, "threads": threads})
+            arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s,
+                         "eval_processes": eval_processes})
 
     first = arms[0]
     for other in arms[1:]:

@@ -34,54 +34,24 @@ training run keeps one workspace; inference keeps one per process that
 runs batches, for one ``predict_spans`` call. Each array is written with
 ``out=`` in the plain expression's operation order, so its values are
 bitwise those of a fresh array, and a call after the first few maps no new
-memory. Keys
-name their layer only when the forward keeps a cache for a backward.
-
-Thread rule: a training run on two or more CPUs keeps one ``Helper``
-thread, which its workspace carries and every step of the run uses;
-inference has none. Only the thread that made a workspace calls ``take``; it
-hands the helper the arrays a task reads and writes. A step of two or more
-examples runs the embedding, every layer below the last (its forward and its
-whole input-gradient chain) and the last layer's Q/K/V, scores, softmax, PV
-and their backward as two batch halves (``_halves``), examples [0, B // 2) on
-the calling thread and [B // 2, B) on the helper, each writing its rows of
-whole arrays; a one-example step runs them whole on the calling thread. A
-stacked (B, ...) matmul is one BLAS call per example, so a half gets the
-bits of the whole batch. Batch reductions and gathered rows never split: the
-weight, bias and layer-norm gradients, the embedding scatters, the loss
-heads, the dropout draws (at whole shape, in layer order) and the last
-layer's ops at the rows its loss reads. A 2-D product changes bits when its
-rows are cut: in 207 of 600 random cuts with a piece under 4 rows, and for
-dy @ W.T in 134 of 597 with both pieces of 4 rows or more (2 CPUs, OpenBLAS,
-1 thread). Each gradient tensor gets its additions on one thread, in the
-one-thread order: the helper forms the last layer's gathered-row gradients,
-the MLM head's product and the ``tok_emb`` scatter while the calling thread
-forms the input gradients, and after each layer's input-gradient chain both
-threads take that layer's tasks from one deque. The helper also forms the
-upper half of each AdamW update (``training.adamw_step``). Every value is
-bitwise that of one thread. The calling thread waits for the helper after
-each pair of halves, before a layer below rewrites a buffer a task reads,
-and before ``loss_and_grad`` returns; a task's exception is raised on the
-calling thread.
+memory. Keys name their layer only when the forward keeps a cache for a
+backward. A training step runs on the thread that calls it, one layer after
+another; evaluation runs batches in parallel in forked processes
+(``evaluation.predict_spans``), each with its own workspace.
 
 GELU kernel rule: Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) is bitwise that of
 ``scipy.special.erf``. Where |x / sqrt 2| <= 1, erf is Cephes' rational,
 which scipy evaluates there, written as whole-array numpy passes in its
 operation order; only the elements beyond go to scipy. On fresh data it
 takes about 0.4 of scipy's time: 95 against 225 us on 120 x 256 inputs
-(2 CPUs, 1 BLAS thread). GELU runs on the thread that runs its segment:
-splitting its rows with the helper lost below about 180 rows and won no
-training step.
+(2 CPUs, 1 BLAS thread).
 """
 
 from __future__ import annotations
 
-import collections
 import json
 import math
-import queue
 import sys
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -205,53 +175,6 @@ def init_params(config: ModelConfig, seed: int) -> EncoderParams:
     return params
 
 
-class Helper:
-    """One thread beside the calling thread, for one training run. ``submit``
-    queues a task, ``wait`` returns once every task queued before it has run
-    and raises the first exception any of them raised; the tasks after a
-    failed one, up to that ``wait``, are skipped. A task reads and writes only
-    the arrays it is handed, takes nothing from a ``Workspace`` and calls no
-    public kiqa function. Use it as a context manager: the thread ends,
-    after the tasks already queued, however the block is left."""
-
-    _FENCE = object()
-
-    def __init__(self):
-        self._tasks = queue.SimpleQueue()
-        self._done = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name="kiqa-helper", daemon=True)
-
-    def __enter__(self) -> "Helper":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._tasks.put(None)
-        self._thread.join()
-
-    def submit(self, fn, *args) -> None:
-        self._tasks.put((fn, args))
-
-    def wait(self) -> None:
-        self._tasks.put(self._FENCE)
-        error = self._done.get()
-        if error is not None:
-            raise error
-
-    def _run(self) -> None:
-        error = None
-        while (task := self._tasks.get()) is not None:
-            if task is self._FENCE:
-                self._done.put(error)
-                error = None
-            elif error is None:
-                fn, args = task
-                try:
-                    fn(*args)
-                except BaseException as exc:  # raised on the calling thread by its next wait
-                    error = exc
-
-
 class Workspace:
     """The encoder's one allocator: arrays reused from call to call, by key.
     One per training run, one per inference process and ``predict_spans``
@@ -265,18 +188,14 @@ class Workspace:
     layer only when it keeps a cache for the backward; without one the layers
     share keys, as a layer reads the layer below's output (in Q/K/V and the
     first residual) before it writes its own. The backward's keys (``b.``)
-    serve every layer, but for the input gradient a layer forms, whose key
-    alternates between adjacent layers: a layer reads the gradient it gets
-    from the layer above before it writes any of them, and with a helper
-    the calling thread waits for it before rewriting a key one of its tasks
-    reads (see ``_backward_to_params``).
+    serve every layer, and a key serves several arrays in turn where each is
+    read for the last time before the next is written: a layer reads the
+    gradient it gets from the layer above before it writes its own input
+    gradient over it (``b.dh``), and each weight gradient's product is added
+    into its tensor as soon as it is formed (``b.gw``)."""
 
-    A training run's workspace carries that run's ``Helper``, if it has one;
-    the thread rule in the module docstring says who takes and who writes."""
-
-    def __init__(self, helper: Helper | None = None):
+    def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self.helper = helper
 
     def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         n = math.prod(shape)
@@ -284,76 +203,6 @@ class Workspace:
         if buf is None or buf.size < n:
             buf = self._buffers[key] = np.empty(n, dtype)
         return buf[:n].reshape(shape)
-
-
-def _hand_off(helper, fn, *args):
-    """fn(*args) on the run's helper, or here when it has none."""
-    if helper is None:
-        fn(*args)
-    else:
-        helper.submit(fn, *args)
-
-
-def _join(helper):
-    """Wait until the run's helper, if any, has run every task handed to it."""
-    if helper is not None:
-        helper.wait()
-
-
-def _halves(helper, B, fn, *args, meanwhile=None):
-    """fn(s, *args) over examples s of a batch of B, where fn reads and
-    writes only examples s of its batch-sized arrays. Without a helper, or
-    for one example, it runs once here over all B examples; otherwise over
-    [B // 2, B) on the helper and [0, B // 2) here, and both halves are done
-    on return. ``meanwhile()``, if given, runs here as well, on arrays fn
-    does not touch: after fn, or while the helper starts its half. Returns
-    this thread's fn result."""
-    if helper is None or B < 2:
-        out = fn(slice(0, B), *args)
-        if meanwhile is not None:
-            meanwhile()
-        return out
-    half = B // 2
-    helper.submit(fn, slice(half, B), *args)
-    try:
-        if meanwhile is not None:
-            meanwhile()
-        return fn(slice(0, half), *args)
-    finally:
-        helper.wait()
-
-
-def _run_segments(s, segments):
-    for fn, *args in segments:
-        fn(s, *args)
-
-
-def _collect(s, chain, *args):
-    """The parameter-gradient tasks (fn, *args) that the input-gradient
-    chain chain(s, *args) yields, once it has run at examples s. A task
-    reads whole arrays, so it needs both halves' rows: it runs after the
-    join, and each half yields the same tasks."""
-    return list(chain(s, *args))
-
-
-def _share(helper, tasks):
-    """Runs tasks (fn, *args) on this thread and the run's helper, if any:
-    each thread pops the next task from one deque, whose pops are
-    thread-safe, until none is left. Each task writes tensors no other task
-    writes, so which thread runs it changes no value. The caller joins."""
-    tasks = collections.deque(tasks)
-    if helper is not None:
-        helper.submit(_run_tasks, tasks)
-    _run_tasks(tasks)
-
-
-def _run_tasks(tasks):
-    while tasks:
-        try:
-            fn, *args = tasks.popleft()
-        except IndexError:  # the other thread took the last one
-            return
-        fn(*args)
 
 
 # ---------------------------------------------------------------- primitives
@@ -416,8 +265,9 @@ def _linear_backward(dy, w, out):
     return np.matmul(dy, w.T, out=out)
 
 
-def _linear_param_grads(x, dy, gw, grad_w, grad_b):
-    """Adds x.T @ dy, formed in gw, to grad_w and dy's row sum to grad_b."""
+def _linear_param_grads(x, dy, ws, grad_w, grad_b):
+    """Adds x.T @ dy, formed in ws's ``b.gw``, to grad_w and dy's row sum to grad_b."""
+    gw = ws.take("b.gw", grad_w.shape)
     grad_w += np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=gw)
     grad_b += dy.sum(axis=tuple(range(dy.ndim - 1)))
 
@@ -527,12 +377,11 @@ def _dropout(x, keep, p):
     x *= keep
 
 
-def _dropout_backward(dy, keep, out, s):
-    """dy * keep at rows s, in out; without a mask, dy. Returns the whole array."""
+def _dropout_backward(dy, keep, ws):
+    """dy * keep, in ws's ``b.drop``; without a mask, dy."""
     if keep is None:
         return dy
-    np.multiply(dy[s], keep[s], out=out[s])
-    return out
+    return np.multiply(dy, keep, out=ws.take("b.drop", dy.shape))
 
 
 def _split_heads(x, n_heads):
@@ -595,49 +444,33 @@ def _post_attention_arrays(ws, k, rows, d, ff):
     return a
 
 
-def _embed(s, t, ids, segs, keep, p_drop, x, seg_rows):
-    """Token + position + segment embeddings of examples s, with dropout, in x."""
-    xs = np.take(t["tok_emb"], ids[s], axis=0, out=x[s], mode="clip")
-    xs += t["pos_emb"][: ids.shape[1]][None, :, :]
-    xs += np.take(t["seg_emb"], segs[s], axis=0, out=seg_rows[s], mode="clip")
-    if keep is not None:
-        _dropout(xs, keep[s], p_drop)
-
-
-def _attention(s, t, p, h, key_bias, scale, a):
-    """Layer p's Q/K/V, scores, softmax and PV of examples s, into a's arrays."""
+def _attention(t, p, h, key_bias, scale, a):
+    """Layer p's Q/K/V, scores, softmax and PV, into a's arrays."""
     for n in "qkv":
-        _affine(h[s], t[p + "w" + n], t[p + "b" + n], a[n][s])
-    qh, kh, vh = a["qh"][s], a["kh"][s], a["vh"][s]
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=a["probs"][s])
+        _affine(h, t[p + "w" + n], t[p + "b" + n], a[n])
+    scores = np.matmul(a["qh"], a["kh"].transpose(0, 1, 3, 2), out=a["probs"])
     scores *= scale
-    scores += key_bias[s]
+    scores += key_bias
     probs = _softmax_last(scores)
-    _merge_heads(np.matmul(probs, vh, out=a["pv"][s]), a["ctx"][s])
+    _merge_heads(np.matmul(probs, a["vh"], out=a["pv"]), a["ctx"])
 
 
-def _post_attention(s, t, p, ctx, h, keep_a, keep_f, p_drop, a):
-    """Layer p after its attention, at rows s of ctx, h and a's arrays: output
-    projection, dropout, residual, LN1, FFN with GELU, dropout, residual and
-    LN2, each within one row."""
-    r1 = _affine(ctx[s], t[p + "wo"], t[p + "bo"], a["o"][s])
+def _post_attention(t, p, ctx, h, keep_a, keep_f, p_drop, a):
+    """Layer p after its attention, at the rows of ctx, h and a's arrays:
+    output projection, dropout, residual, LN1, FFN with GELU, dropout,
+    residual and LN2, each within one row."""
+    r1 = _affine(ctx, t[p + "wo"], t[p + "bo"], a["o"])
     if keep_a is not None:
-        _dropout(r1, keep_a[s], p_drop)
-    r1 += h[s]
-    n1 = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], a["ln1.xhat"][s], a["ln1.inv"][s], a["ln1.out"][s])
-    f1 = _affine(n1, t[p + "w1"], t[p + "b1"], a["1"][s])
-    g1, _ = _gelu(f1, a["gelu.phi"][s], a["gelu.y"][s], a["gelu.tmp"][s], a["gelu.mask"][s])
-    r2 = _affine(g1, t[p + "w2"], t[p + "b2"], a["2"][s])
+        _dropout(r1, keep_a, p_drop)
+    r1 += h
+    n1 = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], a["ln1.xhat"], a["ln1.inv"], a["ln1.out"])
+    f1 = _affine(n1, t[p + "w1"], t[p + "b1"], a["1"])
+    g1, _ = _gelu(f1, a["gelu.phi"], a["gelu.y"], a["gelu.tmp"], a["gelu.mask"])
+    r2 = _affine(g1, t[p + "w2"], t[p + "b2"], a["2"])
     if keep_f is not None:
-        _dropout(r2, keep_f[s], p_drop)
+        _dropout(r2, keep_f, p_drop)
     r2 += n1
-    _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], a["ln2.xhat"][s], a["ln2.inv"][s], a["ln2.out"][s])
-
-
-def _layer(s, t, p, h, key_bias, scale, a, keep_a, keep_f, p_drop, post):
-    """The whole of layer p at examples s."""
-    _attention(s, t, p, h, key_bias, scale, a)
-    _post_attention(s, t, p, a["ctx"], h, keep_a, keep_f, p_drop, post)
+    _layer_norm(r2, t[p + "ln2_g"], t[p + "ln2_b"], a["ln2.xhat"], a["ln2.inv"], a["ln2.out"])
 
 
 def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropout_rng=None, positions=None, *,
@@ -653,12 +486,11 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     LN1, FFN+GELU, LN2) at the given rows only: each of those ops works
     within one row, so a row gets the same value as in the whole-layer
     formula. Dropout draws each mask at the whole (B, L, d) shape and
-    gathers the rows, so the RNG stream is that of a whole-layer forward.
+    gathers the rows, so the RNG stream is that of a whole-layer forward:
+    the embedding's mask, then each layer's two, in layer order.
     Every batch-sized array, the returned ones included, is taken from
     ``workspace`` (see ``Workspace`` for its keys) and lives there until the
-    workspace's next call. The per-example segments run through ``_halves``
-    with the workspace's helper (see the thread rule in the module
-    docstring).
+    workspace's next call.
 
     The batch runs whole, with a (B, heads, L, L) score tensor per layer:
     the caller sizes it, as ``evaluation.predict_spans`` does by a token
@@ -674,192 +506,121 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     # Flat (B * L) row of each read position; the ids and positions are range-checked, so "clip" clips nothing.
     at_rows = None if positions is None else positions[0] * L + positions[1]
 
-    def key(i):
-        return "l." if positions is None else f"l{i}."  # no cache: every layer takes one layer's keys
-
-    def draw(i):
-        """Appends layer i's dropout draws to ``drops``; the last layer's at the read rows."""
-        at = at_rows if i == cfg.n_layers - 1 else None
-        drops.append([_dropout_draw(cfg.dropout, dropout_rng, shape, ws, key(i) + n, at) for n in ("drop_a", "drop_f")])
-
-    x = ws.take("emb", shape)
     drop0 = _dropout_draw(cfg.dropout, dropout_rng, shape, ws, "drop0")
-    drops = []
-    draw(0)
+    h = np.take(t["tok_emb"], ids, axis=0, out=ws.take("emb", shape), mode="clip")
+    h += t["pos_emb"][:L][None, :, :]
+    h += np.take(t["seg_emb"], segs, axis=0, out=ws.take("emb.seg", shape), mode="clip")
+    if drop0 is not None:
+        _dropout(h, drop0, cfg.dropout)
     key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,L)
-    segments = [(_embed, t, ids, segs, drop0, cfg.dropout, x, ws.take("emb.seg", shape))]  # runs with layer 0
     layers = []
-    h = x
     for i in range(cfg.n_layers):
-        p, k = f"l{i}.", key(i)
+        p = f"l{i}."
+        k = "l." if positions is None else p  # no cache: every layer takes one layer's keys
         at = at_rows if i == cfg.n_layers - 1 else None
+        drop_a, drop_f = [_dropout_draw(cfg.dropout, dropout_rng, shape, ws, k + n, at) for n in ("drop_a", "drop_f")]
         a = _attention_arrays(ws, k, shape, nh)
-        drop_a, drop_f = drops[i]
-        # The draws stay in layer order; the next layer's run while the helper starts this layer's half.
-        later = None if i == cfg.n_layers - 1 else (lambda: draw(i + 1))
-        if at is None:
-            post = _post_attention_arrays(ws, k, (B, L), cfg.d_model, cfg.d_ff)
-            segments.append((_layer, t, p, h, key_bias, scale, a, drop_a, drop_f, cfg.dropout, post))
-            _halves(ws.helper, B, _run_segments, segments, meanwhile=later)
-            ctx = a["ctx"]
-        else:
-            segments.append((_attention, t, p, h, key_bias, scale, a))
-            _halves(ws.helper, B, _run_segments, segments, meanwhile=later)
-            ctx = _gather(a["ctx"], at, ws, k + "ctx.at")
-            post = _post_attention_arrays(ws, k, (len(at),), cfg.d_model, cfg.d_ff)
-            _post_attention(slice(None), t, p, ctx, _gather(h, at, ws, k + "h.at"), drop_a, drop_f, cfg.dropout, post)
+        _attention(t, p, h, key_bias, scale, a)
+        h_in, ctx = h, a["ctx"]
+        if at is not None:
+            h, ctx = _gather(h, at, ws, k + "h.at"), _gather(ctx, at, ws, k + "ctx.at")
+        post = _post_attention_arrays(ws, k, ctx.shape[:-1], cfg.d_model, cfg.d_ff)
+        _post_attention(t, p, ctx, h, drop_a, drop_f, cfg.dropout, post)
         if positions is not None:
-            layers.append({"h_in": h, "qh": a["qh"], "kh": a["kh"], "vh": a["vh"], "probs": a["probs"], "ctx": ctx,
+            layers.append({"h_in": h_in, "qh": a["qh"], "kh": a["kh"], "vh": a["vh"], "probs": a["probs"], "ctx": ctx,
                            "drop_a": drop_a, "ln1": (post["ln1.xhat"], post["ln1.inv"]), "n1": post["ln1.out"],
                            "f1": post["1"], "phi": post["gelu.phi"], "g1": post["gelu.y"], "drop_f": drop_f,
                            "ln2": (post["ln2.xhat"], post["ln2.inv"])})
         h = post["ln2.out"]
-        segments = []
 
     if positions is None:
         return h
     return h, {"ids": ids, "segs": segs, "drop0": drop0, "layers": layers, "scale": scale, "at_rows": at_rows}
 
 
-def _post_attention_grads(ws, rows, d, ff, c):
-    """The backward's arrays for a layer's ops after the attention, at
-    ``rows`` leading dims: ``b.`` keys that every layer shares."""
-    widths = {"ln2.gtmp": d, "ln2.dx": d, "ln2.tmp": d, "dx2": ff, "gelu": ff, "dx1": d, "ln1.gtmp": d, "ln1.dx": d,
-              "ln1.tmp": d, "dxo": d}
-    b = {name: ws.take("b." + name, rows + (n,)) for name, n in widths.items()}
-    for name in ("drop_f", "drop_a"):
-        b[name] = None if c[name] is None else ws.take("b." + name, rows + (d,))
-    for n, shape in (("2", (ff, d)), ("1", (d, ff)), ("o", (d, d))):
-        b["gw" + n] = ws.take("b.gw" + n, shape)
-    return b
-
-
-def _attention_grads(ws, shape, nh, parity, scatter):
-    """The backward's arrays for a layer's attention and Q/K/V. The input
-    gradient goes to ``b.dh<parity>``: a layer's LN2 task reads the gradient
-    the layer above formed, so adjacent layers take different keys."""
-    B, L, d = shape
-    heads = (B, nh, L, d // nh)
-    sizes = {"dscores": (B, nh, L, L), "dprobs": (B, nh, L, L), "dqh": heads, "dkh": heads, "dvh": heads,
-             "mergedq": shape, "mergedk": shape, "mergedv": shape, "dxk": shape, "dxv": shape}
-    b = {name: ws.take("b." + name, size) for name, size in sizes.items()}
-    b["dh"] = ws.take(f"b.dh{parity}", shape)
-    b["scatter"] = ws.take("b.scatter", shape) if scatter else None
-    for n in "qkv":
-        b["gw" + n] = ws.take("b.gw" + n, (d, d))
-    return b
-
-
-def _post_attention_backward(s, t, grads, p, c, dy, b):
-    """Layer p's input-gradient chain from dy, the gradient of its output, to
-    ``b["dxo"]``, that of its attention output, and ``b["ln1.dx"]``, that of
-    its first residual, at rows s; yields its parameter-gradient tasks."""
+def _post_attention_backward(ws, t, grads, p, c, dy):
+    """Layer p's backward after its attention, from dy, the gradient of its
+    output, at dy's rows: adds the layer's parameter gradients into grads and
+    returns the gradients of its attention output and of its first residual."""
+    tmp = ws.take("b.ln.tmp", dy.shape)
     xhat, inv = c["ln2"]
-    yield _layer_norm_param_grads, dy, xhat, b["ln2.gtmp"], grads[p + "ln2_g"], grads[p + "ln2_b"]
-    dr2 = b["ln2.dx"]
-    _layer_norm_backward(dy[s], t[p + "ln2_g"], xhat[s], inv[s], dr2[s], b["ln2.tmp"][s])
-    ddrop_f = _dropout_backward(dr2, c["drop_f"], b["drop_f"], s)
-    yield _linear_param_grads, c["g1"], ddrop_f, b["gw2"], grads[p + "w2"], grads[p + "b2"]
-    df1 = b["gelu"]
-    _gelu_grad(_linear_backward(ddrop_f[s], t[p + "w2"], b["dx2"][s]), c["f1"][s], c["phi"][s], df1[s])
-    yield _linear_param_grads, c["n1"], df1, b["gw1"], grads[p + "w1"], grads[p + "b1"]
-    dn1 = b["dx1"]
-    _linear_backward(df1[s], t[p + "w1"], dn1[s])
-    dn1[s] += dr2[s]
+    _layer_norm_param_grads(dy, xhat, tmp, grads[p + "ln2_g"], grads[p + "ln2_b"])
+    dr2 = _layer_norm_backward(dy, t[p + "ln2_g"], xhat, inv, ws.take("b.ln2.dx", dy.shape), tmp)
+    ddrop_f = _dropout_backward(dr2, c["drop_f"], ws)
+    _linear_param_grads(c["g1"], ddrop_f, ws, grads[p + "w2"], grads[p + "b2"])
+    dx2 = _linear_backward(ddrop_f, t[p + "w2"], ws.take("b.dx2", c["f1"].shape))
+    df1 = _gelu_grad(dx2, c["f1"], c["phi"], ws.take("b.gelu", c["f1"].shape))
+    _linear_param_grads(c["n1"], df1, ws, grads[p + "w1"], grads[p + "b1"])
+    dn1 = _linear_backward(df1, t[p + "w1"], ws.take("b.dx1", dy.shape))
+    dn1 += dr2
     xhat, inv = c["ln1"]
-    yield _layer_norm_param_grads, dn1, xhat, b["ln1.gtmp"], grads[p + "ln1_g"], grads[p + "ln1_b"]
-    dr1 = b["ln1.dx"]
-    _layer_norm_backward(dn1[s], t[p + "ln1_g"], xhat[s], inv[s], dr1[s], b["ln1.tmp"][s])
-    dao = _dropout_backward(dr1, c["drop_a"], b["drop_a"], s)
-    yield _linear_param_grads, c["ctx"], dao, b["gwo"], grads[p + "wo"], grads[p + "bo"]
-    _linear_backward(dao[s], t[p + "wo"], b["dxo"][s])
+    _layer_norm_param_grads(dn1, xhat, tmp, grads[p + "ln1_g"], grads[p + "ln1_b"])
+    dr1 = _layer_norm_backward(dn1, t[p + "ln1_g"], xhat, inv, ws.take("b.ln1.dx", dy.shape), tmp)
+    dao = _dropout_backward(dr1, c["drop_a"], ws)
+    _linear_param_grads(c["ctx"], dao, ws, grads[p + "wo"], grads[p + "bo"])
+    return _linear_backward(dao, t[p + "wo"], ws.take("b.dxo", dy.shape)), dr1
 
 
-def _attention_backward(s, t, grads, p, c, dctx, dr1, nh, scale, b):
-    """Layer p's input-gradient chain from dctx, the gradient of its
-    attention output, to ``b["dh"]``, that of its input, at examples s, adding
-    dr1, the first residual's, unless it is None; yields the Q/K/V tasks."""
-    dctx = _split_heads(dctx[s], nh)
-    probs = c["probs"][s]
+def _attention_backward(ws, t, grads, p, c, dctx, dr1, nh, scale):
+    """Layer p's backward from dctx, the gradient of its attention output:
+    adds the Q/K/V gradients into grads and returns the gradient of the
+    layer's input, in ``b.dh``: ((dxq + dxk) + dxv) + dr1, summed in that
+    order, with dr1, the first residual's, left out when it is None."""
+    shape = dctx.shape
+    probs = c["probs"]
+    dctx = _split_heads(dctx, nh)
     # dprobs, until turned into dscores in place
-    dscores = np.matmul(dctx, c["vh"][s].transpose(0, 1, 3, 2), out=b["dscores"][s])
-    dscores -= np.multiply(dscores, probs, out=b["dprobs"][s]).sum(-1, keepdims=True)
+    dscores = np.matmul(dctx, c["vh"].transpose(0, 1, 3, 2), out=ws.take("b.dscores", probs.shape))
+    dscores -= np.multiply(dscores, probs, out=ws.take("b.dprobs", probs.shape)).sum(-1, keepdims=True)
     dscores *= probs
-    dqh = np.matmul(dscores, c["kh"][s], out=b["dqh"][s])
-    dqh *= scale
-    dkh = np.matmul(dscores.transpose(0, 1, 3, 2), c["qh"][s], out=b["dkh"][s])
-    dkh *= scale
-    dvh = np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=b["dvh"][s])
-    for n, dhead, dx in zip("qkv", (dqh, dkh, dvh), (b["dh"], b["dxk"], b["dxv"])):
-        _merge_heads(dhead, b["merged" + n][s])
-        yield _linear_param_grads, c["h_in"], b["merged" + n], b["gw" + n], grads[p + "w" + n], grads[p + "b" + n]
-        _linear_backward(b["merged" + n][s], t[p + "w" + n], dx[s])
-    dh = b["dh"][s]
-    dh += b["dxk"][s]  # ((dxq + dxk) + dxv) + dr1, summed in that order
-    dh += b["dxv"][s]
+    dhead, merged = ws.take("b.dhead", dctx.shape), ws.take("b.merged", shape)
+    dh, dx = ws.take("b.dh", shape), ws.take("b.dx", shape)
+    for n, x, y in (("q", dscores, c["kh"]), ("k", dscores.transpose(0, 1, 3, 2), c["qh"]),
+                    ("v", probs.transpose(0, 1, 3, 2), dctx)):
+        np.matmul(x, y, out=dhead)
+        if n != "v":
+            dhead *= scale
+        _merge_heads(dhead, merged)
+        _linear_param_grads(c["h_in"], merged, ws, grads[p + "w" + n], grads[p + "b" + n])
+        if n == "q":
+            _linear_backward(merged, t[p + "wq"], dh)
+        else:
+            dh += _linear_backward(merged, t[p + "w" + n], dx)
     if dr1 is not None:
-        dh += dr1[s]
-
-
-def _layer_backward(s, t, grads, p, c, dy, nh, scale, b):
-    """The whole of layer p's input-gradient chain at examples s."""
-    yield from _post_attention_backward(s, t, grads, p, c, dy, b)
-    yield from _attention_backward(s, t, grads, p, c, b["dxo"], b["ln1.dx"], nh, scale, b)
+        dh += dr1
+    return dh
 
 
 def _backward_to_params(params: EncoderParams, cache, dh, grads, ws):
     """Backprop dh, the gradient wrt the last layer's output at the cache's
     positions, through the stack into grads. The last layer's row gradients
     are scattered, with add, into whole (B, L, d) tensors before its
-    attention backward; the layers below run at every position.
-
-    Each layer's per-example input-gradient chain runs through ``_halves``
-    and returns the weight, bias and layer-norm gradient tasks it yields
-    (``_collect``). They run after it, each over the whole batch, shared
-    with the workspace's helper (``_share``): a task cut at examples would
-    change a sum's bits. The last layer's gathered-row tasks and the
-    ``tok_emb`` scatter are handed off as they form (``_hand_off``). Which
-    thread runs what, and when this thread waits, is the thread rule in the
-    module docstring."""
+    attention backward; the layers below run at every position. Each
+    parameter gradient is added as soon as it is formed; ``tok_emb`` gets
+    the MLM head's product (in ``loss_and_grad``) before its scatter here."""
     t = params.tensors
     cfg = params.config
-    nh, d = cfg.n_heads, cfg.d_model
+    d = cfg.d_model
     shape = cache["ids"].shape + (d,)
-    B = shape[0]
-    helper = ws.helper
     at = cache["at_rows"]
     for i in reversed(range(cfg.n_layers)):
-        p = f"l{i}."
-        c = cache["layers"][i]
-        b = _attention_grads(ws, shape, nh, i % 2, scatter=at is not None)
+        p, c = f"l{i}.", cache["layers"][i]
+        dctx, dr1 = _post_attention_backward(ws, t, grads, p, c, dh)
         if at is None:
-            b.update(_post_attention_grads(ws, shape[:2], d, cfg.d_ff, c))
-            tasks = _halves(helper, B, _collect, _layer_backward, t, grads, p, c, dh, nh, cache["scale"], b)
+            dh = _attention_backward(ws, t, grads, p, c, dctx, dr1, cfg.n_heads, cache["scale"])
         else:
-            rows = _post_attention_grads(ws, (len(at),), d, cfg.d_ff, c)
-            for task in _post_attention_backward(slice(None), t, grads, p, c, dh, rows):
-                _hand_off(helper, *task)
-            b["scatter"].fill(0.0)
-            np.add.at(b["scatter"].reshape(-1, d), at, rows["dxo"])
-            tasks = _halves(helper, B, _collect, _attention_backward, t, grads, p, c, b["scatter"], None, nh,
-                            cache["scale"], b)
-        dh = b["dh"]
-        if at is not None:
-            np.add.at(dh.reshape(-1, d), at, rows["ln1.dx"])
+            scatter = ws.take("b.scatter", shape)
+            scatter.fill(0.0)
+            np.add.at(scatter.reshape(-1, d), at, dctx)
+            dh = _attention_backward(ws, t, grads, p, c, scatter, None, cfg.n_heads, cache["scale"])
+            np.add.at(dh.reshape(-1, d), at, dr1)
             at = None  # the layers below ran at every position
-        if i > 0:
-            _share(helper, tasks)
-            _join(helper)  # before the layer below writes the b. keys this layer's tasks read
 
     if cache["drop0"] is not None:
-        dh = np.multiply(dh, cache["drop0"], out=ws.take("b.drop0", shape))
-    _hand_off(helper, np.add.at, grads["tok_emb"], cache["ids"], dh)  # after the MLM head's product, on one thread
-    _share(helper, [(_pos_grads, grads["pos_emb"], dh), (_seg_grads, grads["seg_emb"], cache["segs"], dh), *tasks])
-    _join(helper)
-
-
-def _pos_grads(grad, dh):
-    grad[: dh.shape[1]] += dh.sum(0)
+        dh *= cache["drop0"]
+    np.add.at(grads["tok_emb"], cache["ids"], dh)
+    grads["pos_emb"][: dh.shape[1]] += dh.sum(0)
+    _seg_grads(grads["seg_emb"], cache["segs"], dh)
 
 
 def _seg_grads(grad, segs, dh):
@@ -879,12 +640,6 @@ def mlm_logits(params: EncoderParams, sel, ws):
     logits = np.matmul(sel, tok_emb.T, out=ws.take("mlm.logits", (len(sel), len(tok_emb))))
     logits += params.tensors["mlm_bias"]
     return logits
-
-
-def _mlm_param_grads(dlogits, sel, gw, grad_bias, grad_emb):
-    """Adds the MLM head's bias grad and its tied-embedding product, formed in gw."""
-    grad_bias += dlogits.sum(0)
-    grad_emb += np.matmul(dlogits.T, sel, out=gw)
 
 
 def qa_logits(params: EncoderParams, hidden):
@@ -986,8 +741,8 @@ def loss_and_grad(params: EncoderParams, batch, loss: str, dropout_rng=None, *, 
         nll, dlogits = cross_entropy(mlm_logits(params, sel, ws), targets, ws, "ce")
         value = nll.mean()
         dlogits /= M
-        _hand_off(ws.helper, _mlm_param_grads, dlogits, sel, ws.take("mlm.gw", t["tok_emb"].shape),
-                  grads["mlm_bias"], grads["tok_emb"])
+        grads["mlm_bias"] += dlogits.sum(0)
+        grads["tok_emb"] += np.matmul(dlogits.T, sel, out=ws.take("b.gw", t["tok_emb"].shape))
         dsel = np.matmul(dlogits, t["tok_emb"], out=ws.take("mlm.dsel", sel.shape))
     else:
         start_logits, end_logits = logits = ws.take("qa.logits", (2,) + valid.shape)

@@ -22,18 +22,12 @@ the gradient buffer, optional clipping scales that buffer in place, and
 ``adamw_step`` is one chunked pass over the flat buffers. Every forward
 takes a workspace: one per training run, one per inference process and
 ``evaluation.predict_spans`` call. Its keys name a layer only when the
-forward keeps a cache for a backward, as a training step's does.
-
-With ``workers`` (default ``evaluation.usable_cpus()``) of 2 or more,
-``_train_loop`` keeps one ``encoder.Helper`` thread for the run, never more,
-and stops it before it returns or raises; the workspace and the AdamW state
-carry it. What it runs is the thread rule in the ``encoder`` module
-docstring. Every result is bitwise that of one thread.
+forward keeps a cache for a backward, as a training step's does. A run
+trains on the thread that calls it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -44,7 +38,6 @@ import numpy as np
 from .assembler import MaskedSample
 from .encoder import (
     EncoderParams,
-    Helper,
     MLMBatch,
     ModelConfig,
     QABatch,
@@ -55,7 +48,6 @@ from .encoder import (
     param_views,
 )
 from .errors import ConfigError, NonFiniteError, RenderOverflowError
-from .evaluation import usable_cpus
 from .textmodel import QAInput, TokenizedSample, Vocab, pack_qa, pad_batch, render
 
 PHASES = ("inject", "finetune")
@@ -111,25 +103,20 @@ _ADAM_CHUNK = 1 << 14
 @dataclass
 class AdamWState:
     """The step count and both moments, each moment one buffer laid out as
-    ``EncoderParams.flat``; the scratch an update reuses: two chunk-sized rows
-    per thread that updates, and one finiteness flag per parameter; and the
-    run's ``Helper``, if it has one (see the thread rule in ``encoder``)."""
+    ``EncoderParams.flat``; the scratch an update reuses: two chunk-sized
+    rows, and one finiteness flag per parameter."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray
     finite: np.ndarray
-    helper: Helper | None = None
 
     @classmethod
-    def zeros_like(cls, params: EncoderParams, helper: Helper | None = None) -> "AdamWState":
+    def zeros_like(cls, params: EncoderParams) -> "AdamWState":
         n = params.flat.size
-        threads = 1 if helper is None else 2
-        return cls(
-            step=0, m=np.zeros(n), v=np.zeros(n),
-            scratch=np.empty((threads, 2, min(n, _ADAM_CHUNK))), finite=np.empty(n, dtype=bool), helper=helper,
-        )
+        return cls(step=0, m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, min(n, _ADAM_CHUNK))),
+                   finite=np.empty(n, dtype=bool))
 
 
 def adamw_step(
@@ -145,11 +132,9 @@ def adamw_step(
     ``p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)``, with every
     term formed in the state's scratch, one chunk of the buffers at a time;
     ``grad`` is only read. Elementwise, so the result is bitwise that of the
-    same formula per tensor, and the state's helper, if any, updates the upper
-    half of the buffers, in its own scratch rows, while this thread updates
-    the lower half. One ``isfinite`` over ``grad`` runs before anything is
-    written: a non-finite gradient raises NonFiniteError, naming its tensor,
-    with the parameters and the state unchanged.
+    same formula per tensor. One ``isfinite`` over ``grad`` runs before
+    anything is written: a non-finite gradient raises NonFiniteError, naming
+    its tensor, with the parameters and the state unchanged.
     """
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient buffer shape {grad.shape} does not match the parameters' {params.flat.shape}")
@@ -158,26 +143,12 @@ def adamw_step(
         name = next(name for name, _, start, stop in param_layout(params.config) if start <= bad < stop)
         raise NonFiniteError(f"non-finite gradient for {name!r}")
     state.step += 1
-    t = state.step
-    coef = (lr, weight_decay, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t)
-    buffers = (params.flat, grad, state.m, state.v)
-    if state.helper is None:
-        _adamw_chunks(*buffers, state.scratch[0], *coef)
-        return
-    mid = grad.size // 2
-    state.helper.submit(_adamw_chunks, *(b[mid:] for b in buffers), state.scratch[1], *coef)
-    _adamw_chunks(*(b[:mid] for b in buffers), state.scratch[0], *coef)
-    state.helper.wait()
-
-
-def _adamw_chunks(flat, grad, m_buf, v_buf, scratch, lr, weight_decay, bc1, bc2):
-    """The AdamW update of ``adamw_step`` over one stretch of the flat
-    buffers, one chunk at a time in scratch's two rows."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    bc1, bc2 = 1.0 - b1**state.step, 1.0 - b2**state.step
     for lo in range(0, grad.size, _ADAM_CHUNK):
         hi = lo + _ADAM_CHUNK
-        p, g, m, v = flat[lo:hi], grad[lo:hi], m_buf[lo:hi], v_buf[lo:hi]
-        tmp, step = scratch[0, : p.size], scratch[1, : p.size]
+        p, g, m, v = params.flat[lo:hi], grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        tmp, step = state.scratch[0, : p.size], state.scratch[1, : p.size]
         m *= b1
         m += np.multiply(1.0 - b1, g, out=tmp)
         v *= b2
@@ -294,7 +265,6 @@ def _train_loop(
     collate: Callable[[Sequence], MLMBatch | QABatch],
     config: TrainConfig,
     loss_kind: str,
-    workers: int | None = None,
 ) -> TrainResult:
     """AdamW over ``items``, whose unpadded lengths are ``lengths``.
 
@@ -309,42 +279,37 @@ def _train_loop(
     The loop owns, for the whole run, one gradient buffer laid out as
     ``params.flat`` (zeroed in place each step), the AdamW moments and one
     ``encoder.Workspace`` for the step's batch-sized arrays, so a step after
-    the first few maps no new memory. With ``workers`` (default
-    ``usable_cpus()``) of 2 or more, the run also keeps one ``Helper`` thread,
-    which both the workspace and the AdamW state carry (see the thread rule
-    in ``encoder``); it is stopped before the loop returns or raises.
+    the first few maps no new memory.
     """
-    threads = usable_cpus() if workers is None else workers
-    with Helper() if threads >= 2 else contextlib.nullcontext() as helper:
-        state = AdamWState.zeros_like(params, helper)
-        grad = np.zeros_like(params.flat)
-        grads = param_views(params.config, grad)
-        workspace = Workspace(helper)
-        total_steps = config.epochs * math.ceil(len(items) / config.batch_size)
-        history = []
-        step = 0
-        use_dropout = params.config.dropout > 0.0
-        for epoch in range(config.epochs):
-            epoch_rng = random.Random(f"{config.seed}|epoch|{epoch}")
-            order = list(range(len(items)))
-            epoch_rng.shuffle(order)
-            order.sort(key=lengths.__getitem__)
-            chunks = [order[lo : lo + config.batch_size] for lo in range(0, len(order), config.batch_size)]
-            epoch_rng.shuffle(chunks)
-            for chunk in chunks:
-                batch = collate([items[j] for j in chunk])
-                step += 1
-                lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
-                rng = np.random.default_rng([config.seed, step]) if use_dropout else None
-                grad.fill(0.0)
-                value, _ = loss_and_grad(params, batch, loss_kind, dropout_rng=rng, grads=grads, workspace=workspace)
-                grad_norm = math.sqrt(np.dot(grad, grad))
-                if config.max_grad_norm is not None and grad_norm > config.max_grad_norm:
-                    grad *= config.max_grad_norm / grad_norm
-                adamw_step(params, grad, state, lr, weight_decay=config.weight_decay)
-                history.append(
-                    {"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size, "grad_norm": grad_norm}
-                )
+    state = AdamWState.zeros_like(params)
+    grad = np.zeros_like(params.flat)
+    grads = param_views(params.config, grad)
+    workspace = Workspace()
+    total_steps = config.epochs * math.ceil(len(items) / config.batch_size)
+    history = []
+    step = 0
+    use_dropout = params.config.dropout > 0.0
+    for epoch in range(config.epochs):
+        epoch_rng = random.Random(f"{config.seed}|epoch|{epoch}")
+        order = list(range(len(items)))
+        epoch_rng.shuffle(order)
+        order.sort(key=lengths.__getitem__)
+        chunks = [order[lo : lo + config.batch_size] for lo in range(0, len(order), config.batch_size)]
+        epoch_rng.shuffle(chunks)
+        for chunk in chunks:
+            batch = collate([items[j] for j in chunk])
+            step += 1
+            lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
+            rng = np.random.default_rng([config.seed, step]) if use_dropout else None
+            grad.fill(0.0)
+            value, _ = loss_and_grad(params, batch, loss_kind, dropout_rng=rng, grads=grads, workspace=workspace)
+            grad_norm = math.sqrt(np.dot(grad, grad))
+            if config.max_grad_norm is not None and grad_norm > config.max_grad_norm:
+                grad *= config.max_grad_norm / grad_norm
+            adamw_step(params, grad, state, lr, weight_decay=config.weight_decay)
+            history.append(
+                {"step": step, "lr": lr, "loss": value, "tokens": batch.input_ids.size, "grad_norm": grad_norm}
+            )
     return TrainResult(params=params, history=history)
 
 
@@ -354,13 +319,9 @@ def run_injection(
     config: TrainConfig,
     model_config: ModelConfig,
     render_max_len: int = 128,
-    *,
-    workers: int | None = None,
 ) -> TrainResult:
     """Train entity completion over the assembled corpus from a fresh
-    initialization seeded by ``config.seed``. ``workers`` (default
-    ``usable_cpus()``) of 2 or more adds the run's helper thread (see the
-    thread rule in ``encoder``); the result is the same."""
+    initialization seeded by ``config.seed``."""
     if not corpus:
         raise ConfigError("injection corpus is empty")
     rendered: list[TokenizedSample] = []
@@ -376,7 +337,7 @@ def run_injection(
 
     params = init_params(model_config, config.seed)
     lengths = [len(s.input_ids) for s in rendered]
-    result = _train_loop(params, rendered, lengths, collate_mlm, config, "mlm", workers)
+    result = _train_loop(params, rendered, lengths, collate_mlm, config, "mlm")
     result.dropped = overflowed
     return result
 
@@ -386,16 +347,13 @@ def run_finetune(
     qa_dataset,
     vocab: Vocab,
     config: TrainConfig,
-    *,
-    workers: int | None = None,
 ) -> TrainResult:
     """Finetune span extraction starting from the given parameters; answer
-    character offsets are mapped to token spans via the packing offsets.
-    ``workers`` as for ``run_injection``."""
+    character offsets are mapped to token spans via the packing offsets."""
     prepared, dropped = prepare_qa_examples(qa_dataset, vocab, params.config.max_len)
     if not prepared:
         raise ConfigError("no trainable QA examples (all dropped or dataset empty)")
     lengths = [len(ex.qa_input.input_ids) for ex in prepared]
-    result = _train_loop(params.copy(), prepared, lengths, collate_qa, config, "span", workers)
+    result = _train_loop(params.copy(), prepared, lengths, collate_qa, config, "span")
     result.dropped = dropped
     return result

@@ -42,10 +42,10 @@ def open_pipes() -> set[str] | None:
 
 @pytest.fixture(autouse=True)
 def no_thread_child_process_or_pipe_left():
-    """Fails a test that leaves a thread it started alive, such as a training
-    run's ``Helper``, leaves a child process running or unreaped, such as one
-    that ``predict_spans`` forks, or leaves a pipe descriptor open, such as
-    the read end of a child's result pipe. The pipe check needs /proc."""
+    """Fails a test that leaves a thread it started alive, leaves a child
+    process running or unreaped, such as one that ``predict_spans`` forks,
+    or leaves a pipe descriptor open, such as the read end of a child's
+    result pipe. The pipe check needs /proc."""
     before = set(threading.enumerate())
     pipes = open_pipes()
     yield

@@ -288,36 +288,28 @@ def test_pipeline_summary_compares_the_first_arm_with_each_other(tmp_path, capsy
 
 @pytest.mark.parametrize("arms,cpus,budget", [(2, 1, (1, 1)), (2, 2, (2, 1)), (2, 4, (2, 2))])
 def test_pipeline_cpu_budget_splits_the_cpus_between_arms(arms, cpus, budget):
-    assert cli._cpu_budget(arms, cpus) == budget  # (forked workers, threads per arm)
+    assert cli._cpu_budget(arms, cpus) == budget  # (forked workers, eval processes per arm)
 
 
-@pytest.mark.parametrize("cpus,threads", [(2, 1), (4, 2)])
-def test_pipeline_arms_train_and_evaluate_on_their_cpu_share(tmp_path, monkeypatch, cpus, threads):
-    """Each arm passes its _cpu_budget share as ``workers`` to run_injection,
-    run_finetune and evaluate, and its manifest entry records it: on 2 CPUs
-    each arm trains inline, on 4 with a helper thread."""
-    calls = tmp_path / "calls"
-    calls.mkdir()
+@pytest.mark.parametrize("cpus,processes", [(2, 1), (4, 2)])
+def test_pipeline_arms_train_and_evaluate_on_their_cpu_share(tmp_path, monkeypatch, cpus, processes):
+    """Each arm passes its _cpu_budget share as ``workers`` to evaluate, and
+    its manifest entry records it as ``eval_processes``: on 2 CPUs each arm
+    evaluates inline, on 4 in itself and one forked child."""
+    calls, evaluate = tmp_path / "calls", evaluation.evaluate
 
-    def recording(module, name):
-        original = getattr(module, name)
+    def recording(*args, workers, **kwargs):
+        with open(calls, "a", encoding="utf-8") as fh:  # appended to from each forked worker
+            fh.write(f"{workers}\n")
+        return evaluate(*args, workers=workers, **kwargs)
 
-        def wrapped(*args, workers, **kwargs):
-            with open(calls / name, "a", encoding="utf-8") as fh:  # appended to from each forked worker
-                fh.write(f"{workers}\n")
-            return original(*args, workers=workers, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapped)  # the forked workers inherit it
-
+    monkeypatch.setattr(evaluation, "evaluate", recording)  # the forked workers inherit it
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
-    for module, name in ((training, "run_injection"), (training, "run_finetune"), (evaluation, "evaluate")):
-        recording(module, name)
     run_dir = tmp_path / "run"
     assert run_cli("pipeline", run_dir, FAST) == 0
-    for name in ("run_injection", "run_finetune", "evaluate"):
-        assert (calls / name).read_text().split() == [str(threads)] * len(cli._ARMS), name
+    assert calls.read_text().split() == [str(processes)] * len(cli._ARMS)
     manifest = json.loads((run_dir / "manifest-pipeline.json").read_text())
-    assert [arm["threads"] for arm in manifest["arms"]] == [threads] * len(cli._ARMS)
+    assert [arm["eval_processes"] for arm in manifest["arms"]] == [processes] * len(cli._ARMS)
 
 
 def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys, monkeypatch):
@@ -345,7 +337,7 @@ def test_pipeline_with_a_language_the_kb_lacks_exits_with_one_config_record(tmp_
 
 @pytest.mark.parametrize(
     "override",
-    ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "model.n_heads=3", "model.max_len=0",
+    ["eval.max_answer_len=0", "eval.batch_size=0", "assembler.n_triples=-1", "assembler.n_triples=0", "model.n_heads=3", "model.max_len=0",
      "inject.max_grad_norm=-1", "finetune.weight_decay=-0.1", "inject.learning_rate=nan",
      "finetune.learning_rate=inf", "assembler.kind_weights=nan,1,1", "assembler.kind_weights=inf,1,1",
      "inject.weight_decay=inf", "assembler.vocab_max_size=4", "assembler.render_max_len=0",

@@ -1,9 +1,6 @@
 import dataclasses
 import json
 import math
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -14,7 +11,6 @@ from kiqa import encoder
 from kiqa.encoder import (
     _NEG,
     EncoderParams,
-    Helper,
     MLMBatch,
     ModelConfig,
     QABatch,
@@ -635,128 +631,27 @@ def sized_batch(config, kind, seed, B, L):
 def test_workspace_steps_match_fresh_arrays_bitwise(dropout, kind):
     """Steps that share one workspace and one gradient buffer, over batches
     that grow and shrink, give the loss and gradients of steps on a fresh
-    workspace, bit for bit: no step reads another's leftovers. (That no two
-    live arrays share a workspace slot, the plain-expression oracles pin.)"""
-    cfg = bitwise_config(dropout)
-    params = scaled_params(cfg, seed=5)
-    workspace = encoder.Workspace()
-    grad = np.zeros_like(params.flat)
-    grads = param_views(cfg, grad)
-    for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
-        batch = sized_batch(cfg, kind, seed, B, L)
-        rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
-        want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(),
-                                               grads=zeroed_grads(params), workspace=Workspace())
-        grad.fill(0.0)
-        value, got = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
-        assert got is grads and value == want_value
-        for name, tensor in want_grads.items():
-            assert_bitwise(grads[name], tensor)
-
-
-class SlowHelper(Helper):
-    """A helper that sleeps before each task, so the calling thread runs
-    ahead to its next wait: a task that reads a buffer the caller rewrites
-    before that wait reads the new values."""
-
-    def submit(self, fn, *args):
-        def late(*args):
-            time.sleep(0.002)
-            fn(*args)
-
-        super().submit(late, *args)
-
-
-@pytest.mark.parametrize("helper_kind", [Helper, SlowHelper])
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-@pytest.mark.parametrize("kind", ["mlm", "span"])
-def test_steps_with_a_helper_match_one_thread_bitwise(monkeypatch, dropout, kind, helper_kind):
-    """Steps on one workspace that carries a helper, over batches that grow
-    and shrink, give the loss and gradients of one thread on a fresh
-    workspace and of the plain expressions, bit for bit: the batch halves
-    and the helper's share of the parameter-gradient tasks change no value,
-    and no task reads a key that this thread has rewritten. Every batch of
-    two or more examples (three is odd) runs as two batch halves; the
-    one-example batch runs whole and submits no half, yet hands the helper
-    its share of the parameter-gradient tasks, as every step does."""
-    shapes = [(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]
-    submitted, submit = [], Helper.submit
-
-    def recording(self, fn, *args):
-        submitted.append(bool(args) and isinstance(args[0], slice))  # a batch half's first argument is its slice
-        submit(self, fn, *args)
-
-    monkeypatch.setattr(Helper, "submit", recording)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
-    try:
-        for n_layers in (1, 2):  # one layer: no join between the MLM head's tok_emb task and the scatter
-            cfg = dataclasses.replace(bitwise_config(dropout), n_layers=n_layers)
-            params = scaled_params(cfg, seed=5)
-            grad = np.zeros_like(params.flat)
-            grads = param_views(cfg, grad)
-            with helper_kind() as helper:
-                handed = _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, Workspace(helper),
-                                                 submitted)
-            assert all(handed)
-            assert [any(halves) for halves in handed] == [B > 1 for B, _ in shapes]
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _steps_match_one_thread(cfg, params, grad, grads, kind, dropout, shapes, workspace, submitted):
-    """Checks each step of ``shapes`` on ``workspace``; returns, per step,
-    the entries its loss_and_grad appended to ``submitted``."""
-    handed = []
-    for seed, (B, L) in enumerate(shapes):
-        batch = sized_batch(cfg, kind, seed, B, L)
-        rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
-        want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=zeroed_grads(params),
-                                               workspace=Workspace())
-        grad.fill(0.0)
-        before = len(submitted)
-        value, _ = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
-        handed.append(submitted[before:])
-        plain_value, plain_grads = plain_backward(params, batch, kind, rng())
-        assert value == want_value == plain_value
-        for name, tensor in want_grads.items():
-            assert_bitwise(grads[name], tensor)
-            assert_bitwise(grads[name], plain_grads[name])
-    return handed
-
-
-def test_helper_raises_a_task_error_at_the_next_wait_and_skips_the_tasks_behind_it():
-    """A failed task's exception is raised by the next wait, once; the tasks
-    queued after it up to that wait are skipped, later ones run, in order,
-    on the helper's own thread, which ends when the block is left."""
-    ran = []
-
-    def fail():
-        raise KeyError("task failed")
-
-    with Helper() as helper:
-        helper.submit(ran.append, 1)
-        helper.submit(fail)
-        helper.submit(ran.append, 2)
-        with pytest.raises(KeyError, match="task failed"):
-            helper.wait()
-        helper.submit(ran.append, 3)
-        helper.submit(lambda: ran.append(threading.current_thread()))
-        helper.wait()
-        helper.wait()
-    assert ran[:2] == [1, 3]
-    thread = ran[2]
-    assert thread is not threading.current_thread() and not thread.is_alive()
-
-
-def test_helper_runs_queued_tasks_and_ends_when_its_block_raises():
-    ran = []
-    with pytest.raises(RuntimeError, match="caller failed"):
-        with Helper() as helper:
-            helper.submit(ran.append, threading.current_thread)
-            helper.submit(lambda: ran.append(threading.current_thread()))
-            raise RuntimeError("caller failed")
-    assert len(ran) == 2 and not ran[1].is_alive()
+    workspace and of the plain expressions, bit for bit, on one layer and on
+    two: no step reads another's leftovers, and no backward key that serves
+    several arrays in turn is rewritten while one of them is still read."""
+    for n_layers in (1, 2):
+        cfg = dataclasses.replace(bitwise_config(dropout), n_layers=n_layers)
+        params = scaled_params(cfg, seed=5)
+        workspace = encoder.Workspace()
+        grad = np.zeros_like(params.flat)
+        grads = param_views(cfg, grad)
+        for seed, (B, L) in enumerate([(3, 9), (2, 5), (4, 12), (1, 4), (3, 9)]):
+            batch = sized_batch(cfg, kind, seed, B, L)
+            rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+            want_value, want_grads = loss_and_grad(params, batch, kind, dropout_rng=rng(),
+                                                   grads=zeroed_grads(params), workspace=Workspace())
+            grad.fill(0.0)
+            value, got = loss_and_grad(params, batch, kind, dropout_rng=rng(), grads=grads, workspace=workspace)
+            plain_value, plain_grads = plain_backward(params, batch, kind, rng())
+            assert got is grads and value == want_value == plain_value
+            for name, tensor in want_grads.items():
+                assert_bitwise(grads[name], tensor)
+                assert_bitwise(grads[name], plain_grads[name])
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])

@@ -3,7 +3,6 @@ a rename or move that breaks one of those bindings should fail here, fast."""
 
 import importlib
 import importlib.util
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -120,53 +119,3 @@ def test_training_step_records_one_forward_span(monkeypatch):
     assert len(forwards) == 1
     assert (forwards[0][tracing.ATTRS]["B"], forwards[0][tracing.ATTRS]["L"]) == (2, 4)
     assert forwards[0][tracing.ATTRS]["real"] == 7.0
-
-
-def test_a_training_helper_calls_no_traced_function(monkeypatch):
-    """With a helper thread, where it runs batch halves of the forward and
-    backward and shares the weight gradients, every public kiqa function the
-    tracer wraps is still called on the calling thread only, so its one span
-    stack sees no span from the helper."""
-    tracing = _load_tracing()
-    threads = set()
-
-    def recording(fn):
-        def wrapped(*args, **kwargs):
-            threads.add(threading.current_thread())
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for module_name, attr, *_ in tracing.TRACE_POINTS:
-        module = importlib.import_module(module_name)
-        monkeypatch.setattr(module, attr, recording(getattr(module, attr)))
-
-    from kiqa.assembler import build_corpus
-    from kiqa.synthlang import SynthSpec, gen_kb
-
-    kb = gen_kb(SynthSpec(n_entities=12, n_relations=3, n_triples=25, languages=("syn0", "syn1"),
-                          n_qa_per_lang_pair=4, n_qa_train=16, seed=3))
-    forms = [f for item in (*kb.entities.values(), *kb.relations.values()) for f in item.forms.values()]
-    vocab = textmodel.build_vocab(forms, max_size=256)
-    corpus = build_corpus(kb, {"syn0", "syn1"}, 6, (1, 1, 1), seed=2)
-    cfg = encoder.ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=8, d_ff=16, max_len=32,
-                              dropout=0.1)
-    config = training.TrainConfig(phase="inject", learning_rate=1e-3, batch_size=4, epochs=2)
-    helpers, halves = set(), set()
-    original, segments = encoder._linear_param_grads, encoder._run_segments
-
-    def product(*args):
-        helpers.add(threading.current_thread())
-        original(*args)
-
-    def half(*args):
-        halves.add(threading.current_thread())
-        segments(*args)
-
-    monkeypatch.setattr(encoder, "_linear_param_grads", product)
-    monkeypatch.setattr(encoder, "_run_segments", half)
-    caller = threading.current_thread()
-    result = training.run_injection(corpus, vocab, config, cfg, render_max_len=32, workers=2)
-    assert len(result.history) > 2
-    assert threads == {caller}
-    assert helpers - {caller} and len(halves - {caller}) == 1

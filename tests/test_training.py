@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from kiqa import encoder, training
 from kiqa.assembler import build_corpus
-from kiqa.encoder import EncoderParams, Helper, ModelConfig, Workspace, cross_entropy, init_params, param_views
+from kiqa.encoder import EncoderParams, ModelConfig, Workspace, cross_entropy, init_params, param_views
 from kiqa.errors import ConfigError, NonFiniteError
 from kiqa.evaluation import QAExample
 from kiqa.synthlang import SynthSpec, gen_kb
@@ -229,26 +228,23 @@ def test_adamw_non_finite_grad():
 
 
 def test_adamw_non_finite_last_grad_writes_nothing():
-    """A NaN in the last tensor raises before any tensor or moment changes,
-    on one thread and with the helper that updates the upper half."""
+    """A NaN in the last tensor raises before any tensor or moment changes."""
     cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
-    with Helper() as helper:
-        for state_helper in (None, helper):
-            params = init_params(cfg, seed=0)
-            rng = np.random.default_rng(3)
-            state = AdamWState.zeros_like(params, state_helper)
-            adamw_step(params, rng.normal(size=params.flat.shape), state, lr=1e-2)
-            before = params.copy().tensors, param_views(cfg, state.m.copy()), param_views(cfg, state.v.copy())
-            grad, grads = _grad_buffer(params)
-            grad[...] = rng.normal(size=grad.shape)
-            last = list(params.tensors)[-1]
-            grads[last][...] = float("nan")
-            with pytest.raises(NonFiniteError, match=last):
-                adamw_step(params, grad, state, lr=1e-2)
-            assert state.step == 1
-            for got, want in zip((params.tensors, param_views(cfg, state.m), param_views(cfg, state.v)), before):
-                for name in want:
-                    assert np.array_equal(got[name], want[name]), name
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    state = AdamWState.zeros_like(params)
+    adamw_step(params, rng.normal(size=params.flat.shape), state, lr=1e-2)
+    before = params.copy().tensors, param_views(cfg, state.m.copy()), param_views(cfg, state.v.copy())
+    grad, grads = _grad_buffer(params)
+    grad[...] = rng.normal(size=grad.shape)
+    last = list(params.tensors)[-1]
+    grads[last][...] = float("nan")
+    with pytest.raises(NonFiniteError, match=last):
+        adamw_step(params, grad, state, lr=1e-2)
+    assert state.step == 1
+    for got, want in zip((params.tensors, param_views(cfg, state.m), param_views(cfg, state.v)), before):
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
 
 # -------------------------------------------------------------- train config
@@ -503,10 +499,9 @@ def test_finetune_beats_uniform_floor():
     assert result.dropped == 0
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_finetune_from_a_nan_weight_raises_non_finite_error(workers):
+def test_finetune_from_a_nan_weight_raises_non_finite_error():
     """A NaN span-head weight makes the first step's loss NaN, and
-    run_finetune raises from the loss head, on one thread and with a helper."""
+    run_finetune raises from the loss head."""
     spec, kb, vocab = _tiny_world()
     model_config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=64,
                                dropout=0.0)
@@ -514,7 +509,7 @@ def test_finetune_from_a_nan_weight_raises_non_finite_error(workers):
     params.tensors["qa_ws"][0] = np.nan
     config = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=1)
     with pytest.raises(NonFiniteError, match="span loss is not finite"):
-        run_finetune(params, _tiny_qa_examples(spec, kb), vocab, config, workers=workers)
+        run_finetune(params, _tiny_qa_examples(spec, kb), vocab, config)
 
 
 # ------------------------------------------------------- persistent memory
@@ -533,29 +528,6 @@ def test_adamw_chunks_match_one_pass_bitwise(monkeypatch):
         for grad in grads:
             adamw_step(params, grad, state, lr=1e-2, weight_decay=0.01)
         results.append((params.flat, state.m, state.v))
-    for got, want in zip(*results):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("chunk", [7, training._ADAM_CHUNK])
-def test_adamw_split_with_a_helper_matches_one_thread_bitwise(monkeypatch, chunk):
-    """The helper's upper half, in its own scratch rows, and this thread's
-    lower half give the parameters and moments of one thread, sign of zero
-    included; with 7-element chunks each half ends in a partial chunk."""
-    monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
-    cfg = ModelConfig(vocab_size=16, n_layers=1, n_heads=2, d_model=8, d_ff=16, max_len=8, dropout=0.0)
-    rng = np.random.default_rng(8)
-    grads = [rng.normal(scale=3.0, size=init_params(cfg, 0).flat.shape) for _ in range(3)]
-    grads[1][::5] = -0.0
-    results = []
-    with Helper() as helper:
-        for state_helper in (None, helper):
-            params = init_params(cfg, seed=1)
-            state = AdamWState.zeros_like(params, state_helper)
-            assert state.scratch.shape[0] == (1 if state_helper is None else 2)
-            for grad in grads:
-                adamw_step(params, grad, state, lr=1e-2, weight_decay=0.01)
-            results.append((params.flat, state.m, state.v))
     for got, want in zip(*results):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -674,16 +646,11 @@ def test_training_keeps_every_tensor_a_view_of_its_buffer(monkeypatch, tmp_path)
 def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch):
     """With every batch of one shape, the first step fills the run's
     workspace and later steps reuse it. Numpy reports its data buffers to
-    tracemalloc, on every thread, so the memory a step adds at its peak
-    counts any array it makes. On one thread that peak stays far below one
-    (B * L, d_ff) FFN array, of which a step without a workspace makes
-    several per layer. With a helper the raw peak also holds numpy's
-    iterator buffers: every ufunc call that broadcasts an operand takes one
-    of min(n, 8192) elements, up to 64 kB, and both batch halves may hold
-    one at once. Those do not grow with the
-    batch, while a per-token array does: so at both thread counts, a later
-    step at twice the batch width adds less than an eighth of an FFN array
-    to the peak of one at the single width."""
+    tracemalloc, so the memory a step adds at its peak counts any array it
+    makes. That peak stays far below one (B * L, d_ff) FFN array, of which a
+    step without a workspace makes several per layer, and a later step at
+    twice the batch width adds less than an eighth of an FFN array to the
+    peak of one at the single width."""
     import tracemalloc
 
     kb, vocab = _memorization_kb()
@@ -694,37 +661,35 @@ def test_training_steps_after_the_first_allocate_no_per_token_arrays(monkeypatch
                                dropout=0.1)
     width = 25
     one_ffn = width * lengths.pop() * model_config.d_ff * 8
-    for workers in (1, 2):
-        peaks = {}
-        for batch_size in (width, 2 * width):
-            growth, window = [], {}
+    peaks = {}
+    for batch_size in (width, 2 * width):
+        growth, window = [], {}
 
-            def collate(samples):  # a step starts here
-                if "start" in window:
-                    growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
-                batch = collate_mlm(samples)
-                tracemalloc.reset_peak()
-                window["start"] = tracemalloc.get_traced_memory()[0]
-                return batch
+        def collate(samples):  # a step starts here
+            if "start" in window:
+                growth.append(tracemalloc.get_traced_memory()[1] - window["start"])
+            batch = collate_mlm(samples)
+            tracemalloc.reset_peak()
+            window["start"] = tracemalloc.get_traced_memory()[0]
+            return batch
 
-            monkeypatch.setattr(training, "collate_mlm", collate)
-            config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=batch_size,
-                                 epochs=3 * batch_size // width, seed=0)  # 6 steps at each width
-            tracemalloc.start()
-            try:
-                result = run_injection(corpus, vocab, config, model_config, render_max_len=16, workers=workers)
-            finally:
-                tracemalloc.stop()
-            assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
-            assert growth[0] > one_ffn * batch_size // width  # the first step fills the workspace
-            peaks[batch_size] = max(growth[1:])
-        if workers == 1:
-            assert peaks[width] < one_ffn / 8, peaks
-        assert peaks[2 * width] - peaks[width] < one_ffn / 8, (workers, peaks, one_ffn)
+        monkeypatch.setattr(training, "collate_mlm", collate)
+        config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=batch_size,
+                             epochs=3 * batch_size // width, seed=0)  # 6 steps at each width
+        tracemalloc.start()
+        try:
+            result = run_injection(corpus, vocab, config, model_config, render_max_len=16)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == len(result.history) - 1 == 5  # steps 1..5; growth[0] is the first step's
+        assert growth[0] > one_ffn * batch_size // width  # the first step fills the workspace
+        peaks[batch_size] = max(growth[1:])
+    assert peaks[width] < one_ffn / 8, peaks
+    assert peaks[2 * width] - peaks[width] < one_ffn / 8, (peaks, one_ffn)
 
 
 def test_training_steps_with_a_gelu_tail_allocate_no_per_token_arrays(monkeypatch):
-    """As above on one thread, with the FFN input weights scaled up so that
+    """As above, with the FFN input weights scaled up so that
     about a third of the GELU inputs lie beyond |x / sqrt 2| = 1, where
     _gelu calls scipy's erf: its tail path marks them in a workspace array
     and gathers them block by block, so a later step still adds less than an
@@ -770,197 +735,10 @@ def test_training_steps_with_a_gelu_tail_allocate_no_per_token_arrays(monkeypatc
     config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=width, epochs=3, seed=0)  # 6 steps
     tracemalloc.start()
     try:
-        result = run_injection(corpus, vocab, config, model_config, render_max_len=16, workers=1)
+        result = run_injection(corpus, vocab, config, model_config, render_max_len=16)
     finally:
         tracemalloc.stop()
     assert len(growth) == len(result.history) - 1 == 5
     assert len(tails) == 2 * 6 and min(tails) > 0.2, tails
     assert growth[0] > one_ffn  # the first step fills the workspace
     assert max(growth[1:]) < one_ffn / 8, (growth, one_ffn)
-
-
-# ------------------------------------------------------------ the helper thread
-
-
-def _train_both_phases(workers, max_grad_norm, tmp_path):
-    """run_injection with dropout, then run_finetune, on ``workers``; each
-    phase's history and checkpoint bytes. Injection takes its 20 samples,
-    4 of them K3 samples with segment-1 tokens, in batches of 7, 7 and 6;
-    finetuning its 16 examples in batches of 5, 5, 5 and 1."""
-    from kiqa.encoder import save_checkpoint
-
-    spec, kb, vocab = _tiny_world()
-    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
-    assert len(corpus) == 20 and sum(1 in render(s, vocab, 32).segment_ids for s in corpus) == 4
-    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
-    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=7, epochs=2, seed=5, max_grad_norm=max_grad_norm)
-    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=5, epochs=1, seed=6,
-                           max_grad_norm=max_grad_norm)
-    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=workers)
-    tuned = run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=workers)
-    out = []
-    for phase, result in (("inject", injected), ("finetune", tuned)):
-        path = tmp_path / f"{phase}-{workers}.bin"
-        save_checkpoint(path, result.params)
-        out.append((result.history, path.read_bytes()))
-    return out
-
-
-@pytest.mark.parametrize("max_grad_norm", [None, 2.05])  # unclipped norms run 1.47-3.56
-def test_training_is_bitwise_the_same_on_one_and_two_threads(tmp_path, monkeypatch, max_grad_norm):
-    """Injection with dropout 0.1, then finetuning: with a helper thread
-    (workers=2) every step record (loss, grad_norm, tokens, lr) and both
-    checkpoints equal those of one thread, byte for byte, with and without
-    clipping. Every step of two or more examples runs its per-example work
-    as two batch halves: both losses and odd batch sizes. A final
-    one-example batch runs whole and submits no batch half, but its step
-    still hands the helper the last layer's gathered-row tasks, a share of
-    the other parameter-gradient tasks, the tok_emb scatter and the upper
-    half of the AdamW update."""
-    splits, halves = [], encoder._halves
-    log, submit, step = [], Helper.submit, training.loss_and_grad
-
-    def recording_halves(helper, B, *args, **kwargs):
-        splits.append((helper is not None, B))
-        return halves(helper, B, *args, **kwargs)
-
-    def recording_submit(self, fn, *args):
-        log.append(fn)
-        submit(self, fn, *args)
-
-    def recording_step(params, batch, *args, **kwargs):
-        log.append(("step", len(batch.input_ids)))
-        out = step(params, batch, *args, **kwargs)
-        log.append("returned")
-        return out
-
-    monkeypatch.setattr(encoder, "_halves", recording_halves)
-    monkeypatch.setattr(Helper, "submit", recording_submit)
-    monkeypatch.setattr(training, "loss_and_grad", recording_step)
-    one = _train_both_phases(1, max_grad_norm, tmp_path)
-    assert not any(split for split, _ in splits)
-    splits.clear(), log.clear()
-    two = _train_both_phases(2, max_grad_norm, tmp_path)
-    for (history_1, ckpt_1), (history_2, ckpt_2) in zip(one, two):
-        assert len(history_1) > 2 and history_1 == history_2
-        assert ckpt_1 == ckpt_2
-    assert set(splits) == {(True, 7), (True, 6), (True, 5), (True, 1)}
-    starts = [i for i, entry in enumerate(log) if isinstance(entry, tuple)] + [len(log)]
-    whole = [log[i + 1 : j] for i, j in zip(starts, starts[1:]) if log[i] == ("step", 1)]
-    gathered_rows = [encoder._layer_norm_param_grads, encoder._linear_param_grads, encoder._linear_param_grads,
-                     encoder._layer_norm_param_grads, encoder._linear_param_grads]
-    assert whole == [[*gathered_rows, encoder._run_tasks, np.add.at, encoder._run_tasks, "returned",
-                      training._adamw_chunks]]
-    norms = [rec["grad_norm"] for history, _ in one for rec in history]
-    if max_grad_norm is not None:  # some steps are clipped, some not
-        assert min(norms) <= max_grad_norm < max(norms)
-
-
-def test_a_failing_helper_task_raises_its_own_exception_from_the_run(monkeypatch):
-    """A weight-gradient product that raises on the helper thread surfaces,
-    as the same exception object, from run_injection on the calling thread,
-    and the helper has ended when it does."""
-
-    class ProductFailed(Exception):
-        pass
-
-    failure = ProductFailed("weight-gradient product failed")
-    threads = []
-
-    def failing(*args):
-        threads.append(threading.current_thread())
-        raise failure
-
-    monkeypatch.setattr(encoder, "_linear_param_grads", failing)
-    spec, kb, vocab = _tiny_world()
-    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
-    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.1)
-    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
-    with pytest.raises(ProductFailed) as raised:
-        run_injection(corpus, vocab, config, model_config, render_max_len=32, workers=2)
-    assert raised.value is failure
-    assert threads and threading.current_thread() not in threads
-    assert not any(thread.is_alive() for thread in threads)
-
-
-@pytest.mark.parametrize("where", ["helper", "caller"])
-@pytest.mark.parametrize("segment", ["_attention", "_attention_backward"])  # a forward half, a backward half
-def test_a_failing_batch_half_raises_its_own_exception_from_the_run(monkeypatch, segment, where):
-    """A batch half that raises, on the helper or on this thread, in the
-    forward or in the backward, surfaces as the same exception object from
-    run_injection, and no thread is left alive when it does."""
-
-    class HalfFailed(Exception):
-        pass
-
-    failure = HalfFailed("batch half failed")
-    caller, original, ran = threading.current_thread(), getattr(encoder, segment), []
-
-    def fail_here():
-        thread = threading.current_thread()
-        ran.append(thread)
-        if (thread is caller) == (where == "caller"):
-            raise failure
-
-    def failing(*args):
-        fail_here()
-        return original(*args)
-
-    def failing_chain(*args):  # a backward chain is a generator: it runs where it is iterated
-        fail_here()
-        yield from original(*args)
-
-    monkeypatch.setattr(encoder, segment, failing_chain if segment == "_attention_backward" else failing)
-    spec, kb, vocab = _tiny_world()
-    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
-    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=32, dropout=0.1)
-    config = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
-    with pytest.raises(HalfFailed) as raised:
-        run_injection(corpus, vocab, config, model_config, render_max_len=32, workers=2)
-    assert raised.value is failure
-    helpers = set(ran) - {caller}
-    assert caller in ran and len(helpers) == 1 and not any(thread.is_alive() for thread in helpers)
-
-
-def test_only_the_thread_that_made_the_workspace_takes_from_it(monkeypatch):
-    """With a helper, both phases hand it batch halves and a share of the
-    weight-gradient products, yet every Workspace.take comes from the
-    thread that made the workspace."""
-    made, takers, handed = [], set(), set()
-
-    class Recording(Workspace):
-        def __init__(self, helper=None):
-            super().__init__(helper)
-            made.append(threading.current_thread())
-
-        def take(self, key, shape, *args):
-            takers.add(threading.current_thread())
-            return super().take(key, shape, *args)
-
-    product = encoder._linear_param_grads
-
-    def recording_product(*args):
-        handed.add(threading.current_thread())
-        product(*args)
-
-    halves = set()
-    segments = encoder._run_segments
-
-    def recording_segments(*args):
-        halves.add(threading.current_thread())
-        segments(*args)
-
-    monkeypatch.setattr(training, "Workspace", Recording)
-    monkeypatch.setattr(encoder, "_linear_param_grads", recording_product)
-    monkeypatch.setattr(encoder, "_run_segments", recording_segments)
-    spec, kb, vocab = _tiny_world()
-    corpus = build_corpus(kb, {"syn0", "syn1"}, 10, (1, 1, 1), seed=2)
-    model_config = ModelConfig(vocab_size=len(vocab), n_layers=2, n_heads=2, d_model=16, d_ff=32, max_len=64, dropout=0.1)
-    inject = TrainConfig(phase="inject", learning_rate=1e-3, batch_size=8, epochs=1, seed=5)
-    finetune = TrainConfig(phase="finetune", learning_rate=1e-3, batch_size=4, epochs=1, seed=6)
-    caller = threading.current_thread()
-    injected = run_injection(corpus, vocab, inject, model_config, render_max_len=32, workers=2)
-    run_finetune(injected.params, _tiny_qa_examples(spec, kb), vocab, finetune, workers=2)
-    assert made == [caller, caller] and takers == {caller}
-    assert handed - {caller}
-    assert caller in halves and halves - {caller}  # one helper per phase
