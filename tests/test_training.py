@@ -499,11 +499,12 @@ def test_finetune_beats_uniform_floor():
     assert result.dropped == 0
 
 
-def test_finetune_from_a_nan_weight_raises_non_finite_error():
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_finetune_from_a_nan_weight_raises_non_finite_error(n_layers):
     """A NaN span-head weight makes the first step's loss NaN, and
-    run_finetune raises from the loss head."""
+    run_finetune raises from the loss head, on one encoder layer and on two."""
     spec, kb, vocab = _tiny_world()
-    model_config = ModelConfig(vocab_size=len(vocab), n_layers=1, n_heads=2, d_model=16, d_ff=32, max_len=64,
+    model_config = ModelConfig(vocab_size=len(vocab), n_layers=n_layers, n_heads=2, d_model=16, d_ff=32, max_len=64,
                                dropout=0.0)
     params = init_params(model_config, seed=0)
     params.tensors["qa_ws"][0] = np.nan
