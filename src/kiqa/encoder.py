@@ -34,9 +34,10 @@ training run keeps one workspace; inference keeps one per process that
 runs batches, for one ``predict_spans`` call. Each array is written with
 ``out=`` in the plain expression's operation order, so its values are
 bitwise those of a fresh array, and a call after the first few maps no new
-memory. Keys name their layer only when the forward keeps a cache for a
-backward. A training step runs on the thread that calls it, one layer after
-another; evaluation runs batches in parallel in forked processes
+memory. A key is per layer only for an array the backward reads; every
+other array takes a key that serves all layers (see ``Workspace``). A
+training step runs on the thread that calls it, one layer after another;
+evaluation runs batches in parallel in forked processes
 (``evaluation.predict_spans``), each with its own workspace.
 
 GELU kernel rule: Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) is bitwise that of
@@ -67,6 +68,7 @@ from .errors import (
 from .fileio import atomic_write
 
 _NEG = -1e9  # additive attention bias for padded keys; underflows to exactly 0 after softmax
+_FFN_OUT = "ffn.out"  # workspace key of every layer's FFN output, and of the last layer's gathered input rows
 
 
 @dataclass(frozen=True)
@@ -184,15 +186,27 @@ class Workspace:
     key's buffer, which is replaced by a larger one when a batch first needs
     more. A key is always taken with one dtype, float64 unless named.
     A call takes a key at most once while its array is still read, and the
-    next call writes over it, results included. The forward's keys name their
-    layer only when it keeps a cache for the backward; without one the layers
-    share keys, as a layer reads the layer below's output (in Q/K/V and the
-    first residual) before it writes its own. The backward's keys (``b.``)
-    serve every layer, and a key serves several arrays in turn where each is
-    read for the last time before the next is written: a layer reads the
-    gradient it gets from the layer above before it writes its own input
-    gradient over it (``b.dh``), and each weight gradient's product is added
-    into its tensor as soon as it is formed (``b.gw``)."""
+    next call writes over it, results included.
+
+    A key is per layer only for an array the backward reads. Every other
+    array takes one key for all layers, as a layer reads the layer below's
+    output (in Q/K/V and the first residual) before it writes its own: the
+    per-head PV, the output projection, the GELU output and the FFN output,
+    each read only within its layer's forward; and, in a forward without a
+    backward, the rest too, under ``l.`` keys that stand for every layer.
+    GELU's output is formed again in the backward, by the forward's
+    multiply, for w2's gradient. A key serves several arrays in turn where each is read
+    for the last time before the next is written: the segment gather takes
+    the last layer's dropout-draw key; a last layer run at some rows takes
+    the output projection's key for its whole ctx, which is gathered at
+    those rows before the projection is written, and the FFN output's key
+    for its gathered input rows, which the first residual reads before the
+    FFN writes them; the FFN backward writes dx2 into the GELU output's key
+    and then GELU's gradient over it; each layer norm's backward writes its
+    input gradient over its output gradient; a layer reads the gradient it
+    gets from the layer above before it writes its own input gradient
+    (``b.dh``); and each weight gradient's product is added into its tensor
+    as soon as it is formed (``b.gw``)."""
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
@@ -329,16 +343,17 @@ def _gelu(x, phi, y, tmp, mask):
     return y, phi
 
 
-def _gelu_grad(dy, x, phi, out):
-    """dy * GELU'(x) in out, given phi = Phi(x) from _gelu."""
-    np.multiply(-0.5, x, out=out)
-    out *= x
-    np.exp(out, out=out)
-    out *= x
-    out /= _SQRT_2PI
-    out += phi
-    out *= dy
-    return out
+def _gelu_grad(dy, x, phi, tmp):
+    """dy * GELU'(x), written over dy, given phi = Phi(x) from _gelu; tmp is
+    scratch of x's shape, which ends holding GELU'(x)."""
+    np.multiply(-0.5, x, out=tmp)
+    tmp *= x
+    np.exp(tmp, out=tmp)
+    tmp *= x
+    tmp /= _SQRT_2PI
+    tmp += phi
+    dy *= tmp
+    return dy
 
 
 def _softmax_last(x):
@@ -424,23 +439,31 @@ def _check_inputs(params: EncoderParams, input_ids, segment_ids, attention_mask,
     return ids, segs, mask, (rows, cols)
 
 
-def _attention_arrays(ws, k, shape, nh):
-    """A layer's attention arrays; "qh", "kh" and "vh" view Q, K and V by head."""
+def _attention_arrays(ws, k, shape, nh, ctx_key):
+    """A layer's attention arrays; "qh", "kh" and "vh" view Q, K and V by head.
+    The per-head PV, which only the merge into ctx reads, takes one key for
+    every layer; ctx takes ``ctx_key``."""
     B, L, d = shape
-    sizes = {"q": shape, "k": shape, "v": shape, "probs": (B, nh, L, L), "pv": (B, nh, L, d // nh), "ctx": shape}
+    sizes = {"q": shape, "k": shape, "v": shape, "probs": (B, nh, L, L)}
     a = {name: ws.take(k + name, size) for name, size in sizes.items()}
+    a["pv"] = ws.take("pv", (B, nh, L, d // nh))
+    a["ctx"] = ws.take(ctx_key, shape)
     for n in "qkv":
         a[n + "h"] = _split_heads(a[n], nh)
     return a
 
 
 def _post_attention_arrays(ws, k, rows, d, ff):
-    """A layer's arrays after the attention, at ``rows`` leading dims."""
-    widths = {"o": d, "ln1.xhat": d, "ln1.inv": 1, "ln1.out": d, "1": ff, "gelu.phi": ff, "gelu.y": ff, "2": d,
-              "ln2.xhat": d, "ln2.inv": 1, "ln2.out": d}
+    """A layer's arrays after the attention, at ``rows`` leading dims. Those
+    the backward reads take the layer's keys k. The output projection, the
+    GELU output and the FFN output, each read only within the layer's
+    forward, and _gelu's scratch take one key for every layer."""
+    widths = {"ln1.xhat": d, "ln1.inv": 1, "ln1.out": d, "1": ff, "gelu.phi": ff, "ln2.xhat": d, "ln2.inv": 1,
+              "ln2.out": d}
     a = {name: ws.take(k + name, rows + (n,)) for name, n in widths.items()}
-    a["gelu.tmp"] = ws.take("gelu.tmp", rows + (ff,))  # read only inside _gelu: one key serves every layer
-    a["gelu.mask"] = ws.take("gelu.mask", rows + (ff,), bool)  # _gelu's tail marks: one key too
+    shared = {"o": d, "gelu.y": ff, _FFN_OUT: d, "gelu.tmp": ff}
+    a.update({key: ws.take(key, rows + (n,)) for key, n in shared.items()})
+    a["gelu.mask"] = ws.take("gelu.mask", rows + (ff,), bool)
     return a
 
 
@@ -466,7 +489,7 @@ def _post_attention(t, p, ctx, h, keep_a, keep_f, p_drop, a):
     n1 = _layer_norm(r1, t[p + "ln1_g"], t[p + "ln1_b"], a["ln1.xhat"], a["ln1.inv"], a["ln1.out"])
     f1 = _affine(n1, t[p + "w1"], t[p + "b1"], a["1"])
     g1, _ = _gelu(f1, a["gelu.phi"], a["gelu.y"], a["gelu.tmp"], a["gelu.mask"])
-    r2 = _affine(g1, t[p + "w2"], t[p + "b2"], a["2"])
+    r2 = _affine(g1, t[p + "w2"], t[p + "b2"], a[_FFN_OUT])
     if keep_f is not None:
         _dropout(r2, keep_f, p_drop)
     r2 += n1
@@ -509,7 +532,8 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
     drop0 = _dropout_draw(cfg.dropout, dropout_rng, shape, ws, "drop0")
     h = np.take(t["tok_emb"], ids, axis=0, out=ws.take("emb", shape), mode="clip")
     h += t["pos_emb"][:L][None, :, :]
-    h += np.take(t["seg_emb"], segs, axis=0, out=ws.take("emb.seg", shape), mode="clip")
+    # the segment rows take the key of the last layer's dropout draws, which are drawn later
+    h += np.take(t["seg_emb"], segs, axis=0, out=ws.take("draw", shape), mode="clip")
     if drop0 is not None:
         _dropout(h, drop0, cfg.dropout)
     key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,L)
@@ -519,17 +543,19 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
         k = "l." if positions is None else p  # no cache: every layer takes one layer's keys
         at = at_rows if i == cfg.n_layers - 1 else None
         drop_a, drop_f = [_dropout_draw(cfg.dropout, dropout_rng, shape, ws, k + n, at) for n in ("drop_a", "drop_f")]
-        a = _attention_arrays(ws, k, shape, nh)
+        # a last layer run at some rows reads only their ctx, gathered before the output projection is written
+        a = _attention_arrays(ws, k, shape, nh, k + "ctx" if at is None else "o")
         _attention(t, p, h, key_bias, scale, a)
         h_in, ctx = h, a["ctx"]
         if at is not None:
-            h, ctx = _gather(h, at, ws, k + "h.at"), _gather(ctx, at, ws, k + "ctx.at")
+            # h's rows are read only by the first residual, before the FFN output is written
+            h, ctx = _gather(h, at, ws, _FFN_OUT), _gather(ctx, at, ws, k + "ctx.at")
         post = _post_attention_arrays(ws, k, ctx.shape[:-1], cfg.d_model, cfg.d_ff)
         _post_attention(t, p, ctx, h, drop_a, drop_f, cfg.dropout, post)
         if positions is not None:
             layers.append({"h_in": h_in, "qh": a["qh"], "kh": a["kh"], "vh": a["vh"], "probs": a["probs"], "ctx": ctx,
                            "drop_a": drop_a, "ln1": (post["ln1.xhat"], post["ln1.inv"]), "n1": post["ln1.out"],
-                           "f1": post["1"], "phi": post["gelu.phi"], "g1": post["gelu.y"], "drop_f": drop_f,
+                           "f1": post["1"], "phi": post["gelu.phi"], "drop_f": drop_f,
                            "ln2": (post["ln2.xhat"], post["ln2.inv"])})
         h = post["ln2.out"]
 
@@ -540,22 +566,26 @@ def forward(params: EncoderParams, input_ids, segment_ids, attention_mask, dropo
 
 def _post_attention_backward(ws, t, grads, p, c, dy):
     """Layer p's backward after its attention, from dy, the gradient of its
-    output, at dy's rows: adds the layer's parameter gradients into grads and
-    returns the gradients of its attention output and of its first residual."""
+    output, at dy's rows, which it writes over: adds the layer's parameter
+    gradients into grads and returns the gradients of its attention output
+    and of its first residual. GELU's output, which the forward did not
+    keep, is formed again for w2's gradient by the forward's multiply."""
     tmp = ws.take("b.ln.tmp", dy.shape)
     xhat, inv = c["ln2"]
     _layer_norm_param_grads(dy, xhat, tmp, grads[p + "ln2_g"], grads[p + "ln2_b"])
-    dr2 = _layer_norm_backward(dy, t[p + "ln2_g"], xhat, inv, ws.take("b.ln2.dx", dy.shape), tmp)
+    dr2 = _layer_norm_backward(dy, t[p + "ln2_g"], xhat, inv, dy, tmp)  # each layer norm's dx over its dy
     ddrop_f = _dropout_backward(dr2, c["drop_f"], ws)
-    _linear_param_grads(c["g1"], ddrop_f, ws, grads[p + "w2"], grads[p + "b2"])
-    dx2 = _linear_backward(ddrop_f, t[p + "w2"], ws.take("b.dx2", c["f1"].shape))
-    df1 = _gelu_grad(dx2, c["f1"], c["phi"], ws.take("b.gelu", c["f1"].shape))
+    f1, phi = c["f1"], c["phi"]
+    scratch = ws.take("gelu.tmp", f1.shape)
+    _linear_param_grads(np.multiply(f1, phi, out=scratch), ddrop_f, ws, grads[p + "w2"], grads[p + "b2"])
+    dx2 = _linear_backward(ddrop_f, t[p + "w2"], ws.take("gelu.y", f1.shape))
+    df1 = _gelu_grad(dx2, f1, phi, scratch)
     _linear_param_grads(c["n1"], df1, ws, grads[p + "w1"], grads[p + "b1"])
     dn1 = _linear_backward(df1, t[p + "w1"], ws.take("b.dx1", dy.shape))
     dn1 += dr2
     xhat, inv = c["ln1"]
     _layer_norm_param_grads(dn1, xhat, tmp, grads[p + "ln1_g"], grads[p + "ln1_b"])
-    dr1 = _layer_norm_backward(dn1, t[p + "ln1_g"], xhat, inv, ws.take("b.ln1.dx", dy.shape), tmp)
+    dr1 = _layer_norm_backward(dn1, t[p + "ln1_g"], xhat, inv, dn1, tmp)
     dao = _dropout_backward(dr1, c["drop_a"], ws)
     _linear_param_grads(c["ctx"], dao, ws, grads[p + "wo"], grads[p + "bo"])
     return _linear_backward(dao, t[p + "wo"], ws.take("b.dxo", dy.shape)), dr1

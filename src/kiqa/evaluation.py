@@ -76,11 +76,18 @@ def decode_span(start_logits: np.ndarray, end_logits: np.ndarray, max_answer_len
     subject to start <= end < start + max_answer_len; ties prefer the earlier
     start, then the earlier end. The logits must be finite and non-empty.
 
-    Row s of the scored (n, w) window holds start s with ends s .. s + w - 1,
-    w = min(max_answer_len, n); ends past the context read -inf padding."""
+    Row s of the scored (n, w) band holds start s with ends s .. s + w - 1,
+    w = min(max_answer_len, n): one strided view, each row a step further
+    along a copy of the end logits followed by w - 1 -inf, which the ends
+    past the context read."""
     n = len(start_logits)
+    if n == 0:
+        raise ValueError("decode_span needs a context of at least one position")
     w = min(max_answer_len, n)
-    ends = np.lib.stride_tricks.sliding_window_view(np.concatenate([end_logits, np.full(w - 1, -np.inf)]), w)
+    padded = np.empty(n + w - 1)
+    padded[:n] = end_logits
+    padded[n:] = -np.inf
+    ends = np.ndarray((n, w), buffer=padded, strides=(padded.itemsize, padded.itemsize))
     s, k = divmod(int(np.argmax(start_logits[:, None] + ends)), w)  # row-major: earlier start, then earlier end
     return s, s + k
 

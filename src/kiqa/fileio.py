@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -22,7 +21,7 @@ def atomic_write(path, mode: str = "w", encoding: str | None = None):
     file can cost tens of milliseconds. If the block raises, the temp file
     is removed and ``path`` keeps what it held before, if anything."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")  # 128 random bits
     try:
         with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
             yield fh

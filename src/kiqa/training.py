@@ -21,9 +21,9 @@ size grows with the batch. The global gradient norm is one dot product over
 the gradient buffer, optional clipping scales that buffer in place, and
 ``adamw_step`` is one chunked pass over the flat buffers. Every forward
 takes a workspace: one per training run, one per inference process and
-``evaluation.predict_spans`` call. Its keys name a layer only when the
-forward keeps a cache for a backward, as a training step's does. A run
-trains on the thread that calls it.
+``evaluation.predict_spans`` call. A key is per layer only for an array
+a training step's backward reads (see ``encoder.Workspace``). A run trains
+on the thread that calls it.
 """
 
 from __future__ import annotations

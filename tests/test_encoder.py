@@ -262,9 +262,10 @@ def test_gelu_kernels_match_plain_expressions(seed):
     y, phi = _gelu(x, np.empty_like(x), np.empty_like(x), np.empty_like(x), np.empty(x.shape, bool))
     assert_bitwise(y, gelu_oracle(x0))
     assert_bitwise(phi, 0.5 * (1.0 + erf(x0 / math.sqrt(2.0))))
-    assert_bitwise(_gelu_grad(dy, x, phi, np.empty_like(x)), gelu_grad_oracle(dy0, x0))
+    got = _gelu_grad(dy, x, phi, np.empty_like(x))
+    assert got is dy  # written over dy
+    assert_bitwise(got, gelu_grad_oracle(dy0, x0))
     assert_bitwise(x, x0)
-    assert_bitwise(dy, dy0)
 
 
 # _gelu's rational gives scipy's bits only while scipy.special.erf evaluates
@@ -652,6 +653,39 @@ def test_workspace_steps_match_fresh_arrays_bitwise(dropout, kind):
             for name, tensor in want_grads.items():
                 assert_bitwise(grads[name], tensor)
                 assert_bitwise(grads[name], plain_grads[name])
+
+
+class ShapeRecordingWorkspace(Workspace):
+    """A workspace that records each key's (shape, dtype) takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.takes: dict[str, set] = {}
+
+    def take(self, key, shape, dtype=np.float64):
+        self.takes.setdefault(key, set()).add((tuple(shape), np.dtype(dtype)))
+        return super().take(key, shape, dtype)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("kind", ["mlm", "span"])
+def test_a_training_step_keeps_per_layer_only_the_ffn_arrays_its_backward_reads(kind, n_layers):
+    """Of the float per-token arrays of width d_ff, a training step's
+    workspace holds each layer's pre-activation and Phi, which the backward
+    reads, plus two keys that serve every layer: _gelu's scratch, and GELU's
+    output, which the FFN backward reuses for dx2. GELU's output is formed
+    again in the backward rather than kept per layer."""
+    cfg = dataclasses.replace(bitwise_config(0.2), n_layers=n_layers, d_ff=20)  # d_ff apart from vocab and d_model
+    params = scaled_params(cfg, seed=5)
+    workspace = ShapeRecordingWorkspace()
+    batch = sized_batch(cfg, kind, 1, 3, 9)
+    loss_and_grad(params, batch, kind, dropout_rng=np.random.default_rng(1), grads=zeroed_grads(params),
+                  workspace=workspace)
+    weight_shapes = {tensor.shape for tensor in params.tensors.values()}  # the weight-gradient products
+    wide = sorted(key for key, takes in workspace.takes.items()
+                  if any(dtype == np.float64 and shape[-1] == cfg.d_ff and shape not in weight_shapes
+                         for shape, dtype in takes))
+    assert len(wide) <= 2 * n_layers + 2, wide
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])

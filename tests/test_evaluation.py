@@ -95,7 +95,7 @@ def test_decode_span_ties_below_the_answer_cap(start, end, max_answer_len, want)
 
 
 def test_decode_span_empty_context():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one position"):
         decode_span(np.zeros(0), np.zeros(0), 4)
 
 
