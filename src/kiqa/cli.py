@@ -15,11 +15,9 @@ benchmark is. It reports to ``reports/report_<name>.{txt,json}`` and writes
 ``reports/predictions_<name>.jsonl``. The single-step commands run the first
 row.
 
-``pipeline`` trains the rows of ``_ARMS`` in forked worker processes, at
-most ``min(arms, cpus)`` at a time, so it runs on POSIX only; each arm
-trains on one thread and evaluates on its share of the CPUs as processes.
-Rows are submitted in table order; each arm's output and the first failing
-arm's error come back in table order. A failing arm does not stop the others,
+``pipeline`` trains the rows of ``_ARMS`` side by side through
+``evaluation.run_shares``; each arm's output and the first failing arm's
+error come back in table order. A failing arm does not stop the others,
 which may still write their artifacts.
 """
 
@@ -301,7 +299,6 @@ class Arm:
     kind_weights: tuple[float, float, float] | None
 
     def path(self, run_dir: Path, name: str) -> Path:
-        # ==, not is: the pool pickles each Arm into its worker.
         if self != _ARMS[0]:
             stem, ext = name.rsplit(".", 1)
             name = f"{stem}-{self.name}.{ext}"
@@ -437,23 +434,28 @@ def cmd_evaluate(config: PipelineConfig, run_dir: Path) -> None:
     _write_manifest(run_dir, "evaluate", config)
 
 
-def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm, eval_processes: int) -> tuple[float, str, float]:
+def _run_arm(config: PipelineConfig, run_dir: Path, arm: Arm,
+             eval_processes: int) -> tuple[float, str, float] | Exception:
     """Assemble the arm's own corpus if it has one, then inject and finetune
     on this process's thread and evaluate on ``eval_processes`` processes.
-    Returns the cross-pair F1, the arm's printed lines and its wall seconds."""
+    Returns the cross-pair F1, the arm's printed lines and its wall seconds,
+    or the error it raised."""
     start = time.perf_counter()
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        if arm.kind_weights is not None:
-            _assemble_into(config, run_dir, arm, _load_kb(config, run_dir))
-        _run_injection(config, run_dir, arm)
-        _run_finetune(config, run_dir, arm)
-        report = _evaluate_checkpoint(config, run_dir, arm, eval_processes)
+    try:
+        with contextlib.redirect_stdout(out):
+            if arm.kind_weights is not None:
+                _assemble_into(config, run_dir, arm, _load_kb(config, run_dir))
+            _run_injection(config, run_dir, arm)
+            _run_finetune(config, run_dir, arm)
+            report = _evaluate_checkpoint(config, run_dir, arm, eval_processes)
+    except Exception as exc:  # returned, so that a failing arm does not stop the others in its share
+        return exc
     return report.cross_pair_f1(), out.getvalue(), time.perf_counter() - start
 
 
 def _cpu_budget(arms: int, cpus: int) -> tuple[int, int]:
-    """Forked workers for ``arms`` rows on ``cpus`` CPUs, and the processes
+    """Arm shares for ``arms`` rows on ``cpus`` CPUs, and the processes
     each arm evaluates on: ``min(arms, cpus)`` and ``max(1, cpus // workers)``.
     An arm evaluates in itself and the children it forks, none with 1; it
     trains on its own thread whatever its share."""
@@ -465,34 +467,29 @@ def cmd_pipeline(config: PipelineConfig, run_dir: Path) -> None:
     """synth-gen -> assemble, then every row of ``_ARMS``: the injected arm and
     the monolingual-injection baseline trained for the same number of steps.
 
-    The rows go, in table order, to at most ``min(arms, cpus)`` forked
-    workers, where cpus is ``evaluation.usable_cpus()``; one CPU still runs
-    them through the pool, one after the other. Each arm trains on one
-    thread and evaluates on ``max(1, cpus // workers)`` processes
-    (``_cpu_budget``), so the arms in flight share the process's CPUs: two
-    arms on 2 CPUs evaluate inline; on 4 CPUs each evaluates in itself and
-    one forked child. Each arm's manifest entry records that number as its
-    ``eval_processes``.
-    Each arm's output is printed, and the first failing arm's error raised,
-    in table order, so stdout matches a serial run. A failing arm does not
-    stop the others, which may still write their artifacts. A last line per
-    row after the first gives the first row's cross-pair F1 against that row's.
+    The rows are dealt round-robin to ``min(arms, cpus)`` shares, cpus being
+    ``evaluation.usable_cpus()``, which ``evaluation.run_shares`` runs after
+    an empty share of this process's own, so this process trains no arm.
+    Each arm trains on one thread and evaluates on ``max(1, cpus // workers)``
+    processes (``_cpu_budget``), which its manifest entry records as
+    ``eval_processes``. Each arm's output is printed, and the first failing
+    arm's error raised, in table order, so stdout matches a serial run. A
+    last line per row after the first gives the first row's cross-pair F1
+    against that row's.
     """
-    # Imported here: every other command, and every import of this module, skips their cost.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     cmd_synth_gen(config, run_dir)
     cmd_assemble(config, run_dir)
     workers, eval_processes = _cpu_budget(len(_ARMS), evaluation.usable_cpus())
+    shares = evaluation.run_shares(lambda share: [_run_arm(config, run_dir, arm, eval_processes) for arm in share],
+                                   [()] + [_ARMS[k::workers] for k in range(workers)])[1:]
     arms = []
-    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_arm, config, run_dir, arm, eval_processes) for arm in _ARMS]
-        for arm, future in zip(_ARMS, futures):
-            f1, printed, wall_s = future.result()
-            sys.stdout.write(printed)
-            arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s,
-                         "eval_processes": eval_processes})
+    for i, arm in enumerate(_ARMS):
+        outcome = shares[i % workers][i // workers]  # dealt round-robin
+        if isinstance(outcome, Exception):
+            raise outcome
+        f1, printed, wall_s = outcome
+        sys.stdout.write(printed)
+        arms.append({"name": arm.name, "cross_pair_f1": f1, "wall_s": wall_s, "eval_processes": eval_processes})
 
     first = arms[0]
     for other in arms[1:]:

@@ -30,15 +30,13 @@ Workspace rule: every forward takes a ``Workspace``, and from it every array
 whose size grows with the batch: (B, L, d) activations and their gradients,
 (N, d_ff) FFN arrays, (B, heads, L, L) scores, MLM and span logits, dropout
 draws, the last layer's scatter target and the weight-gradient products. A
-training run keeps one workspace; inference keeps one per process that
-runs batches, for one ``predict_spans`` call. Each array is written with
+training run keeps one workspace; inference keeps one per share of a
+``predict_spans`` call (``evaluation.run_shares``). Each array is written with
 ``out=`` in the plain expression's operation order, so its values are
 bitwise those of a fresh array, and a call after the first few maps no new
 memory. A key is per layer only for an array the backward reads; every
 other array takes a key that serves all layers (see ``Workspace``). A
-training step runs on the thread that calls it, one layer after another;
-evaluation runs batches in parallel in forked processes
-(``evaluation.predict_spans``), each with its own workspace.
+training step runs on the thread that calls it, one layer after another.
 
 GELU kernel rule: Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) is bitwise that of
 ``scipy.special.erf``. Where |x / sqrt 2| <= 1, erf is Cephes' rational,
@@ -82,8 +80,9 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if min(self.vocab_size, self.n_layers, self.n_heads, self.d_model, self.d_ff, self.max_len) < 1:
-            raise ConfigError("all model dimensions must be >= 1")
+        dims = (self.vocab_size, self.n_layers, self.n_heads, self.d_model, self.d_ff, self.max_len)
+        if any(type(dim) is not int for dim in dims) or min(dims) < 1:
+            raise ConfigError(f"all model dimensions must be integers >= 1, got {dims}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:

@@ -6,15 +6,13 @@ and per-language-pair reporting. ``evaluate`` is the one evaluation path:
 only counts each example's packed width (``textmodel.packed_width``) and
 plans the batches: examples in order of packed width, each batch capped by
 ``batch_size`` rows and ``_BATCH_TOKENS`` padded tokens. The batches, longest
-first, are dealt round-robin to as many processes as the process may use
-CPUs (``usable_cpus``), never more than there are batches: the calling
-process and children it forks for the call, which do not share an
-interpreter lock. Each packs the batches of its share, runs the encoder on
-them in its own ``encoder.Workspace``, decodes the logits and scores each
-example; a child sends its results back through a pipe. A batch's logits
-depend on its rows alone, and the caller puts the results back in input
-order and sums each cell in input order, so every worker count gives bitwise
-the same predictions and reports.
+first, are dealt round-robin to one share per usable CPU (``usable_cpus``),
+never more than there are batches, and ``run_shares`` runs the shares. Each
+share packs its batches, runs the encoder on them in its own
+``encoder.Workspace``, decodes the logits and scores each example. A batch's
+logits depend on its rows alone, and the caller puts the results back in
+input order and sums each cell in input order, so every worker count gives
+bitwise the same predictions and reports.
 
 Datasets follow the SQuAD-style JSON layout with optional per-question
 ``context_lang`` / ``question_lang`` keys.
@@ -228,12 +226,13 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork(fn, *args) -> tuple[int, int]:
-    """Runs fn(*args) in a forked child; returns its pid and the read end of a
-    pipe that carries the pickled (True, result) or (False, exception), an
-    exception that does not pickle going as a RuntimeError of its repr. The
-    child leaves only through ``os._exit``, whatever fn raises, so it never
-    returns into its caller's frames. A failed fork leaves no pipe open."""
+def _fork(fn, *args):
+    """Runs fn(*args) in a forked child; returns its pid and the read end, as
+    a binary file, of a pipe that carries the pickled (True, result) or
+    (False, exception), an exception that does not pickle going as a
+    RuntimeError of its repr. The child leaves only through ``os._exit``,
+    whatever fn raises, so it never returns into its caller's frames. A
+    failed fork leaves no pipe open."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -259,14 +258,52 @@ def _fork(fn, *args) -> tuple[int, int]:
         finally:
             os._exit(status)
     os.close(write_end)  # before the next fork, so that only this child holds it
-    return pid, read_end
+    return pid, os.fdopen(read_end, "rb")
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
+def run_shares(fn, shares: Sequence) -> list:
+    """``[fn(share) for share in shares]``, computed at once: the first share
+    in the calling process, each other share in a child forked for it, which
+    pickles its result back through a pipe (``_fork``); where ``os.fork`` does
+    not exist, every share in the calling process. This is the program's one
+    way to run work in other processes. A child's changes to its memory are
+    lost when it exits, and it is forked from the calling thread alone, so no
+    other thread may hold a lock it needs; kiqa starts no thread.
+
+    The first exception in share order is raised, a child's with its type and
+    message. A child that ends without a result, or sends one that does not
+    unpickle, raises ChildProcessError, an OSError. If the calling process's
+    share or a fork raises, the children are killed instead of waited for.
+    Every child has been reaped, and every pipe closed, when the call returns
+    or raises."""
+    if not hasattr(os, "fork"):
+        return [fn(share) for share in shares]
+    children = []  # (pid, read end of its result pipe)
+    ended = False
+    try:
+        for share in shares[1:]:
+            children.append(_fork(fn, share))
+        results = [fn(shares[0])]
+        sent = [pipe.read() for _, pipe in children]  # each child's write end closes when it exits
+        ended = True
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if not ended:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), status, data in zip(children, statuses, sent):
+        try:
+            ok, value = pickle.loads(data)  # bytes this function's own child wrote
+        except Exception as exc:  # a child that died mid-send, or an exception that does not unpickle
+            code = os.waitstatus_to_exitcode(status)
+            reason = f"ended without a result (exit code {code})" if code else "sent a result that does not unpickle"
+            raise ChildProcessError(f"worker process {pid} {reason}: {exc!r}") from exc
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def _score(ex: QAExample, prediction: str) -> tuple[float, int]:
@@ -314,35 +351,9 @@ def _predict(params: EncoderParams, vocab: Vocab, examples: Sequence[QAExample],
         return done
 
     procs = usable_cpus() if workers is None else workers
-    if not hasattr(os, "fork"):
-        procs = 1
     procs = max(1, min(procs, len(plan)))
     shares = [plan[::-1][k::procs] for k in range(procs)]  # each longest first
-    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
-    ended = False
-    try:
-        for share in shares[1:]:
-            children.append(_fork(run, share))
-        done = run(shares[0])
-        sent = [_read_all(fd) for _, fd in children]  # each child's write end closes when it exits
-        ended = True
-    finally:
-        statuses = []
-        for pid, fd in children:
-            os.close(fd)
-            if not ended:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _), status, data in zip(children, statuses, sent):
-        try:
-            ok, value = pickle.loads(data)  # bytes this function's own child wrote
-        except Exception as exc:  # a child that died mid-send, or an exception that does not unpickle
-            code = os.waitstatus_to_exitcode(status)
-            reason = f"ended without a result (exit code {code})" if code else "sent a result that does not unpickle"
-            raise ChildProcessError(f"eval worker process {pid} {reason}: {exc!r}") from exc
-        if not ok:
-            raise value
-        done += value
+    done = [record for share in run_shares(run, shares) for record in share]
     done.sort(key=lambda record: record[0])  # input order
     return [prediction for _, prediction, _ in done], [scored for _, _, scored in done]
 
@@ -376,26 +387,17 @@ def predict_spans(
     from those of another batching of the same examples.
 
     The plan runs in reverse, longest batch first, dealt round-robin to
-    up to ``workers`` processes (default ``usable_cpus()``, capped at the
-    number of batches; one where ``os.fork`` does not exist). The calling
-    process runs the first share; each other share runs in a child forked
-    for this call, which sends its results back through a pipe. Every share
+    ``workers`` shares (default ``usable_cpus()``, capped at the number of
+    batches), which ``run_shares`` runs in as many processes. Every share
     packs its batches with ``pack_qa`` and runs ``forward`` and
     ``qa_logits`` batch by batch in its own ``Workspace``, and so takes its
     largest arrays at its first batch rather than regrowing them; it checks
     each batch's span logits, decodes them and scores each example as
     ``evaluate`` reports it (this function returns only the predictions,
     one scoring path serving both). The first batch of a share whose span
-    logits are not all finite raises NonFiniteError, and a child's exception
-    is raised here with its type and message: the calling process's own
-    first, then the children's in share order. A child that ends without a
-    result, or sends one that does not unpickle, raises ChildProcessError.
-    If the calling process's share raises, the children are killed. Every
-    child has been reaped, and every pipe closed, when the call returns or
-    raises. The children are forked from the calling thread alone, so no
-    other thread of the process should hold a lock they need; kiqa runs none
-    during evaluation. A batch's logits depend on its rows alone, so
-    predictions are bitwise the same for every worker count.
+    logits are not all finite raises NonFiniteError. A batch's logits depend
+    on its rows alone, so predictions are bitwise the same for every worker
+    count.
     """
     return _predict(params, vocab, examples, max_answer_len, batch_size, workers)[0]
 

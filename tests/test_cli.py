@@ -1,6 +1,6 @@
 import json
 import math
-import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -252,6 +252,14 @@ def test_pipeline_rerun_on_one_worker_gives_identical_artifacts(tmp_path, monkey
     assert manifest["workers"] == 1
 
 
+def test_pipeline_without_fork_trains_both_arms_in_process_and_gives_identical_artifacts(
+        tmp_path, monkeypatch, pipeline_run):
+    monkeypatch.delattr(os, "fork")  # run_shares then runs every share in the calling process
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 0
+    assert _files(run_dir) == _files(pipeline_run)
+
+
 def test_pipeline_prints_and_records_arms_in_table_order(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_cli("pipeline", run_dir, FAST) == 0
@@ -288,7 +296,7 @@ def test_pipeline_summary_compares_the_first_arm_with_each_other(tmp_path, capsy
 
 @pytest.mark.parametrize("arms,cpus,budget", [(2, 1, (1, 1)), (2, 2, (2, 1)), (2, 4, (2, 2))])
 def test_pipeline_cpu_budget_splits_the_cpus_between_arms(arms, cpus, budget):
-    assert cli._cpu_budget(arms, cpus) == budget  # (forked workers, eval processes per arm)
+    assert cli._cpu_budget(arms, cpus) == budget  # (arm shares, eval processes per arm)
 
 
 @pytest.mark.parametrize("cpus,processes", [(2, 1), (4, 2)])
@@ -323,7 +331,42 @@ def test_pipeline_with_every_arm_failing_exits_with_one_record(tmp_path, capsys,
     assert len(err) == 1
     record = json.loads(err[0])
     assert record == {"error": "config", "message": "injection refused"}
-    assert multiprocessing.active_children() == []
+    assert not (run_dir / "manifest-pipeline.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_with_a_failing_first_arm_still_trains_the_others(tmp_path, capsys, monkeypatch, cpus):
+    """On 1 CPU both arms share one child, on 2 each has its own: either way
+    the baseline arm still writes its report after the injected arm fails,
+    and the injected arm's error is the one record."""
+    run_injection = cli._run_injection
+
+    def refuse_first_arm(config, run_dir, arm):
+        if arm == cli._ARMS[0]:
+            raise ConfigError("first arm refused")
+        run_injection(config, run_dir, arm)
+
+    monkeypatch.setattr(cli, "_run_injection", refuse_first_arm)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [{"error": "config", "message": "first arm refused"}]
+    assert (run_dir / "reports" / "report_baseline.json").exists()
+    assert not (run_dir / "reports" / "report_injected.json").exists()
+
+
+def test_pipeline_with_a_dying_arm_exits_with_one_io_record(tmp_path, capsys, monkeypatch):
+    """An arm process that dies without a result, as an OOM kill or a crash
+    would end it, gives one ``io`` record naming its exit code, not a
+    traceback; the autouse fixture checks that no child is left."""
+    monkeypatch.setattr(training, "run_injection", lambda *args, **kwargs: os._exit(3))
+    run_dir = tmp_path / "run"
+    assert run_cli("pipeline", run_dir, FAST) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "io" and "ended without a result (exit code 3)" in record["message"]
     assert not (run_dir / "manifest-pipeline.json").exists()
 
 

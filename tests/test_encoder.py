@@ -1068,9 +1068,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
     magic = good.read_bytes().split(b"\n", 1)[0] + b"\n"
     bad_config = {"config": {"vocab_size": 0}, "meta": {}, "tensors": []}
+    # Dims that pass a `< 1` check but are not ints, each with tensors whose shapes match them.
+    float_dim = json.loads(good.read_bytes().split(b"\n", 2)[1])
+    float_dim["config"]["max_len"] = 6.0
+    float_dim["tensors"] = [[name, [6, 8] if name == "pos_emb" else shape] for name, shape in float_dim["tensors"]]
+    bool_dim = json.loads(good.read_bytes().split(b"\n", 2)[1])
+    bool_dim["config"]["n_layers"] = True
     for header in (b"not json", b"\xff\xfe", b"[1]", b'{"config": {}}', b'{"config": {"vocab_size": 16}}',
                    json.dumps(bad_config).encode(), b'{"config": {"vocab_size": 16}, "meta": [], "tensors": []}',
-                   b'{"config": {"vocab_size": 16}, "meta": {}, "tensors": [[["tok_emb"], [16, 8]]]}'):
+                   b'{"config": {"vocab_size": 16}, "meta": {}, "tensors": [[["tok_emb"], [16, 8]]]}',
+                   json.dumps(float_dim).encode(), json.dumps(bool_dim).encode()):
         path.write_bytes(magic + header + b"\n")
         with pytest.raises(ArtifactMismatchError, match="bad.bin"):
             load_checkpoint(path)
